@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metric import InputError, Instance, min_pairwise_distance
+from .metric import InputError, Instance, check_integer, min_pairwise_distance
 from .offline import opt_cost
 from .workfunction import final_work_vector
 
@@ -53,10 +53,8 @@ def compute_anchor(inst: Instance, alpha: int, beta: int) -> AnchorSpec:
     ``2*k*opt/gap + k^2`` and ``(2*alpha*opt + beta)/gap``, which makes
     both guarantees below strict.
     """
-    if not isinstance(alpha, int) or isinstance(alpha, bool) or alpha < 1:
-        raise InputError(f"alpha must be a positive integer, got {alpha!r}")
-    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 0:
-        raise InputError(f"beta must be a nonnegative integer, got {beta!r}")
+    check_integer("alpha", alpha, 1)
+    check_integer("beta", beta, 0)
     if inst.k < 2:
         raise InputError("anchors need k >= 2 (no pairwise gap with one server)")
     gap = min_pairwise_distance(inst.initial, inst.metric)
@@ -78,7 +76,6 @@ def compute_anchor(inst: Instance, alpha: int, beta: int) -> AnchorSpec:
 
 def build_chi(requests, anchor_requests, repetitions: int) -> tuple[int, ...]:
     """The combined block (base requests then anchor), repeated."""
-    if not isinstance(repetitions, int) or isinstance(repetitions, bool) or repetitions < 1:
-        raise InputError(f"repetition count must be a positive integer, got {repetitions!r}")
+    check_integer("repetition count", repetitions, 1)
     block = tuple(requests) + tuple(anchor_requests)
     return block * repetitions

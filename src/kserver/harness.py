@@ -36,6 +36,7 @@ from .anchor import compute_anchor, build_chi
 from .metric import (
     InputError,
     Instance,
+    check_integer,
     min_pairwise_distance,
     random_metric,
 )
@@ -140,9 +141,7 @@ def resolve_alpha(value, k: int) -> int:
             value = int(token)
         except ValueError:
             raise InputError(f"alpha must be a positive integer or '2k-1', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"alpha must be a positive integer, got {value!r}")
-    return value
+    return check_integer("alpha", value, 1)
 
 
 def _beta_schedule(beta_initial: int, cap: int):
@@ -176,10 +175,8 @@ def verify_anchored_properties(
     allowance than the one assumed.
     """
     alpha = resolve_alpha(alpha, inst.k)
-    if isinstance(beta_initial, bool) or not isinstance(beta_initial, int) or beta_initial < 0:
-        raise InputError(f"beta must be a nonnegative integer, got {beta_initial!r}")
-    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
-        raise InputError(f"q must be a positive integer, got {q!r}")
+    check_integer("beta", beta_initial, 0)
+    check_integer("q", q, 1)
     if inst.k < 2:
         raise InputError("anchored verification needs k >= 2")
     gap = min_pairwise_distance(inst.initial, inst.metric)
@@ -343,6 +340,12 @@ def measure_strict_ratio(inst: Instance) -> RatioRow:
 REQUEST_MODELS = ("uniform", "roundrobin_k_plus_1", "greedy_adversary")
 
 
+def _headroom(request_model: str) -> int:
+    """Points beyond k a request model needs: the cycling and adversarial
+    models request a point outside the start configuration."""
+    return 1 if request_model in ("roundrobin_k_plus_1", "greedy_adversary") else 0
+
+
 def generate_instance(
     n: int,
     k: int,
@@ -362,10 +365,8 @@ def generate_instance(
     """
     if request_model not in REQUEST_MODELS:
         raise InputError(f"unknown request model {request_model!r}, expected one of {REQUEST_MODELS}")
-    if isinstance(rho_len, bool) or not isinstance(rho_len, int) or rho_len < 0:
-        raise InputError(f"request count must be a nonnegative integer, got {rho_len!r}")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InputError(f"server count must be a positive integer, got {k!r}")
+    check_integer("request count", rho_len, 0)
+    check_integer("server count", k, 1)
     if k > n:
         raise InputError(f"k exceeds n (k={k}, n={n})")
     stream = SplitMix64(seed)
@@ -456,28 +457,21 @@ def validate_campaign_config(config: dict) -> dict:
         raise InputError("anchored verification needs k >= 2 for every instance")
     if rho_range[0] < 0:
         raise InputError("rho_len cannot be negative")
-    headroom = 1 if model in ("roundrobin_k_plus_1", "greedy_adversary") else 0
-    if k_range[0] > n_range[0] - headroom:
+    if k_range[0] > n_range[0] - _headroom(model):
         raise InputError(
             f"k range {list(k_range)} infeasible for n range {list(n_range)} "
             f"under model {model!r}"
         )
-    alpha = config["alpha"]
-    if isinstance(alpha, str):
-        resolve_alpha(alpha, 2)  # token validity only; resolved per instance
-    else:
-        resolve_alpha(alpha, 2)
-    if isinstance(config["beta"], bool) or not isinstance(config["beta"], int) or config["beta"] < 0:
-        raise InputError(f"beta must be a nonnegative integer, got {config['beta']!r}")
-    if isinstance(config["q"], bool) or not isinstance(config["q"], int) or config["q"] < 1:
-        raise InputError(f"q must be a positive integer, got {config['q']!r}")
+    resolve_alpha(config["alpha"], 2)  # token validity only; resolved per instance
+    check_integer("beta", config["beta"], 0)
+    check_integer("q", config["q"], 1)
     return {
         "seeds": list(seeds),
         "n": list(n_range),
         "k": list(k_range),
         "rho_len": list(rho_range),
         "request_model": model,
-        "alpha": alpha,
+        "alpha": config["alpha"],
         "beta": config["beta"],
         "q": config["q"],
     }
@@ -532,7 +526,7 @@ def run_campaign(config: dict) -> ExperimentReport:
     cfg = validate_campaign_config(config)
     lo, hi = cfg["seeds"]
     rows = []
-    headroom = 1 if cfg["request_model"] in ("roundrobin_k_plus_1", "greedy_adversary") else 0
+    headroom = _headroom(cfg["request_model"])
     for instance_id, seed in enumerate(range(lo, hi + 1)):
         stream = SplitMix64(seed)
         n = stream.randint(cfg["n"][0], cfg["n"][1])

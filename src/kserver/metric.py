@@ -14,21 +14,27 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 MIN_POINTS = 2
 MAX_POINTS = 16
-
-# k! matchings are enumerated up to this k; larger instances use the
-# polynomial assignment solver.  Both routes agree and are cross-checked
-# in the test suite.
-PERMUTATION_MATCHING_LIMIT = 6
 
 Configuration = tuple[int, ...]
 
 
 class InputError(ValueError):
     """Structurally invalid input, distinct from a failed metric axiom."""
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """Return ``value`` if it is an ``int`` (not a ``bool``) >= ``minimum``.
+
+    ``minimum`` is 1 ("positive") or 0 ("nonnegative").  Any other value
+    raises :class:`InputError` naming the parameter.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise InputError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,39 +161,77 @@ def canonical_configuration(points: Iterable[int], n: int | None = None) -> Conf
     return tuple(sorted(pts))
 
 
-def matching_cost(
-    sources: Sequence[int],
-    targets: Sequence[int],
-    metric: MetricSpace,
-    method: str | None = None,
-) -> int:
-    """Minimum total distance of a bijection sources -> targets.
+def _min_assignment(
+    sources: Sequence[int], targets: Sequence[int], metric: MetricSpace
+) -> list[int]:
+    """Lexicographically first minimum-weight bijection sources -> targets.
 
-    Accepts repeated points on either side (server positions may stack
-    mid-execution).  ``method`` forces ``"permutation"`` or ``"assignment"``
-    for cross-checking; by default small inputs are enumerated exactly and
-    larger ones go through the assignment solver.
+    Returns the index into ``targets`` matched to each source.  Shortest
+    augmenting paths with dual potentials (Kuhn-Munkres), O(k^3) in exact
+    Python integers.  Each distance is scaled by k^k and target index j of
+    source i adds j * k^(k-1-i): these offsets spell the bijection in base
+    k, sum to less than one unit of distance, and so make the optimum
+    unique: the minimal bijection with the lexicographically first index
+    sequence.
     """
     if len(sources) != len(targets):
         raise InputError(f"matching sides differ: {len(sources)} vs {len(targets)}")
     k = len(sources)
-    if method is None:
-        method = "permutation" if k <= PERMUTATION_MATCHING_LIMIT else "assignment"
     dist = metric.dist
-    if method == "permutation":
-        best = None
-        for perm in itertools.permutations(targets):
-            cost = sum(dist[s][t] for s, t in zip(sources, perm))
-            if best is None or cost < best:
-                best = cost
-        return best
-    if method == "assignment":
-        cost_matrix = np.array(
-            [[dist[s][t] for t in targets] for s in sources], dtype=np.int64
-        )
-        rows, cols = linear_sum_assignment(cost_matrix)
-        return int(cost_matrix[rows, cols].sum())
-    raise InputError(f"unknown matching method {method!r}")
+    scale = k**k
+    weight = [
+        [dist[s][t] * scale + j * k ** (k - 1 - i) for j, t in enumerate(targets)]
+        for i, s in enumerate(sources)
+    ]
+    u = [0] * k  # row potentials
+    v = [0] * (k + 1)  # column potentials; column k is the root of each search
+    row_of = [None] * (k + 1)  # row matched to each column
+    for i in range(k):
+        row_of[k] = i
+        # reduced costs from row i alone (u[i] is still 0)
+        slack = [weight[i][j] - v[j] for j in range(k)]
+        way = [k] * k  # previous column on the shortest path
+        free = list(range(k))
+        used = [k]
+        col = k
+        while True:
+            if col != k:
+                r = row_of[col]
+                w, ur = weight[r], u[r]
+                for j in free:
+                    reduced = w[j] - ur - v[j]
+                    if reduced < slack[j]:
+                        slack[j] = reduced
+                        way[j] = col
+            col = min(free, key=slack.__getitem__)
+            delta = slack[col]
+            for j in used:
+                u[row_of[j]] += delta
+                v[j] -= delta
+            for j in free:
+                slack[j] -= delta
+            free.remove(col)
+            used.append(col)
+            if row_of[col] is None:
+                break
+        while col != k:
+            prev = way[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    cols = [0] * k
+    for j in range(k):
+        cols[row_of[j]] = j
+    return cols
+
+
+def matching_cost(sources: Sequence[int], targets: Sequence[int], metric: MetricSpace) -> int:
+    """Minimum total distance of a bijection sources -> targets.
+
+    Accepts repeated points on either side (server positions may stack
+    mid-execution).
+    """
+    cols = _min_assignment(sources, targets, metric)
+    return sum(metric.dist[s][targets[j]] for s, j in zip(sources, cols))
 
 
 def matching_assignment(
@@ -195,30 +239,11 @@ def matching_assignment(
 ) -> tuple[int, ...]:
     """A minimum-weight bijection, returned as the target matched per source.
 
-    For enumerable sizes the first permutation (in lexicographic order)
-    achieving the strict minimum is returned, which makes downstream trace
-    extraction deterministic.
+    Among minimal bijections the one whose sequence of target positions is
+    lexicographically first is returned, for every k, which makes
+    downstream trace extraction deterministic.
     """
-    if len(sources) != len(targets):
-        raise InputError(f"matching sides differ: {len(sources)} vs {len(targets)}")
-    k = len(sources)
-    dist = metric.dist
-    if k <= PERMUTATION_MATCHING_LIMIT:
-        best = None
-        best_perm = None
-        for perm in itertools.permutations(targets):
-            cost = sum(dist[s][t] for s, t in zip(sources, perm))
-            if best is None or cost < best:
-                best, best_perm = cost, perm
-        return tuple(best_perm)
-    cost_matrix = np.array(
-        [[dist[s][t] for t in targets] for s in sources], dtype=np.int64
-    )
-    rows, cols = linear_sum_assignment(cost_matrix)
-    out = [0] * k
-    for r, c in zip(rows, cols):
-        out[r] = targets[c]
-    return tuple(out)
+    return tuple(targets[j] for j in _min_assignment(sources, targets, metric))
 
 
 def configuration_distance(
@@ -293,8 +318,7 @@ class Instance:
         initial: Iterable[int],
         requests: Iterable[int],
     ) -> "Instance":
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise InputError(f"server count must be a positive integer, got {k!r}")
+        check_integer("server count", k, 1)
         if k > metric.n:
             raise InputError(f"k exceeds n (k={k}, n={metric.n})")
         start = canonical_configuration(initial, metric.n)

@@ -1,10 +1,15 @@
 import itertools
 import json
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kserver
 from kserver import (
     AxiomViolation,
     InputError,
@@ -130,25 +135,26 @@ class TestConfigurationDistance:
 
 class TestMatchingRoutes:
     def test_permutation_and_assignment_agree(self):
-        # overlap range of the two solvers, including stacked positions
+        # permutation oracle against the matching routine, stacked positions included
         metric = random_metric(9, seed=3)
         cases = [
             ((0, 1, 2, 3, 4, 5), (3, 4, 5, 6, 7, 8)),
             ((0, 0, 1, 2, 2, 5), (1, 3, 4, 6, 7, 8)),
             ((2, 3, 5, 7, 8, 1), (0, 1, 2, 3, 4, 5)),
+            ((0, 0, 0, 4, 4, 8, 8), (1, 1, 2, 3, 5, 6, 7)),
         ]
         for sources, targets in cases:
-            exact = matching_cost(sources, targets, metric, method="permutation")
-            poly = matching_cost(sources, targets, metric, method="assignment")
-            assert exact == poly
+            assert matching_cost(sources, targets, metric) == brute_force_distance(
+                sources, targets, metric
+            )
 
-    def test_large_k_uses_assignment(self):
+    def test_k7_matches_permutation_oracle(self):
         metric = random_metric(16, seed=9)
         sources = tuple(range(7))
         targets = tuple(range(9, 16))
-        got = matching_cost(sources, targets, metric)
-        exact = matching_cost(sources, targets, metric, method="permutation")
-        assert got == exact
+        assert matching_cost(sources, targets, metric) == brute_force_distance(
+            sources, targets, metric
+        )
 
     def test_assignment_realizes_cost(self):
         metric = random_metric(8, seed=21)
@@ -157,6 +163,48 @@ class TestMatchingRoutes:
         assert sorted(assigned) == sorted(targets)
         cost = sum(metric.dist[s][t] for s, t in zip(sources, assigned))
         assert cost == matching_cost(sources, targets, metric)
+
+    def test_assignment_is_first_minimal_permutation(self):
+        # trace extraction relies on this tie-break; small weights and
+        # repeated points make ties common
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            k = rng.randint(1, 7)
+            metric = random_metric(n, seed=rng.randrange(2**32), weight_range=(1, 3))
+            sources = tuple(rng.randrange(n) for _ in range(k))
+            targets = tuple(rng.randrange(n) for _ in range(k))
+            first = min(
+                itertools.permutations(targets),
+                key=lambda perm: sum(metric.dist[s][t] for s, t in zip(sources, perm)),
+            )
+            assert matching_assignment(sources, targets, metric) == first
+
+    def test_exact_beyond_float64(self):
+        # distances 2^56 + r, 1 <= r <= 15, always satisfy the triangle
+        # inequality; a float64 solver cannot tell the small parts apart
+        for seed in range(10):
+            rng = random.Random(seed)
+            n = 14
+            matrix = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    matrix[i][j] = matrix[j][i] = 2**56 + rng.randint(1, 15)
+            metric = MetricSpace.from_matrix(matrix)
+            x, y = tuple(range(7)), tuple(range(7, 14))
+            assert configuration_distance(x, y, metric) == brute_force_distance(x, y, metric)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(kserver.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import kserver; "
+        "print('scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestMinPairwiseDistance:

@@ -160,8 +160,8 @@ def test_history_shape(m3_instance):
 
 
 def test_k7_uses_assignment_matching():
-    # beyond the permutation limit, initial alignment and relocation go
-    # through the assignment solver
+    # at k = 7 the initial alignment and final relocation still realize
+    # the optimum through matching_assignment
     inst = generate_instance(9, 7, 3, seed=13)
     history = work_vector_history(inst)
     final = history[-1]
