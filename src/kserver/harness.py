@@ -11,12 +11,18 @@ C1a  the anchored work vector has a unique minimizer: the start
 C1b  for every ending configuration, the extracted cost-realizing
      execution passes through the start configuration during the anchor
      block (checked on all configurations, or a seeded sample of 512).
+     All examined targets are backtracked and lazily replayed together
+     (``offline.first_start_visits``), each trace's cost checked against
+     its work-vector entry; the first target's trace is also extracted on
+     its own by ``extract_trace``, and a different first visit raises.
 C2   the anchored work vector equals its value at the start plus the
      matching distance from the start, entry for entry.
 E2   the optimum of the q-fold repeated block is exactly q times the
      block optimum.
 E3   the online cost of the repeated block is exactly q times the block
-     cost, and the per-round behavior repeats verbatim.
+     cost, and the per-round behavior repeats verbatim.  E2 and E3 share
+     one pass: blocks 2..q continue the anchored online run and its work
+     vector.
 R1   the online algorithm ends the anchored block back at the start
      configuration.  If this fails the anchor is rebuilt with a doubled
      allowance, up to a cap; running out of cap is reported as
@@ -32,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .anchor import compute_anchor, build_chi
+from .anchor import compute_anchor
 from .metric import (
     InputError,
     Instance,
@@ -40,9 +46,16 @@ from .metric import (
     min_pairwise_distance,
     random_metric,
 )
-from .offline import extract_trace, opt_cost, opt_cost_to, work_vector_history
+from .offline import (
+    extract_trace,
+    first_start_visits,
+    opt_cost,
+    opt_cost_to,
+    work_vector_history,
+)
 from .rng import SplitMix64
 from .workfunction import (
+    continue_wfa,
     final_work_vector,
     initial_work_vector,
     run_wfa,
@@ -240,12 +253,14 @@ def verify_anchored_properties(
         r1_ok = end_config == start
         checks["R1"] = _bool_check("R1", r1_ok, list(end_config), list(start))
 
-        repeated = inst.with_requests(build_chi(inst.requests, anchor.requests, q))
-        vector_repeated = final_work_vector(repeated)
+        # blocks 2..q continue the anchored run: one pass gives both the
+        # repeated block's work vector (E2) and its online trace (E3)
+        trace_repeated, vector_repeated = continue_wfa(
+            trace_anchored, vector_anchored, anchored.requests * (q - 1)
+        )
         opt_repeated = opt_cost(vector_repeated)
         checks["E2"] = _bool_check("E2", opt_repeated == q * opt_anchored, opt_repeated, q * opt_anchored)
 
-        trace_repeated = run_wfa(repeated)
         alg_repeated = trace_repeated.total_cost
         same_behavior = trace_repeated.rounds == trace_anchored.rounds * q
         e3_ok = alg_repeated == q * alg_anchored and same_behavior
@@ -290,26 +305,34 @@ def verify_anchored_properties(
 
 def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: int) -> CheckResult:
     """C1b: each extracted execution must sit on the start configuration at
-    the end of some round inside the anchor block."""
+    the end of some round inside the anchor block.
+
+    ``first_start_visits`` backtracks and replays every examined target at
+    once.  The first target's trace is also extracted on its own by
+    ``extract_trace``; a different first visit raises, since then the two
+    routines disagree."""
     space = history[-1].space
-    total = len(anchored.requests)
-    start = anchored.initial
     if len(space) <= sample_cap:
         ranks = range(len(space))
     else:
         stream = SplitMix64(int(anchored.fingerprint()[:16], 16))
         ranks = stream.sample(len(space), sample_cap)
-    examined = 0
-    for rank in ranks:
-        target = space.configs[rank]
-        trace = extract_trace(history, anchored, target)
-        visited = any(
-            trace.config_after(t) == start for t in range(base_len, total)
+    first = first_start_visits(history, anchored, ranks, base_len)
+    reference = extract_trace(history, anchored, space.configs[ranks[0]])
+    visits = (
+        t for t in range(base_len, len(anchored.requests))
+        if reference.config_after(t) == anchored.initial
+    )
+    if next(visits, -1) != first[0]:
+        raise RuntimeError(
+            f"batched C1b disagrees with extract_trace on {space.configs[ranks[0]]}"
         )
-        examined += 1
-        if not visited:
-            return CheckResult("C1b", "fail", examined, examined, {"target": list(target)})
-    return CheckResult("C1b", "pass", examined, examined)
+    missed = np.flatnonzero(first < 0)
+    if missed.size:
+        examined = int(missed[0]) + 1
+        target = space.configs[ranks[missed[0]]]
+        return CheckResult("C1b", "fail", examined, examined, {"target": list(target)})
+    return CheckResult("C1b", "pass", len(ranks), len(ranks))
 
 
 @dataclass(frozen=True)

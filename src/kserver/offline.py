@@ -5,7 +5,8 @@ optimum constrained to end in a given configuration is that entry.  A
 cost-realizing execution is reconstructed by backtracking through the
 per-round work vectors and then rescheduled lazily, so the emitted trace
 makes only forced moves except for final-round relocations into the
-target configuration.
+target configuration.  ``first_start_visits`` does the same for many
+targets at once, keeping only where each trace first revisits the start.
 
 ``oracle_opt`` is the independent ground truth: it enumerates all k^T
 assignments of servers to requests, simulates each lazy execution
@@ -16,6 +17,9 @@ recurrence.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
+
+import numpy as np
 
 from .execution import ExecutionTrace, Move, Round
 from .metric import (
@@ -145,6 +149,73 @@ def extract_trace(
             f"extracted trace costs {total}, work vector says {expected}"
         )
     return ExecutionTrace(inst.initial, tuple(rounds), total)
+
+
+def first_start_visits(
+    history: list[WorkVector], inst: Instance, ranks: Sequence[int], base_len: int
+) -> np.ndarray:
+    """For each target rank, the first round t in [base_len, T) at whose end
+    its extracted execution stands on the start configuration, else -1.
+
+    Gives, for all targets at once, the traces ``extract_trace`` builds one
+    at a time.  A backward pass over the stored vectors picks every
+    target's predecessor per round (first matching transition slot, which
+    is the smallest leave point) and records the point the serving server
+    leaves for.  A forward pass replays all plans lazily on (targets, k)
+    position arrays.  As in ``extract_trace``, each trace's cost, final
+    relocation included, must equal its work-vector entry exactly.
+    """
+    final = history[-1]
+    space = final.space
+    requests = inst.requests
+    cur = np.array(ranks, dtype=np.intp)
+    rows = np.arange(cur.size)
+    point_type = np.min_scalar_type(inst.n - 1)
+    points = np.array(space.configs, dtype=point_type)
+
+    # leave[t - 1] = point the serving server moves on to at round t
+    leave = np.empty((len(requests), cur.size), dtype=point_type)
+    for t in range(len(requests), 0, -1):
+        request = requests[t - 1]
+        targets, costs = space.transitions(request)
+        prev = targets[cur]
+        match = history[t - 1].values[prev] + costs[cur] == history[t].values[cur, None]
+        slot = match.argmax(axis=1)
+        if not match[rows, slot].all():
+            raise RuntimeError(f"backtracking found no predecessor at round {t}")
+        # a covered request keeps the plan: all its slots point back at it
+        leave[t - 1] = np.where(prev[:, 0] == cur, request, points[cur, slot])
+        cur = prev[rows, slot]
+
+    # replay: plan positions move eagerly, actual positions lag lazily
+    plans, which = np.unique(cur, return_inverse=True)
+    plan_pos = np.array(
+        [matching_assignment(inst.initial, space.configs[p], inst.metric) for p in plans],
+        dtype=np.intp,
+    )[which]
+    lazy_pos = np.tile(np.array(inst.initial, dtype=np.intp), (cur.size, 1))
+    start = np.array(inst.initial)
+    dist = inst.metric.matrix
+    cost = np.zeros(cur.size, dtype=np.int64)
+    first = np.full(cur.size, -1, dtype=np.intp)
+    for t, request in enumerate(requests):
+        if t >= base_len:
+            on_start = (np.sort(lazy_pos, axis=1) == start).all(axis=1)
+            first[(first < 0) & on_start] = t
+        sid = (plan_pos == request).argmax(axis=1)
+        cost += dist[lazy_pos[rows, sid], request]
+        lazy_pos[rows, sid] = request
+        plan_pos[rows, sid] = leave[t]
+
+    for i, rank in enumerate(ranks):
+        _, relocation = _final_relocation(lazy_pos[i].tolist(), space.configs[rank], inst.metric)
+        total = int(cost[i]) + relocation
+        expected = int(final.values[rank])
+        if total != expected:
+            raise RuntimeError(
+                f"extracted trace costs {total}, work vector says {expected}"
+            )
+    return first
 
 
 def _final_relocation(lazy_pos: list[int], target: Configuration, metric):

@@ -207,11 +207,24 @@ def run_wfa(inst: Instance) -> ExecutionTrace:
     Lazy by construction: at most one server moves per round and it ends
     on the request.
     """
-    vector = initial_work_vector(inst.metric, inst.initial)
-    config = inst.initial
+    start = ExecutionTrace(inst.initial, (), 0)
+    trace, _ = continue_wfa(start, initial_work_vector(inst.metric, inst.initial), inst.requests)
+    return trace
+
+
+def continue_wfa(
+    trace: ExecutionTrace, vector: WorkVector, requests
+) -> tuple[ExecutionTrace, WorkVector]:
+    """Serve further requests after a run that ended with ``trace`` and the
+    work vector ``vector`` of its served prefix.
+
+    Returns the extended trace and the work vector after the last request,
+    exactly what a run over the whole sequence from the start would give.
+    """
+    config = trace.config_after(len(trace.rounds))
     rounds = []
-    total = 0
-    for request in inst.requests:
+    total = trace.total_cost
+    for request in requests:
         decision = wfa_decide(vector, config, request)
         moves = ()
         if decision.mover != request:
@@ -220,7 +233,7 @@ def run_wfa(inst: Instance) -> ExecutionTrace:
         rounds.append(Round(request, moves, decision.config))
         config = decision.config
         vector = update_work_vector(vector, request)
-    return ExecutionTrace(inst.initial, tuple(rounds), total)
+    return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total), vector
 
 
 def d_equivalence(first: WorkVector, second: WorkVector) -> int | None:

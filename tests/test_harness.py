@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,41 @@ from kserver import (
     validate_campaign_config,
     verify_anchored_properties,
 )
-from kserver.harness import CSV_COLUMNS, _beta_schedule
-from kserver.offline import oracle_opt
+from kserver.anchor import compute_anchor
+from kserver.harness import (
+    C1B_SAMPLE_CAP,
+    CSV_COLUMNS,
+    CheckResult,
+    _beta_schedule,
+    _check_start_visits,
+)
+from kserver.offline import extract_trace, oracle_opt, work_vector_history
+from kserver.rng import SplitMix64
+
+
+def count_work(monkeypatch):
+    """Count work-vector updates and reference trace extractions from here
+    on.  One ``verify_anchored_properties`` call makes 2|rho| updates once
+    (base vector and base online run), then per beta attempt |rho| (anchor
+    sizing) + T (anchored history) + T (anchored online run) + (q-1)T
+    (continued repeat), T the anchored length, and one extraction."""
+    import kserver.harness as harness
+    import kserver.offline as offline
+    import kserver.workfunction as workfunction
+
+    calls = {"update": 0, "extract": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    update = counted("update", workfunction.update_work_vector)
+    for module in (workfunction, offline, harness):
+        monkeypatch.setattr(module, "update_work_vector", update)
+    monkeypatch.setattr(harness, "extract_trace", counted("extract", harness.extract_trace))
+    return calls
 
 
 class TestVerify:
@@ -80,15 +114,83 @@ class TestVerify:
             return trace
 
         monkeypatch.setattr(harness, "run_wfa", stubborn_wfa)
+        rounds = [base_len + len(compute_anchor(m3_instance, 3, b).requests) for b in (0, 1, 2, 4)]
+        calls = count_work(monkeypatch)
         report = verify_anchored_properties(m3_instance, alpha=3, beta_initial=0, beta_cap=4)
         assert report.check("R1").status == "inconclusive"
         assert report.beta_used == 4  # 0, 1, 2, 4 all attempted
+        # every attempt does its own anchored work, q = 3
+        assert calls == {
+            "update": 2 * base_len + sum(base_len + 4 * t for t in rounds),
+            "extract": len(rounds),
+        }
 
     def test_escalation_schedule(self):
         assert list(_beta_schedule(0, 8)) == [0, 1, 2, 4, 8]
         assert list(_beta_schedule(5, 100)) == [5, 10, 20, 40, 80]
         assert list(_beta_schedule(1, 1)) == [1]
         assert list(_beta_schedule(9, 3)) == [9]
+
+
+def per_target_start_visits(history, anchored, base_len, sample_cap):
+    """C1b the unbatched way: one ``extract_trace`` per examined target, in
+    rank order, stopping at the first that never revisits the start."""
+    space = history[-1].space
+    if len(space) <= sample_cap:
+        ranks = range(len(space))
+    else:
+        stream = SplitMix64(int(anchored.fingerprint()[:16], 16))
+        ranks = stream.sample(len(space), sample_cap)
+    start = anchored.initial
+    for examined, rank in enumerate(ranks, start=1):
+        target = space.configs[rank]
+        trace = extract_trace(history, anchored, target)
+        if not any(
+            trace.config_after(t) == start for t in range(base_len, len(anchored.requests))
+        ):
+            return CheckResult("C1b", "fail", examined, examined, {"target": list(target)})
+    return CheckResult("C1b", "pass", len(ranks), len(ranks))
+
+
+class TestStartVisits:
+    """The batched C1b against the per-target ``extract_trace`` loop."""
+
+    def test_batched_equals_per_target_extraction(self):
+        statuses = []
+        for model, weights, seed in itertools.product(
+            ("uniform", "roundrobin_k_plus_1", "greedy_adversary"), ((1, 9), (1, 1)), range(1, 7)
+        ):
+            inst = generate_instance(6, 3, 8, seed, request_model=model, weight_range=weights)
+            full = compute_anchor(inst, 5, 0).cycles
+            # one and two cycles are too short an anchor for most seeds
+            for cycles in (1, 2, full):
+                anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+                history = work_vector_history(anchored)
+                for cap in (10, C1B_SAMPLE_CAP):
+                    got = _check_start_visits(history, anchored, len(inst.requests), cap)
+                    want = per_target_start_visits(history, anchored, len(inst.requests), cap)
+                    assert got == want, (model, weights, seed, cycles, cap)
+                    statuses.append(got.status)
+        assert statuses.count("fail") >= 50 and statuses.count("pass") >= 50
+
+    def test_empty_base_visits_at_round_zero(self, m3_instance):
+        anchored = m3_instance.with_requests((0, 1))
+        history = work_vector_history(anchored)
+        assert _check_start_visits(history, anchored, 0, C1B_SAMPLE_CAP) == per_target_start_visits(
+            history, anchored, 0, C1B_SAMPLE_CAP
+        )
+
+
+def test_verify_work_counts(monkeypatch):
+    # a verify-mid benchmark instance: n = 12, k = 4, |rho| = 50
+    calls = count_work(monkeypatch)
+    inst = generate_instance(12, 4, 50, seed=114)
+    report = verify_anchored_properties(inst, "2k-1", 0, 3)
+    assert report.beta_used == 0 and report.status == "pass"
+    rounds = len(inst.requests) + inst.k * report.cycles
+    assert rounds == 1398
+    assert calls == {"update": 2 * 50 + 50 + 4 * rounds, "extract": 1}
+    assert calls["update"] == 5742
 
 
 class TestResolveAlpha:

@@ -21,6 +21,7 @@ from kserver import (
 )
 from kserver.anchor import compute_anchor
 from kserver.offline import oracle_work_vector
+from kserver.workfunction import continue_wfa
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -132,6 +133,24 @@ class TestRunWfa:
             inst = small_instance(seed)
             trace = run_wfa(inst)
             assert trace_violations(trace, inst.metric) == []
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_continued_run_equals_a_run_from_the_start(self, q):
+        # the verify harness serves blocks 2..q of the repeated anchored
+        # block by continuing the anchored run; that must be exactly the
+        # run over the whole repeated block
+        for seed, model in ((3, "uniform"), (8, "roundrobin_k_plus_1"), (5, "greedy_adversary")):
+            inst = generate_instance(6, 3, 7, seed, request_model=model)
+            anchored = inst.with_requests(inst.requests + compute_anchor(inst, 5, 0).requests)
+            repeated = anchored.with_requests(anchored.requests * q)
+            trace, vector = continue_wfa(
+                run_wfa(anchored), final_work_vector(anchored), anchored.requests * (q - 1)
+            )
+            assert np.array_equal(vector.values, final_work_vector(repeated).values)
+            assert vector.served_count == len(repeated.requests)
+            fresh = run_wfa(repeated)
+            assert trace.rounds == fresh.rounds
+            assert trace.total_cost == fresh.total_cost
 
 
 class TestProperties:
