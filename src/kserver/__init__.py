@@ -7,7 +7,7 @@ mechanically verifies the anchored-sequence properties (P1 through T1)
 and the strict competitive ratio on concrete instances.
 """
 
-from .anchor import AnchorSpec, build_chi, compute_anchor
+from .anchor import AnchorSpec, compute_anchor
 from .execution import ExecutionTrace, Move, Round, trace_violations
 from .harness import (
     CHECK_DESCRIPTIONS,

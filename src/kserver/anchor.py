@@ -5,7 +5,8 @@ offline optimum and any competitive lazy online algorithm back to where
 they started, which makes repetitions of the combined block behave as
 independent runs.  The cycle count is computed with exact integer
 arithmetic from the base sequence's optimal cost, the assumed competitive
-ratio and the assumed additive allowance.
+ratio and the assumed additive allowance.  The caller passes the optimum,
+so this module is pure arithmetic: it folds no work vectors.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metric import InputError, Instance, check_integer, min_pairwise_distance
-from .offline import opt_cost
-from .workfunction import final_work_vector
 
 
 @dataclass(frozen=True)
@@ -46,19 +45,20 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def compute_anchor(inst: Instance, alpha: int, beta: int) -> AnchorSpec:
-    """Build the anchor for an instance under assumed ratio and allowance.
+def compute_anchor(inst: Instance, opt: int, alpha: int, beta: int) -> AnchorSpec:
+    """Build the anchor for an instance whose base sequence has optimal cost
+    ``opt``, under assumed ratio and allowance.
 
     The cycle count is one more than the exact ceiling of the larger of
     ``2*k*opt/gap + k^2`` and ``(2*alpha*opt + beta)/gap``, which makes
     both guarantees below strict.
     """
+    check_integer("opt", opt, 0)
     check_integer("alpha", alpha, 1)
     check_integer("beta", beta, 0)
     if inst.k < 2:
         raise InputError("anchors need k >= 2 (no pairwise gap with one server)")
     gap = min_pairwise_distance(inst.initial, inst.metric)
-    opt = opt_cost(final_work_vector(inst))
     k = inst.k
     cycles = (
         max(
@@ -72,10 +72,3 @@ def compute_anchor(inst: Instance, alpha: int, beta: int) -> AnchorSpec:
     if not (cycles * gap > 2 * k * opt + k * k * gap):
         raise RuntimeError("cycle count fails its return guarantee")
     return AnchorSpec(gap, cycles, alpha, beta, inst.initial * cycles)
-
-
-def build_chi(requests, anchor_requests, repetitions: int) -> tuple[int, ...]:
-    """The combined block (base requests then anchor), repeated."""
-    check_integer("repetition count", repetitions, 1)
-    block = tuple(requests) + tuple(anchor_requests)
-    return block * repetitions

@@ -105,14 +105,12 @@ def _cmd_run(args) -> int:
     inst = _load_instance(args.instance)
     if args.algo == "wfa":
         trace = run_wfa(inst)
-        cost = trace.total_cost
+    elif args.trace_out:
+        trace = opt_trace(inst)  # ends in the argmin configuration: costs the optimum
     else:
         trace = None
-        cost = opt_cost(final_work_vector(inst))
-    print(cost)
+    print(opt_cost(final_work_vector(inst)) if trace is None else trace.total_cost)
     if args.trace_out:
-        if trace is None:
-            trace = opt_trace(inst)
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             json.dump(trace.to_json(), handle, indent=2, sort_keys=True)
             handle.write("\n")

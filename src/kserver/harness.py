@@ -29,6 +29,12 @@ R1   the online algorithm ends the anchored block back at the start
      inconclusive rather than failure.
 T1   the online cost of the base sequence is at most 2*alpha times its
      optimum.
+
+The base vector is folded once; its optimum sizes every anchor.  An
+escalation attempt only stores the anchored history and reads the online
+run off it (the algorithm decides each round from the vector before it);
+the other checks run once, on the anchor that ends the escalation, and
+T1 takes the base run as the anchored run's first |rho| rounds.
 """
 
 from __future__ import annotations
@@ -39,7 +45,10 @@ from fractions import Fraction
 import numpy as np
 
 from .anchor import compute_anchor
+from .execution import ExecutionTrace
 from .metric import (
+    MAX_POINTS,
+    MIN_POINTS,
     InputError,
     Instance,
     check_integer,
@@ -56,6 +65,7 @@ from .offline import (
 from .rng import SplitMix64
 from .workfunction import (
     continue_wfa,
+    extend_wfa,
     final_work_vector,
     initial_work_vector,
     run_wfa,
@@ -197,99 +207,77 @@ def verify_anchored_properties(
         beta_cap = (1 << 20) * gap
 
     start = inst.initial
+    base_len = len(inst.requests)
     vector_base = final_work_vector(inst)
     opt_base = opt_cost(vector_base)
-    trace_base = run_wfa(inst)
-    alg_base = trace_base.total_cost
 
+    # an attempt does only what R1 needs
+    for beta_used in _beta_schedule(beta_initial, beta_cap):
+        anchor = compute_anchor(inst, opt_base, alpha, beta_used)
+        anchored = inst.with_requests(inst.requests + anchor.requests)
+        history = work_vector_history(anchored)
+        trace_anchored = extend_wfa(ExecutionTrace(start, (), 0), history, anchored.requests)
+        end_config = trace_anchored.config_after(len(anchored.requests))
+        if end_config == start:
+            break
+    r1_status = "pass" if end_config == start else "inconclusive"
+    r1 = CheckResult("R1", r1_status, list(end_config), list(start))
+
+    alg_base = sum(move.cost for rnd in trace_anchored.rounds[:base_len] for move in rnd.moves)
     p1 = _bool_check(
         "P1", opt_cost_to(vector_base, start) <= 2 * opt_base,
         opt_cost_to(vector_base, start), 2 * opt_base,
     )
     t1 = _bool_check("T1", alg_base <= 2 * alpha * opt_base, alg_base, 2 * alpha * opt_base)
 
-    checks = {}
-    values = {}
-    anchor = None
-    beta_used = beta_initial
-    r1_ok = False
-    for beta in _beta_schedule(beta_initial, beta_cap):
-        beta_used = beta
-        anchor = compute_anchor(inst, alpha, beta)
-        anchored = inst.with_requests(inst.requests + anchor.requests)
-        history = work_vector_history(anchored)
-        vector_anchored = history[-1]
-        opt_anchored = opt_cost(vector_anchored)
-
-        checks["E1"] = _bool_check(
-            "E1", opt_base <= opt_anchored <= 2 * opt_base,
-            [opt_base, opt_anchored], [opt_anchored, 2 * opt_base],
-        )
-
-        minimum = int(vector_anchored.values.min())
-        minimizers = np.flatnonzero(vector_anchored.values == minimum)
-        unique_start = len(minimizers) == 1 and vector_anchored.space.configs[minimizers[0]] == start
-        checks["C1a"] = _bool_check(
-            "C1a", unique_start,
-            [list(vector_anchored.space.configs[i]) for i in minimizers[:4]], [list(start)],
-        )
-
-        collapsed = vector_anchored.value(start) + vector_anchored.space.distance_vector(start)
-        c2_bad = np.flatnonzero(vector_anchored.values != collapsed)
-        checks["C2"] = _bool_check(
-            "C2", c2_bad.size == 0, int(c2_bad.size), 0,
-            None if c2_bad.size == 0 else {
-                "config": list(vector_anchored.space.configs[c2_bad[0]]),
-                "value": int(vector_anchored.values[c2_bad[0]]),
-                "expected": int(collapsed[c2_bad[0]]),
-            },
-        )
-
-        checks["C1b"] = _check_start_visits(history, anchored, len(inst.requests), sample_cap)
-
-        trace_anchored = run_wfa(anchored)
-        alg_anchored = trace_anchored.total_cost
-        end_config = trace_anchored.config_after(len(anchored.requests))
-        r1_ok = end_config == start
-        checks["R1"] = _bool_check("R1", r1_ok, list(end_config), list(start))
-
-        # blocks 2..q continue the anchored run: one pass gives both the
-        # repeated block's work vector (E2) and its online trace (E3)
-        trace_repeated, vector_repeated = continue_wfa(
-            trace_anchored, vector_anchored, anchored.requests * (q - 1)
-        )
-        opt_repeated = opt_cost(vector_repeated)
-        checks["E2"] = _bool_check("E2", opt_repeated == q * opt_anchored, opt_repeated, q * opt_anchored)
-
-        alg_repeated = trace_repeated.total_cost
-        same_behavior = trace_repeated.rounds == trace_anchored.rounds * q
-        e3_ok = alg_repeated == q * alg_anchored and same_behavior
-        witness = None
-        if not same_behavior:
-            for i, (got, want) in enumerate(zip(trace_repeated.rounds, trace_anchored.rounds * q)):
-                if got != want:
-                    witness = {"round": i + 1}
-                    break
-        checks["E3"] = _bool_check("E3", e3_ok, alg_repeated, q * alg_anchored, witness)
-
-        values = {
-            "opt": opt_base,
-            "alg": alg_base,
-            "opt_rho_sigma": opt_anchored,
-            "alg_rho_sigma": alg_anchored,
-            "opt_chi": opt_repeated,
-            "alg_chi": alg_repeated,
-        }
-        if r1_ok:
-            break
-
-    if not r1_ok:
-        failed = checks["R1"]
-        checks["R1"] = CheckResult("R1", "inconclusive", failed.lhs, failed.rhs, failed.witness)
-
-    ordered = tuple(
-        {"P1": p1, "T1": t1, **checks}[check_id] for check_id in CHECK_IDS
+    vector_anchored = history[-1]
+    opt_anchored = opt_cost(vector_anchored)
+    e1 = _bool_check(
+        "E1", opt_base <= opt_anchored <= 2 * opt_base,
+        [opt_base, opt_anchored], [opt_anchored, 2 * opt_base],
     )
+
+    minimum = int(vector_anchored.values.min())
+    minimizers = np.flatnonzero(vector_anchored.values == minimum)
+    unique_start = len(minimizers) == 1 and vector_anchored.space.configs[minimizers[0]] == start
+    c1a = _bool_check(
+        "C1a", unique_start,
+        [list(vector_anchored.space.configs[i]) for i in minimizers[:4]], [list(start)],
+    )
+
+    collapsed = vector_anchored.value(start) + vector_anchored.space.distance_vector(start)
+    c2_bad = np.flatnonzero(vector_anchored.values != collapsed)
+    c2 = _bool_check(
+        "C2", c2_bad.size == 0, int(c2_bad.size), 0,
+        None if c2_bad.size == 0 else {
+            "config": list(vector_anchored.space.configs[c2_bad[0]]),
+            "value": int(vector_anchored.values[c2_bad[0]]),
+            "expected": int(collapsed[c2_bad[0]]),
+        },
+    )
+
+    c1b = _check_start_visits(history, anchored, base_len, sample_cap)
+
+    # blocks 2..q continue the anchored run: one pass gives both the
+    # repeated block's work vector (E2) and its online trace (E3)
+    alg_anchored = trace_anchored.total_cost
+    trace_repeated, vector_repeated = continue_wfa(
+        trace_anchored, vector_anchored, anchored.requests * (q - 1)
+    )
+    opt_repeated = opt_cost(vector_repeated)
+    e2 = _bool_check("E2", opt_repeated == q * opt_anchored, opt_repeated, q * opt_anchored)
+
+    alg_repeated = trace_repeated.total_cost
+    same_behavior = trace_repeated.rounds == trace_anchored.rounds * q
+    e3_ok = alg_repeated == q * alg_anchored and same_behavior
+    witness = None
+    if not same_behavior:
+        for i, (got, want) in enumerate(zip(trace_repeated.rounds, trace_anchored.rounds * q)):
+            if got != want:
+                witness = {"round": i + 1}
+                break
+    e3 = _bool_check("E3", e3_ok, alg_repeated, q * alg_anchored, witness)
+
     return PropertyReport(
         fingerprint=inst.fingerprint(),
         alpha=alpha,
@@ -298,8 +286,15 @@ def verify_anchored_properties(
         q=q,
         cycles=anchor.cycles,
         min_gap=anchor.min_gap,
-        checks=ordered,
-        values=values,
+        checks=(p1, e1, c1a, c1b, c2, e2, e3, r1, t1),
+        values={
+            "opt": opt_base,
+            "alg": alg_base,
+            "opt_rho_sigma": opt_anchored,
+            "alg_rho_sigma": alg_anchored,
+            "opt_chi": opt_repeated,
+            "alg_chi": alg_repeated,
+        },
     )
 
 
@@ -474,8 +469,8 @@ def validate_campaign_config(config: dict) -> dict:
     model = config["request_model"]
     if model not in REQUEST_MODELS:
         raise InputError(f"unknown request model {model!r}, expected one of {REQUEST_MODELS}")
-    if n_range[0] < 2 or n_range[1] > 16:
-        raise InputError(f"campaign n range {list(n_range)} outside [2, 16]")
+    if n_range[0] < MIN_POINTS or n_range[1] > MAX_POINTS:
+        raise InputError(f"campaign n range {list(n_range)} outside [{MIN_POINTS}, {MAX_POINTS}]")
     if k_range[0] < 2:
         raise InputError("anchored verification needs k >= 2 for every instance")
     if rho_range[0] < 0:

@@ -221,10 +221,21 @@ def continue_wfa(
     Returns the extended trace and the work vector after the last request,
     exactly what a run over the whole sequence from the start would give.
     """
+    vectors = itertools.accumulate(requests, update_work_vector, initial=vector)
+    trace = extend_wfa(trace, vectors, requests)
+    return trace, next(vectors)
+
+
+def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
+    """Append one online round per request to ``trace``, deciding each from
+    the matching item of ``vectors``: the work vector before that request.
+    A stored history will do, or a lazy iterator, which is left holding the
+    vector after the last request (``zip`` stops on ``requests`` first).
+    """
     config = trace.config_after(len(trace.rounds))
     rounds = []
     total = trace.total_cost
-    for request in requests:
+    for request, vector in zip(requests, vectors):
         decision = wfa_decide(vector, config, request)
         moves = ()
         if decision.mover != request:
@@ -232,8 +243,7 @@ def continue_wfa(
             total += decision.cost
         rounds.append(Round(request, moves, decision.config))
         config = decision.config
-        vector = update_work_vector(vector, request)
-    return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total), vector
+    return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total)
 
 
 def d_equivalence(first: WorkVector, second: WorkVector) -> int | None:

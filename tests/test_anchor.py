@@ -5,7 +5,6 @@ from kserver import (
     InputError,
     Instance,
     MetricSpace,
-    build_chi,
     compute_anchor,
     final_work_vector,
     min_pairwise_distance,
@@ -19,12 +18,12 @@ class TestComputeAnchor:
         # all requests covered by the start, so the optimum is zero
         inst = m3_instance.with_requests((0, 1, 0))
         assert opt_cost(final_work_vector(inst)) == 0
-        anchor = compute_anchor(inst, alpha=3, beta=0)
+        anchor = compute_anchor(inst, 0, alpha=3, beta=0)
         assert anchor.cycles == 5
         assert len(anchor.requests) == 10
 
     def test_m3_single_request(self, m3_instance):
-        anchor = compute_anchor(m3_instance, alpha=3, beta=0)
+        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         assert anchor.min_gap == 1
         assert anchor.cycles == 13
         assert len(anchor.requests) == 26
@@ -33,10 +32,10 @@ class TestComputeAnchor:
         metric = MetricSpace.from_matrix([[0, 1, 10], [1, 0, 10], [10, 10, 0]])
         inst = Instance.build(metric, 2, (0, 1), (2,))
         assert opt_cost(final_work_vector(inst)) == 10
-        assert compute_anchor(inst, alpha=3, beta=5).cycles == 66
+        assert compute_anchor(inst, 10, alpha=3, beta=5).cycles == 66
 
     def test_round_robin_structure(self, m3_instance):
-        anchor = compute_anchor(m3_instance, alpha=3, beta=0)
+        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         cycle = m3_instance.initial
         assert anchor.requests == cycle * anchor.cycles
 
@@ -45,51 +44,39 @@ class TestComputeAnchor:
 
         for seed in (2, 9, 31):
             inst = generate_instance(6, 3, 8, seed)
-            anchor = compute_anchor(inst, alpha=5, beta=4)
             opt = opt_cost(final_work_vector(inst))
+            anchor = compute_anchor(inst, opt, alpha=5, beta=4)
             gap = min_pairwise_distance(inst.initial, inst.metric)
             k = inst.k
             assert anchor.cycles * gap > 2 * anchor.alpha * opt + anchor.beta
             assert anchor.cycles * gap > 2 * k * opt + k * k * gap
 
     def test_anchor_costs_nothing_from_start(self, m3_instance):
-        anchor = compute_anchor(m3_instance, alpha=3, beta=0)
+        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         on_anchor_alone = m3_instance.with_requests(anchor.requests)
         assert run_wfa(on_anchor_alone).total_cost == 0
 
     def test_k1_rejected(self, m3):
         inst = Instance.build(m3, 1, (0,), (2,))
         with pytest.raises(InputError):
-            compute_anchor(inst, alpha=1, beta=0)
+            compute_anchor(inst, 3, alpha=1, beta=0)
 
     def test_parameter_validation(self, m3_instance):
         with pytest.raises(InputError):
-            compute_anchor(m3_instance, alpha=0, beta=0)
+            compute_anchor(m3_instance, 2, alpha=0, beta=0)
         with pytest.raises(InputError):
-            compute_anchor(m3_instance, alpha=3, beta=-1)
+            compute_anchor(m3_instance, 2, alpha=3, beta=-1)
+
+    def test_opt_validation(self, m3_instance):
+        for bad in (-1, 2.0, True):
+            with pytest.raises(InputError):
+                compute_anchor(m3_instance, bad, alpha=3, beta=0)
 
     def test_json_layout(self, m3_instance):
-        anchor = compute_anchor(m3_instance, alpha=3, beta=0)
+        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         doc = anchor.to_json()
         assert doc["m"] == 13 and doc["ell"] == 1
         assert doc["sigma"] == list(anchor.requests)
-
-
-class TestBuildChi:
-    def test_single_repetition(self):
-        assert build_chi((2,), (0, 1), 1) == (2, 0, 1)
-
-    def test_three_repetitions(self):
-        assert build_chi((2,), (0, 1), 3) == (2, 0, 1, 2, 0, 1, 2, 0, 1)
-
-    def test_length_law(self):
-        base, suffix = (1, 2, 0), (0, 1, 0, 1)
-        for q in (1, 2, 5):
-            assert len(build_chi(base, suffix, q)) == q * (len(base) + len(suffix))
-
-    def test_rejects_nonpositive_q(self):
-        with pytest.raises(InputError):
-            build_chi((1,), (0,), 0)
 
 
 def test_anchor_spec_is_value_object():

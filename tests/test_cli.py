@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from kserver import instance_to_json
+from kserver import (
+    final_work_vector,
+    generate_instance,
+    instance_to_json,
+    opt_cost,
+    opt_trace,
+    run_wfa,
+)
 from kserver.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INCONCLUSIVE,
@@ -60,6 +67,18 @@ class TestRun:
         doc = json.loads(trace_path.read_text())
         assert doc["total_cost"] == 2
         assert doc["rounds"][0]["request"] == 2
+
+    def test_opt_trace_out(self, tmp_path, capsys):
+        # the optimum is printed from the extracted trace; it must be the
+        # optimum even where the online cost differs (19 against 11 here)
+        inst = generate_instance(7, 3, 4, seed=1, request_model="greedy_adversary")
+        path, trace_path = tmp_path / "inst.json", tmp_path / "trace.json"
+        path.write_text(instance_to_json(inst))
+        assert main(["run", str(path), "--algo", "opt", "--trace-out", str(trace_path)]) == EXIT_OK
+        opt = opt_cost(final_work_vector(inst))
+        assert capsys.readouterr().out == f"{opt}\n"
+        assert opt == 11 and run_wfa(inst).total_cost == 19
+        assert json.loads(trace_path.read_text()) == opt_trace(inst).to_json()
 
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_IO_ERROR

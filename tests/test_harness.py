@@ -9,8 +9,10 @@ from kserver import (
     DEFAULT_CAMPAIGN,
     InputError,
     Instance,
+    final_work_vector,
     generate_instance,
     measure_strict_ratio,
+    opt_cost,
     report_to_csv,
     resolve_alpha,
     run_campaign,
@@ -32,10 +34,11 @@ from kserver.rng import SplitMix64
 
 def count_work(monkeypatch):
     """Count work-vector updates and reference trace extractions from here
-    on.  One ``verify_anchored_properties`` call makes 2|rho| updates once
-    (base vector and base online run), then per beta attempt |rho| (anchor
-    sizing) + T (anchored history) + T (anchored online run) + (q-1)T
-    (continued repeat), T the anchored length, and one extraction."""
+    on.  One ``verify_anchored_properties`` call makes |rho| updates once
+    (base vector), then per beta attempt T (anchored history, which the
+    anchored online run is read off), then (q-1)T once (continued repeat)
+    for the T of the last attempt, and one extraction; T is the anchored
+    length."""
     import kserver.harness as harness
     import kserver.offline as offline
     import kserver.workfunction as workfunction
@@ -104,26 +107,32 @@ class TestVerify:
         import kserver.harness as harness
 
         base_len = len(m3_instance.requests)
+        extend_wfa = harness.extend_wfa
 
-        def stubborn_wfa(inst):
-            trace = run_wfa(inst)
-            if len(inst.requests) > base_len and trace.rounds:
+        def stubborn_wfa(trace, vectors, requests):
+            trace = extend_wfa(trace, vectors, requests)
+            if len(requests) > base_len:
                 # forge a final configuration away from the start
                 bad = dataclasses.replace(trace.rounds[-1], config=(1, 2))
                 trace = dataclasses.replace(trace, rounds=trace.rounds[:-1] + (bad,))
             return trace
 
-        monkeypatch.setattr(harness, "run_wfa", stubborn_wfa)
-        rounds = [base_len + len(compute_anchor(m3_instance, 3, b).requests) for b in (0, 1, 2, 4)]
+        monkeypatch.setattr(harness, "extend_wfa", stubborn_wfa)
+        rounds = [base_len + len(compute_anchor(m3_instance, 2, 3, b).requests) for b in (0, 1, 2, 4)]
         calls = count_work(monkeypatch)
         report = verify_anchored_properties(m3_instance, alpha=3, beta_initial=0, beta_cap=4)
         assert report.check("R1").status == "inconclusive"
         assert report.beta_used == 4  # 0, 1, 2, 4 all attempted
-        # every attempt does its own anchored work, q = 3
+        # every attempt builds its anchored history; the other checks and
+        # the repeat (q = 3) run once, on the last anchor
         assert calls == {
-            "update": 2 * base_len + sum(base_len + 4 * t for t in rounds),
-            "extract": len(rounds),
+            "update": base_len + sum(rounds) + 2 * rounds[-1],
+            "extract": 1,
         }
+        direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4, beta_cap=4)
+        assert report.checks == direct.checks
+        assert report.values == direct.values
+        assert report.cycles == direct.cycles
 
     def test_escalation_schedule(self):
         assert list(_beta_schedule(0, 8)) == [0, 1, 2, 4, 8]
@@ -161,7 +170,7 @@ class TestStartVisits:
             ("uniform", "roundrobin_k_plus_1", "greedy_adversary"), ((1, 9), (1, 1)), range(1, 7)
         ):
             inst = generate_instance(6, 3, 8, seed, request_model=model, weight_range=weights)
-            full = compute_anchor(inst, 5, 0).cycles
+            full = compute_anchor(inst, opt_cost(final_work_vector(inst)), 5, 0).cycles
             # one and two cycles are too short an anchor for most seeds
             for cycles in (1, 2, full):
                 anchored = inst.with_requests(inst.requests + inst.initial * cycles)
@@ -189,8 +198,19 @@ def test_verify_work_counts(monkeypatch):
     assert report.beta_used == 0 and report.status == "pass"
     rounds = len(inst.requests) + inst.k * report.cycles
     assert rounds == 1398
-    assert calls == {"update": 2 * 50 + 50 + 4 * rounds, "extract": 1}
-    assert calls["update"] == 5742
+    assert calls == {"update": 50 + 3 * rounds, "extract": 1}
+    assert calls["update"] == 4244
+
+
+def test_verify_base_values_match_direct_runs():
+    # the base run is read off the anchored run's first |rho| rounds
+    for model, weights, seed in itertools.product(
+        ("uniform", "roundrobin_k_plus_1", "greedy_adversary"), ((1, 9), (1, 1)), range(1, 5)
+    ):
+        inst = generate_instance(7, 3, 10, seed, request_model=model, weight_range=weights)
+        report = verify_anchored_properties(inst, "2k-1", 0, 2)
+        assert report.values["alg"] == run_wfa(inst).total_cost
+        assert report.values["opt"] == opt_cost(final_work_vector(inst))
 
 
 class TestResolveAlpha:

@@ -20,8 +20,9 @@ from kserver import (
     work_vector_to_json,
 )
 from kserver.anchor import compute_anchor
-from kserver.offline import oracle_work_vector
-from kserver.workfunction import continue_wfa
+from kserver.execution import ExecutionTrace
+from kserver.offline import opt_cost, oracle_work_vector, work_vector_history
+from kserver.workfunction import continue_wfa, extend_wfa
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -141,7 +142,8 @@ class TestRunWfa:
         # run over the whole repeated block
         for seed, model in ((3, "uniform"), (8, "roundrobin_k_plus_1"), (5, "greedy_adversary")):
             inst = generate_instance(6, 3, 7, seed, request_model=model)
-            anchored = inst.with_requests(inst.requests + compute_anchor(inst, 5, 0).requests)
+            opt = opt_cost(final_work_vector(inst))
+            anchored = inst.with_requests(inst.requests + compute_anchor(inst, opt, 5, 0).requests)
             repeated = anchored.with_requests(anchored.requests * q)
             trace, vector = continue_wfa(
                 run_wfa(anchored), final_work_vector(anchored), anchored.requests * (q - 1)
@@ -151,6 +153,24 @@ class TestRunWfa:
             fresh = run_wfa(repeated)
             assert trace.rounds == fresh.rounds
             assert trace.total_cost == fresh.total_cost
+
+
+    def test_run_read_off_a_stored_history(self):
+        # the algorithm is online, so the history of the served sequence
+        # holds every vector the run decides from
+        for model, weights, seed, rho_len in itertools.product(
+            ("uniform", "roundrobin_k_plus_1", "greedy_adversary"),
+            ((1, 9), (1, 1)),
+            range(1, 5),
+            (0, 9),
+        ):
+            inst = generate_instance(6, 3, rho_len, seed, request_model=model, weight_range=weights)
+            start = ExecutionTrace(inst.initial, (), 0)
+            trace = extend_wfa(start, work_vector_history(inst), inst.requests)
+            fresh = run_wfa(inst)
+            assert trace.rounds == fresh.rounds
+            assert trace.total_cost == fresh.total_cost
+            assert len(trace.rounds) == rho_len
 
 
 class TestProperties:
@@ -208,7 +228,7 @@ class TestProperties:
     def test_oblivious_across_histories(self, m3_instance):
         # two different served histories with offset-equivalent vectors must
         # yield identical decisions for every configuration and request
-        anchor = compute_anchor(m3_instance, alpha=3, beta=0)
+        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         anchored = m3_instance.with_requests(m3_instance.requests + anchor.requests)
         w_long = final_work_vector(anchored)
         w_short = initial_work_vector(m3_instance.metric, m3_instance.initial)
@@ -248,7 +268,7 @@ class TestDEquivalence:
             d_equivalence(initial_work_vector(m3, (0, 1)), initial_work_vector(uniform3, (0, 1)))
 
     def test_anchored_offset_is_value_at_start(self, m3_instance):
-        anchor = compute_anchor(m3_instance, alpha=3, beta=0)
+        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         anchored = m3_instance.with_requests(m3_instance.requests + anchor.requests)
         w_anchored = final_work_vector(anchored)
         w_empty = initial_work_vector(m3_instance.metric, m3_instance.initial)
