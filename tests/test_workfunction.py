@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from kserver import (
     InputError,
     Instance,
+    MetricSpace,
     configuration_distance,
     d_equivalence,
     final_work_vector,
     generate_instance,
     initial_work_vector,
+    matching_cost,
+    random_metric,
     run_wfa,
     trace_violations,
     update_work_vector,
@@ -22,7 +25,7 @@ from kserver import (
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace
 from kserver.offline import opt_cost, oracle_work_vector, work_vector_history
-from kserver.workfunction import continue_wfa, extend_wfa
+from kserver.workfunction import ConfigurationSpace, continue_wfa, extend_wfa
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -85,6 +88,96 @@ class TestUpdate:
         assert np.array_equal(w0.values, before)
         with pytest.raises(ValueError):
             w0.values[0] = 99  # read-only storage
+
+
+def loop_transitions(space, request):
+    """Reference: the per-configuration loop, configuration-major
+    (|configs|, k) tables."""
+    dist = space.metric.dist
+    size, k = len(space.configs), space.k
+    targets = np.empty((size, k), dtype=np.intp)
+    costs = np.zeros((size, k), dtype=np.int64)
+    for i, cfg in enumerate(space.configs):
+        if request in cfg:
+            targets[i, :] = i
+            continue
+        for j, z in enumerate(cfg):
+            swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
+            targets[i, j] = space.index[swapped]
+            costs[i, j] = dist[request][z]
+    return targets, costs
+
+
+def loop_distance_vector(space, origin):
+    """Reference: one exact matching per configuration."""
+    return np.array(
+        [matching_cost(origin, cfg, space.metric) for cfg in space.configs], dtype=np.int64
+    )
+
+
+# n from 2 to 16, k from 1 to 8; (16, 8) has 12,870 configurations
+KERNEL_SHAPES = [
+    (2, 1), (2, 2), (3, 2), (4, 4), (5, 3), (6, 1), (7, 5), (8, 8),
+    (9, 4), (10, 2), (11, 6), (12, 8), (13, 3), (14, 1), (15, 2),
+]
+WEIGHT_RANGES = [(1, 1), (1, 9), (1, 1000)]
+
+
+def kernel_cases():
+    for (n, k), weights in itertools.product(KERNEL_SHAPES, WEIGHT_RANGES):
+        yield n, k, weights
+    # the largest space once: its reference loops take seconds
+    yield 16, 8, (1, 1000)
+
+
+class TestConfigurationSpaceKernels:
+    @pytest.mark.parametrize("n,k,weights", list(kernel_cases()))
+    def test_tables_equal_the_loops(self, n, k, weights):
+        space = ConfigurationSpace(random_metric(n, seed=100 * n + k, weight_range=weights), k)
+        for request in range(n):
+            targets, costs = space.transitions(request)
+            ref_targets, ref_costs = loop_transitions(space, request)
+            assert np.array_equal(targets, ref_targets.T)
+            assert np.array_equal(costs, ref_costs.T)
+        size = len(space)
+        for rank in sorted({0, size // 3, size - 1}):
+            origin = space.configs[rank]
+            assert np.array_equal(
+                space.distance_vector(origin), loop_distance_vector(space, origin)
+            )
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (6, 3), (16, 8)])
+    def test_table_layout(self, n, k):
+        # slot-major and contiguous: a transposed or F-ordered table would
+        # give the same values, but every update over it would be slow
+        space = ConfigurationSpace(random_metric(n, seed=7), k)
+        size = len(space)
+        assert space.slots.shape == (k, size)
+        assert space.slots.dtype == np.uint8
+        assert space.slots.flags.c_contiguous
+        for request in (0, n - 1):
+            targets, costs = space.transitions(request)
+            for table, dtype in ((targets, np.intp), (costs, np.int64)):
+                assert table.shape == (k, size)
+                assert table.dtype == dtype
+                assert table.flags.c_contiguous
+                assert not table.flags.writeable
+        vector = space.distance_vector(space.configs[-1])
+        assert vector.shape == (size,)
+        assert vector.dtype == np.int64
+        assert not vector.flags.writeable
+
+    def test_int64_overflow_is_refused(self):
+        # the distance DP adds up to k distances: 2 * 2^62 would wrap
+        far = 2**62
+        metric = MetricSpace.from_matrix([[0, far, far], [far, 0, far], [far, far, 0]])
+        with pytest.raises(InputError, match="int64 bound"):
+            initial_work_vector(metric, (0, 1))
+        # the largest distance that still fits twice
+        near = (2**63 - 1) // 2
+        metric = MetricSpace.from_matrix([[0, near, near], [near, 0, near], [near, near, 0]])
+        vector = initial_work_vector(metric, (0, 1))
+        assert vector.to_pairs() == [((0, 1), 0), ((0, 2), near), ((1, 2), near)]
 
 
 class TestDecide:
