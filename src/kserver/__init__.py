@@ -57,6 +57,7 @@ from .offline import (
 from .rng import SplitMix64
 from .workfunction import (
     ConfigurationSpace,
+    History,
     WfaDecision,
     WorkVector,
     configuration_space,

@@ -22,7 +22,7 @@ E2   the optimum of the q-fold repeated block is exactly q times the
 E3   the online cost of the repeated block is exactly q times the block
      cost, and the per-round behavior repeats verbatim.  E2 and E3 share
      one pass: blocks 2..q continue the anchored online run and its work
-     vector.
+     vector, each block folded like the first.
 R1   the online algorithm ends the anchored block back at the start
      configuration.  If this fails the anchor is rebuilt with a doubled
      allowance, up to a cap; running out of cap is reported as
@@ -30,11 +30,23 @@ R1   the online algorithm ends the anchored block back at the start
 T1   the online cost of the base sequence is at most 2*alpha times its
      optimum.
 
-The base vector is folded once; its optimum sizes every anchor.  An
-escalation attempt only stores the anchored history and reads the online
-run off it (the algorithm decides each round from the vector before it);
-the other checks run once, on the anchor that ends the escalation, and
-T1 takes the base run as the anchored run's first |rho| rounds.
+The base history is folded once; its optimum sizes every anchor.  An
+escalation attempt only folds its anchor onto the base history and reads
+the online run off the result (the algorithm decides each round from the
+vector before it); the other checks run once, on the anchor that ends
+the escalation, and T1 takes the base run as the anchored run's first
+|rho| rounds.
+
+Anchors are folded only to their fixed point.  The anchor is m cycles
+over the start points, and updates are deterministic, so once two
+consecutive cycle-end work vectors are exactly equal, every later cycle
+repeats the last one (``offline.work_vector_history``).  Every pass over
+the anchor then stops at an exact repetition across a cycle and fills in
+the rest from it: the online run when its configuration repeats, C1b's
+backward pass when every target's rank repeats, its forward replay when
+the plan and lazy positions repeat.  No paper lemma is assumed: C2 and
+the repetition equalities stay checks, and an anchor that never repeats
+is folded to its end.  Reports are the same as with every cycle folded.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from .metric import (
     MIN_POINTS,
     InputError,
     Instance,
+    check_int64_bound,
     check_integer,
     min_pairwise_distance,
     random_metric,
@@ -64,7 +77,6 @@ from .offline import (
 )
 from .rng import SplitMix64
 from .workfunction import (
-    continue_wfa,
     extend_wfa,
     final_work_vector,
     initial_work_vector,
@@ -208,14 +220,15 @@ def verify_anchored_properties(
 
     start = inst.initial
     base_len = len(inst.requests)
-    vector_base = final_work_vector(inst)
+    base = work_vector_history(inst)
+    vector_base = base[-1]
     opt_base = opt_cost(vector_base)
 
     # an attempt does only what R1 needs
     for beta_used in _beta_schedule(beta_initial, beta_cap):
         anchor = compute_anchor(inst, opt_base, alpha, beta_used)
         anchored = inst.with_requests(inst.requests + anchor.requests)
-        history = work_vector_history(anchored)
+        history = work_vector_history(anchored, base)
         trace_anchored = extend_wfa(ExecutionTrace(start, (), 0), history, anchored.requests)
         end_config = trace_anchored.config_after(len(anchored.requests))
         if end_config == start:
@@ -245,25 +258,34 @@ def verify_anchored_properties(
         [list(vector_anchored.space.configs[i]) for i in minimizers[:4]], [list(start)],
     )
 
-    collapsed = vector_anchored.value(start) + vector_anchored.space.distance_vector(start)
-    c2_bad = np.flatnonzero(vector_anchored.values != collapsed)
+    # compared as a difference, which stays inside int64 where the sum may not
+    at_start = vector_anchored.value(start)
+    distance = vector_anchored.space.distance_vector(start)
+    c2_bad = np.flatnonzero(vector_anchored.values - distance != at_start)
     c2 = _bool_check(
         "C2", c2_bad.size == 0, int(c2_bad.size), 0,
         None if c2_bad.size == 0 else {
             "config": list(vector_anchored.space.configs[c2_bad[0]]),
             "value": int(vector_anchored.values[c2_bad[0]]),
-            "expected": int(collapsed[c2_bad[0]]),
+            "expected": at_start + int(distance[c2_bad[0]]),
         },
     )
 
     c1b = _check_start_visits(history, anchored, base_len, sample_cap)
 
     # blocks 2..q continue the anchored run: one pass gives both the
-    # repeated block's work vector (E2) and its online trace (E3)
-    alg_anchored = trace_anchored.total_cost
-    trace_repeated, vector_repeated = continue_wfa(
-        trace_anchored, vector_anchored, anchored.requests * (q - 1)
+    # repeated block's work vector (E2) and its online trace (E3); each
+    # block is folded like the first, its anchor up to its fixed point
+    rounds = len(anchored.requests)
+    check_int64_bound(
+        f"q*T + k = {q}*{rounds} + {inst.k}", q * rounds + inst.k, inst.metric.largest
     )
+    alg_anchored = trace_anchored.total_cost
+    trace_repeated, vector_repeated = trace_anchored, vector_anchored
+    for _ in range(q - 1):
+        block = work_vector_history(anchored, work_vector_history(inst, first=vector_repeated))
+        trace_repeated = extend_wfa(trace_repeated, block, anchored.requests)
+        vector_repeated = block[-1]
     opt_repeated = opt_cost(vector_repeated)
     e2 = _bool_check("E2", opt_repeated == q * opt_anchored, opt_repeated, q * opt_anchored)
 

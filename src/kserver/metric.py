@@ -17,6 +17,7 @@ import numpy as np
 
 MIN_POINTS = 2
 MAX_POINTS = 16
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 Configuration = tuple[int, ...]
 
@@ -35,6 +36,20 @@ def check_integer(name: str, value, minimum: int) -> int:
         kind = "positive" if minimum == 1 else "nonnegative"
         raise InputError(f"{name} must be a {kind} integer, got {value!r}")
     return value
+
+
+def check_int64_bound(count: str, factor: int, largest: int) -> None:
+    """Refuse when ``factor`` times the largest distance exceeds int64.
+
+    Work values are sums of distances: after t requests every entry is at
+    most (t + k) times the largest distance, so this bounds every value a
+    fold can reach.  ``count`` names the factor in the message.
+    """
+    if factor * largest > INT64_MAX:
+        raise InputError(
+            f"{count} times the largest distance {largest} exceeds the "
+            f"int64 bound {INT64_MAX}"
+        )
 
 
 @dataclass(frozen=True)
@@ -134,6 +149,10 @@ class MetricSpace:
 
     def distance(self, x: int, y: int) -> int:
         return self.dist[x][y]
+
+    @cached_property
+    def largest(self) -> int:
+        return max(map(max, self.dist))
 
     def check_point(self, p: int) -> int:
         if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
@@ -325,10 +344,13 @@ class Instance:
         if len(start) != k:
             raise InputError(f"initial configuration has {len(start)} points, expected k={k}")
         reqs = tuple(metric.check_point(r) for r in requests)
+        _check_work_bound(metric, k, reqs)
         return cls(metric, k, start, reqs)
 
     def with_requests(self, requests: Iterable[int]) -> "Instance":
-        return replace(self, requests=tuple(self.metric.check_point(r) for r in requests))
+        reqs = tuple(self.metric.check_point(r) for r in requests)
+        _check_work_bound(self.metric, self.k, reqs)
+        return replace(self, requests=reqs)
 
     def to_dict(self) -> dict:
         out = {
@@ -362,6 +384,11 @@ class Instance:
     def fingerprint(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _check_work_bound(metric: MetricSpace, k: int, requests: tuple[int, ...]) -> None:
+    t = len(requests)
+    check_int64_bound(f"{t} requests + k={k}", t + k, metric.largest)
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -8,6 +8,11 @@ makes only forced moves except for final-round relocations into the
 target configuration.  ``first_start_visits`` does the same for many
 targets at once, keeping only where each trace first revisits the start.
 
+The per-round vectors are a ``History``: one int64 row per stored
+vector.  ``work_vector_history`` folds an anchor onto a base history
+only until a cycle maps the vector to itself, and the passes over such a
+history skip the cycles that repeat exactly.
+
 ``oracle_opt`` is the independent ground truth: it enumerates all k^T
 assignments of servers to requests, simulates each lazy execution
 directly from the distance matrix, and never touches the work-function
@@ -17,6 +22,7 @@ recurrence.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +37,7 @@ from .metric import (
     matching_cost,
 )
 from .workfunction import (
+    History,
     WorkVector,
     initial_work_vector,
     update_work_vector,
@@ -53,16 +60,61 @@ def opt_cost_to(vector: WorkVector, config) -> int:
     return vector.value(config)
 
 
-def work_vector_history(inst: Instance) -> list[WorkVector]:
-    """Work vectors after each prefix of the request sequence, start included."""
-    history = [initial_work_vector(inst.metric, inst.initial)]
-    for request in inst.requests:
-        history.append(update_work_vector(history[-1], request))
-    return history
+def work_vector_history(
+    inst: Instance, base: History | None = None, first: WorkVector | None = None
+) -> History:
+    """Work vectors after each prefix of the request sequence, the vector
+    before the first request included.
+
+    Without ``base``, every request is folded from ``first`` (by default
+    the start's distance vector), and the history has no periodic tail.
+    ``base`` is the history of the first requests; its rows are reused, and
+    the requests after them must be whole cycles over the start
+    configuration: an anchor.  The anchor is folded only until two
+    consecutive cycle-end vectors are exactly equal, since from there on
+    every cycle repeats the last one; if that never happens, to its end.
+    """
+    requests = inst.requests
+    if base is None:
+        if first is None:
+            first = initial_work_vector(inst.metric, inst.initial)
+        rows = np.empty((len(requests) + 1, len(first.space)), dtype=np.int64)
+        rows[0] = first.values
+        vector = first
+        for t, request in enumerate(requests, start=1):
+            vector = update_work_vector(vector, request)
+            rows[t] = vector.values
+        rows.setflags(write=False)
+        length = len(requests)
+        return History(first.space, first.origin, first.served_count, rows, length, length, 0, None)
+
+    base_len = base.length
+    cycle = inst.initial
+    cycles, rest = divmod(len(requests) - base_len, len(cycle))
+    if base.fixed_cycle is not None or cycles < 0 or rest or requests[base_len:] != cycle * cycles:
+        raise InputError("the requests after the base history must be whole cycles over the start")
+    vector = base[-1]
+    tail = []
+    fixed_cycle = None
+    for c in range(1, cycles + 1):
+        begin = vector.values
+        for request in cycle:
+            vector = update_work_vector(vector, request)
+            tail.append(vector.values)
+        if np.array_equal(vector.values, begin):
+            fixed_cycle = c
+            tail.pop()  # the row it repeats is stored
+            break
+    rows = np.vstack([base.rows, *tail]) if tail else base.rows
+    rows.setflags(write=False)
+    return replace(
+        base, rows=rows, length=len(requests), base_len=base_len, period=len(cycle),
+        fixed_cycle=fixed_cycle,
+    )
 
 
 def extract_trace(
-    history: list[WorkVector], inst: Instance, target: Configuration | None = None
+    history: History, inst: Instance, target: Configuration | None = None
 ) -> ExecutionTrace:
     """Cost-realizing execution ending in ``target``, from stored vectors.
 
@@ -104,8 +156,8 @@ def extract_trace(
     for t in range(rounds_total, 0, -1):
         request = requests[t - 1]
         here = plan[t]
-        want = int(history[t].values[index[here]])
-        prev_values = history[t - 1].values
+        want = int(history.values(t)[index[here]])
+        prev_values = history.values(t - 1)
         found = False
         if request in here:
             # only the stay-put term survives for covered requests
@@ -152,7 +204,7 @@ def extract_trace(
 
 
 def first_start_visits(
-    history: list[WorkVector], inst: Instance, ranks: Sequence[int], base_len: int
+    history: History, inst: Instance, ranks: Sequence[int], base_len: int
 ) -> np.ndarray:
     """For each target rank, the first round t in [base_len, T) at whose end
     its extracted execution stands on the start configuration, else -1.
@@ -164,26 +216,47 @@ def first_start_visits(
     leaves for.  A forward pass replays all plans lazily on (targets, k)
     position arrays.  As in ``extract_trace``, each trace's cost, final
     relocation included, must equal its work-vector entry exactly.
+
+    Both passes skip repeated cycles of a history whose anchor reached a
+    fixed point.  Backward, once every target's rank repeats across a
+    cycle of the periodic rows, each cycle below it down to
+    ``history.periodic_from`` is the same map and leaves the same points.
+    Forward, once the plan and lazy positions repeat across one of those
+    cycles, so do they up to the cycle the backward pass repeated from,
+    and each skipped cycle adds the same cost.
     """
     final = history[-1]
     space = final.space
     requests = inst.requests
+    period = history.period
+    periodic_from = history.periodic_from
     cur = np.array(ranks, dtype=np.intp)
     rows = np.arange(cur.size)
 
     # leave[t - 1] = point the serving server moves on to at round t
     leave = np.empty((len(requests), cur.size), dtype=space.slots.dtype)
-    for t in range(len(requests), 0, -1):
+    repeated_to = None  # the cycle start the backward pass repeated down from
+    marked = None  # ranks at the previous cycle start in the periodic rows
+    t = len(requests)
+    while t > 0:
+        if history.starts_periodic_cycle(t):
+            if marked is not None and np.array_equal(marked, cur):
+                cycles = (t - periodic_from) // period
+                leave[periodic_from:t] = np.tile(leave[t : t + period], (cycles, 1))
+                repeated_to, t, marked = t, periodic_from, None
+                continue
+            marked = cur
         request = requests[t - 1]
         targets, costs = space.transitions(request)
         prev = targets[:, cur]
-        match = history[t - 1].values[prev] + costs[:, cur] == history[t].values[cur]
+        match = history.values(t - 1)[prev] + costs[:, cur] == history.values(t)[cur]
         slot = match.argmax(axis=0)
         if not match[slot, rows].all():
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         # a covered request keeps the plan: all its slots point back at it
         leave[t - 1] = np.where(prev[0] == cur, request, space.slots[slot, cur])
         cur = prev[slot, rows]
+        t -= 1
 
     # replay: plan positions move eagerly, actual positions lag lazily
     plans, which = np.unique(cur, return_inverse=True)
@@ -192,18 +265,35 @@ def first_start_visits(
         dtype=np.intp,
     )[which]
     lazy_pos = np.tile(np.array(inst.initial, dtype=np.intp), (cur.size, 1))
-    start = np.array(inst.initial)
+    bit = np.left_shift(1, np.arange(inst.n), dtype=np.int32)
+    start_mask = bit[list(inst.initial)].sum()
     dist = inst.metric.matrix
+    # exact: every partial cost is at most the target's work value
     cost = np.zeros(cur.size, dtype=np.int64)
     first = np.full(cur.size, -1, dtype=np.intp)
-    for t, request in enumerate(requests):
+    marked = None  # (plan, lazy positions, cost) at the previous cycle start
+    t = 0
+    while t < len(requests):
+        if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
+            if (
+                marked is not None
+                and np.array_equal(marked[0], plan_pos)
+                and np.array_equal(marked[1], lazy_pos)
+            ):
+                cost += (cost - marked[2]) * ((repeated_to - t) // period)
+                t, repeated_to = repeated_to, None
+                continue
+            marked = (plan_pos.copy(), lazy_pos.copy(), cost.copy())
         if t >= base_len:
-            on_start = (np.sort(lazy_pos, axis=1) == start).all(axis=1)
+            # stacked servers cover fewer than k bits, so never the start's mask
+            on_start = np.bitwise_or.reduce(bit[lazy_pos], axis=1) == start_mask
             first[(first < 0) & on_start] = t
+        request = requests[t]
         sid = (plan_pos == request).argmax(axis=1)
         cost += dist[lazy_pos[rows, sid], request]
         lazy_pos[rows, sid] = request
         plan_pos[rows, sid] = leave[t]
+        t += 1
 
     for i, rank in enumerate(ranks):
         _, relocation = _final_relocation(lazy_pos[i].tolist(), space.configs[rank], inst.metric)

@@ -36,10 +36,9 @@ from .metric import (
     Instance,
     MetricSpace,
     canonical_configuration,
+    check_int64_bound,
     matching_cost,  # unused here; the benchmark tracer counts matchings through this name
 )
-
-INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ConfigurationSpace:
@@ -59,12 +58,7 @@ class ConfigurationSpace:
         if not 1 <= k <= metric.n:
             raise InputError(f"k={k} out of range for n={metric.n}")
         # distance vectors add up to k distances in int64
-        largest = int(metric.matrix.max())
-        if k * largest > INT64_MAX:
-            raise InputError(
-                f"k={k} times the largest distance {largest} exceeds the "
-                f"int64 bound {INT64_MAX}"
-            )
+        check_int64_bound(f"k={k}", k, metric.largest)
         self.metric = metric
         self.k = k
         self.configs: list[Configuration] = list(
@@ -177,6 +171,61 @@ class WorkVector:
         return [(cfg, int(v)) for cfg, v in zip(self.space.configs, self.values)]
 
 
+@dataclass(frozen=True, eq=False)
+class History:
+    """The work vectors after each prefix of a request sequence, stored as
+    one read-only ``(stored rows, |configs|)`` int64 array.
+
+    A sequence of ``base_len`` requests followed by whole cycles of
+    ``period`` requests (an anchor) may be folded only until one cycle maps
+    the vector to itself, at cycle ``fixed_cycle``: updates are
+    deterministic, so from row ``periodic_from`` on the vectors repeat with
+    that period, and later rows are read from the last stored cycle.
+    Otherwise every row is stored and ``fixed_cycle`` is None.  ``len``,
+    indexing and iteration keep the nominal meaning: ``len(history)`` is
+    T + 1, and ``history[t]`` is the vector after t of the T requests.
+    """
+
+    space: ConfigurationSpace
+    origin: Configuration
+    served_before: int  # requests served before row 0
+    rows: np.ndarray
+    length: int
+    base_len: int
+    period: int
+    fixed_cycle: int | None
+
+    @property
+    def periodic_from(self) -> int:
+        if self.fixed_cycle is None:
+            return len(self.rows)
+        return self.base_len + (self.fixed_cycle - 1) * self.period
+
+    def starts_periodic_cycle(self, t: int) -> bool:
+        """Whether a cycle starts after t requests inside the periodic rows,
+        where every cycle is served from the same vectors."""
+        p = self.periodic_from
+        return t >= p and (t - p) % self.period == 0
+
+    def values(self, t: int) -> np.ndarray:
+        """Entries of the vector after t requests, 0 <= t <= T."""
+        p = self.periodic_from
+        return self.rows[t if t < p else p + (t - p) % self.period]
+
+    def __len__(self) -> int:
+        return self.length + 1
+
+    def __getitem__(self, t: int) -> "WorkVector":
+        if t < 0:
+            t += len(self)
+        if not 0 <= t < len(self):
+            raise IndexError(f"history index {t} out of range for {len(self)} vectors")
+        return WorkVector(self.space, self.origin, self.served_before + t, self.values(t))
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+
 def initial_work_vector(metric: MetricSpace, initial) -> WorkVector:
     """Vector before any request: matching distance from the start."""
     origin = canonical_configuration(initial, metric.n)
@@ -243,37 +292,38 @@ def run_wfa(inst: Instance) -> ExecutionTrace:
     """Serve a whole instance with the work function algorithm.
 
     Lazy by construction: at most one server moves per round and it ends
-    on the request.
+    on the request.  Vectors are folded as the run goes and not stored.
     """
-    start = ExecutionTrace(inst.initial, (), 0)
-    trace, _ = continue_wfa(start, initial_work_vector(inst.metric, inst.initial), inst.requests)
-    return trace
-
-
-def continue_wfa(
-    trace: ExecutionTrace, vector: WorkVector, requests
-) -> tuple[ExecutionTrace, WorkVector]:
-    """Serve further requests after a run that ended with ``trace`` and the
-    work vector ``vector`` of its served prefix.
-
-    Returns the extended trace and the work vector after the last request,
-    exactly what a run over the whole sequence from the start would give.
-    """
-    vectors = itertools.accumulate(requests, update_work_vector, initial=vector)
-    trace = extend_wfa(trace, vectors, requests)
-    return trace, next(vectors)
+    initial = initial_work_vector(inst.metric, inst.initial)
+    vectors = itertools.accumulate(inst.requests, update_work_vector, initial=initial)
+    return extend_wfa(ExecutionTrace(inst.initial, (), 0), vectors, inst.requests)
 
 
 def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
     """Append one online round per request to ``trace``, deciding each from
     the matching item of ``vectors``: the work vector before that request.
-    A stored history will do, or a lazy iterator, which is left holding the
-    vector after the last request (``zip`` stops on ``requests`` first).
+    A stored history will do, or a lazy iterator.
+
+    On a ``History`` whose anchor reached a fixed point, the run stops as
+    soon as its configuration repeats across a cycle of the periodic rows:
+    the same configuration, vectors and requests give the same decisions,
+    so every round left is the last cycle's round at the same position.
     """
     config = trace.config_after(len(trace.rounds))
     rounds = []
     total = trace.total_cost
-    for request, vector in zip(requests, vectors):
+    periodic = isinstance(vectors, History)
+    marks = {}  # cycle start in the periodic rows -> (configuration, total) there
+    for i, (request, vector) in enumerate(zip(requests, vectors)):
+        if periodic and vectors.starts_periodic_cycle(i):
+            period = vectors.period
+            mark = marks.get(i - period)
+            if mark is not None and mark[0] == config:
+                repeats = (len(requests) - i) // period
+                rounds += rounds[-period:] * repeats
+                total += (total - mark[1]) * repeats
+                break
+            marks[i] = (config, total)
         decision = wfa_decide(vector, config, request)
         moves = ()
         if decision.mover != request:

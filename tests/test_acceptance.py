@@ -4,6 +4,8 @@ Each test prints a single PASS line on success (visible with ``pytest -s``);
 a failure surfaces through the assert with its witness.
 """
 
+from pathlib import Path
+
 import pytest
 
 from kserver import (
@@ -34,6 +36,14 @@ GREEDY_CAMPAIGN = {
     "seeds": [1, 10], "n": [4, 8], "k": [2, 3], "rho_len": [0, 20],
     "request_model": "greedy_adversary", "alpha": "2k-1", "beta": 0, "q": 3,
 }
+
+CAMPAIGNS = {
+    "uniform": UNIFORM_CAMPAIGN,
+    "roundrobin_k_plus_1": ROUNDROBIN_CAMPAIGN,
+    "greedy_adversary": GREEDY_CAMPAIGN,
+}
+
+GOLDEN_CSV = Path(__file__).resolve().parent / "golden" / "campaign"
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +191,20 @@ def test_campaign_determinism():
     second = report_to_csv(run_campaign(config)).encode("utf-8")
     assert first == second
     _passline("byte-identical campaign CSV on rerun")
+
+
+def test_campaign_csv_matches_golden(uniform_report, roundrobin_report, greedy_report):
+    """The three campaigns' CSVs equal the committed goldens byte for byte
+    (see ``test_golden.py`` for where they come from)."""
+    reports = {
+        "uniform": uniform_report,
+        "roundrobin_k_plus_1": roundrobin_report,
+        "greedy_adversary": greedy_report,
+    }
+    for model, report in reports.items():
+        got = report_to_csv(report).encode("utf-8")
+        assert got == (GOLDEN_CSV / f"{model}.csv").read_bytes(), model
+    _passline("byte-identical campaign CSVs against the goldens")
 
 
 def test_campaign_checks_all_present(uniform_report):

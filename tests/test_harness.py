@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kserver import (
@@ -9,6 +10,7 @@ from kserver import (
     DEFAULT_CAMPAIGN,
     InputError,
     Instance,
+    MetricSpace,
     final_work_vector,
     generate_instance,
     measure_strict_ratio,
@@ -28,17 +30,20 @@ from kserver.harness import (
     _beta_schedule,
     _check_start_visits,
 )
-from kserver.offline import extract_trace, oracle_opt, work_vector_history
+from kserver.execution import ExecutionTrace
+from kserver.offline import extract_trace, first_start_visits, oracle_opt, work_vector_history
 from kserver.rng import SplitMix64
+from kserver.workfunction import extend_wfa, initial_work_vector, update_work_vector
 
 
 def count_work(monkeypatch):
     """Count work-vector updates and reference trace extractions from here
     on.  One ``verify_anchored_properties`` call makes |rho| updates once
-    (base vector), then per beta attempt T (anchored history, which the
-    anchored online run is read off), then (q-1)T once (continued repeat)
-    for the T of the last attempt, and one extraction; T is the anchored
-    length."""
+    (base history), then per beta attempt k per anchor cycle folded onto
+    it (anchored history, which the anchored online run is read off): up
+    to the first cycle that maps the vector to itself, else all m.  Each of
+    blocks 2..q then folds |rho| plus its anchor the same way, and C1b
+    makes one extraction."""
     import kserver.harness as harness
     import kserver.offline as offline
     import kserver.workfunction as workfunction
@@ -118,17 +123,18 @@ class TestVerify:
             return trace
 
         monkeypatch.setattr(harness, "extend_wfa", stubborn_wfa)
-        rounds = [base_len + len(compute_anchor(m3_instance, 2, 3, b).requests) for b in (0, 1, 2, 4)]
+        cycles = [compute_anchor(m3_instance, 2, 3, b).cycles for b in (0, 1, 2, 4)]
+        assert cycles == [13, 14, 15, 17]
         calls = count_work(monkeypatch)
         report = verify_anchored_properties(m3_instance, alpha=3, beta_initial=0, beta_cap=4)
         assert report.check("R1").status == "inconclusive"
         assert report.beta_used == 4  # 0, 1, 2, 4 all attempted
-        # every attempt builds its anchored history; the other checks and
-        # the repeat (q = 3) run once, on the last anchor
-        assert calls == {
-            "update": base_len + sum(rounds) + 2 * rounds[-1],
-            "extract": 1,
-        }
+        # every attempt folds its anchor onto the one base history, up to
+        # the fixed point at cycle 4 (k = 2: 8 updates); the other checks
+        # and the repeat (q = 3: two blocks of 1 + 8) run once, on the last
+        # anchor
+        assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 1}
+        assert calls["update"] == 51
         direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4, beta_cap=4)
         assert report.checks == direct.checks
         assert report.values == direct.values
@@ -162,7 +168,9 @@ def per_target_start_visits(history, anchored, base_len, sample_cap):
 
 
 class TestStartVisits:
-    """The batched C1b against the per-target ``extract_trace`` loop."""
+    """The batched C1b, on the history verify builds (anchor folded onto the
+    base up to its fixed point), against the per-target ``extract_trace``
+    loop on the full fold."""
 
     def test_batched_equals_per_target_extraction(self):
         statuses = []
@@ -170,14 +178,16 @@ class TestStartVisits:
             ("uniform", "roundrobin_k_plus_1", "greedy_adversary"), ((1, 9), (1, 1)), range(1, 7)
         ):
             inst = generate_instance(6, 3, 8, seed, request_model=model, weight_range=weights)
-            full = compute_anchor(inst, opt_cost(final_work_vector(inst)), 5, 0).cycles
+            base = work_vector_history(inst)
+            full = compute_anchor(inst, opt_cost(base[-1]), 5, 0).cycles
             # one and two cycles are too short an anchor for most seeds
             for cycles in (1, 2, full):
                 anchored = inst.with_requests(inst.requests + inst.initial * cycles)
-                history = work_vector_history(anchored)
+                history = work_vector_history(anchored, base)
+                reference = work_vector_history(anchored)
                 for cap in (10, C1B_SAMPLE_CAP):
                     got = _check_start_visits(history, anchored, len(inst.requests), cap)
-                    want = per_target_start_visits(history, anchored, len(inst.requests), cap)
+                    want = per_target_start_visits(reference, anchored, len(inst.requests), cap)
                     assert got == want, (model, weights, seed, cycles, cap)
                     statuses.append(got.status)
         assert statuses.count("fail") >= 50 and statuses.count("pass") >= 50
@@ -190,16 +200,136 @@ class TestStartVisits:
         )
 
 
+def full_fold(inst):
+    """Every work vector of ``inst``'s sequence, folded one request at a
+    time with nothing skipped: the reference for the compressed passes."""
+    vector = initial_work_vector(inst.metric, inst.initial)
+    values = [vector.values]
+    for request in inst.requests:
+        vector = update_work_vector(vector, request)
+        values.append(vector.values)
+    return values
+
+
+def first_repeated_cycle(values, base_len, k):
+    """The first anchor cycle whose end vector equals the one before it."""
+    for c in range(1, (len(values) - 1 - base_len) // k + 1):
+        if np.array_equal(values[base_len + c * k], values[base_len + (c - 1) * k]):
+            return c
+    return None
+
+
+def compression_instance(model, weights, seed):
+    n, k = (5, 2) if seed % 2 == 0 else (6, 3)
+    return generate_instance(n, k, 8, seed, request_model=model, weight_range=weights)
+
+
+COMPRESSION_CASES = list(itertools.product(
+    ("uniform", "roundrobin_k_plus_1", "greedy_adversary"), ((1, 9), (1, 1), (1, 1000)), (1, 2, 3)
+))
+
+
+class TestFixedPointCompression:
+    """Every pass that skips repeated anchor cycles against a full fold of
+    all of them: the history, the online run, C1b and E2/E3."""
+
+    @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
+    def test_anchor_passes_equal_the_full_fold(self, model, weights, seed):
+        inst = compression_instance(model, weights, seed)
+        base_len, k = len(inst.requests), inst.k
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
+        # one and two cycles end before most fixed points
+        for m in (1, 2, cycles):
+            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            history = work_vector_history(anchored, base)
+            reference = full_fold(anchored)
+            assert len(history) == len(reference)
+            for t, vector in enumerate(history):
+                assert vector.served_count == t
+                assert np.array_equal(vector.values, reference[t]), t
+            assert history.fixed_cycle == first_repeated_cycle(reference, base_len, k)
+            if history.fixed_cycle is not None:
+                assert len(history.rows) == base_len + history.fixed_cycle * k
+            start = ExecutionTrace(inst.initial, (), 0)
+            assert extend_wfa(start, history, anchored.requests) == run_wfa(anchored)
+            full = work_vector_history(anchored)
+            ranks = range(len(full[-1].space))
+            assert np.array_equal(
+                first_start_visits(history, anchored, ranks, base_len),
+                first_start_visits(full, anchored, ranks, base_len),
+            )
+        assert history.fixed_cycle is not None  # the full anchor's
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_repeated_blocks_equal_the_full_fold(self, q):
+        for model, weights, seed in COMPRESSION_CASES:
+            inst = compression_instance(model, weights, seed)
+            report = verify_anchored_properties(inst, "2k-1", 0, q)
+            alpha = 2 * inst.k - 1
+            anchor = compute_anchor(inst, report.values["opt"], alpha, report.beta_used)
+            anchored = inst.with_requests(inst.requests + anchor.requests)
+            repeated = anchored.with_requests(anchored.requests * q)
+            run_anchored, run_repeated = run_wfa(anchored), run_wfa(repeated)
+            opt_anchored = int(full_fold(anchored)[-1].min())
+            opt_repeated = int(full_fold(repeated)[-1].min())
+            assert report.values["opt_rho_sigma"] == opt_anchored
+            assert report.values["alg_rho_sigma"] == run_anchored.total_cost
+            assert report.values["opt_chi"] == opt_repeated
+            assert report.values["alg_chi"] == run_repeated.total_cost
+            r1 = run_anchored.config_after(len(anchored.requests)) == inst.initial
+            e2 = opt_repeated == q * opt_anchored
+            e3 = (
+                run_repeated.rounds == run_anchored.rounds * q
+                and run_repeated.total_cost == q * run_anchored.total_cost
+            )
+            statuses = [report.check(cid).status for cid in ("R1", "E2", "E3")]
+            assert statuses == ["pass" if ok else "fail" for ok in (r1, e2, e3)]
+
+
 def test_verify_work_counts(monkeypatch):
     # a verify-mid benchmark instance: n = 12, k = 4, |rho| = 50
+    import kserver.harness as harness
+
+    histories = []
+
+    def kept(*args, **kwargs):
+        histories.append(work_vector_history(*args, **kwargs))
+        return histories[-1]
+
     calls = count_work(monkeypatch)
+    monkeypatch.setattr(harness, "work_vector_history", kept)
     inst = generate_instance(12, 4, 50, seed=114)
     report = verify_anchored_properties(inst, "2k-1", 0, 3)
     assert report.beta_used == 0 and report.status == "pass"
     rounds = len(inst.requests) + inst.k * report.cycles
     assert rounds == 1398
-    assert calls == {"update": 50 + 3 * rounds, "extract": 1}
-    assert calls["update"] == 4244
+    # the anchor reaches its fixed point at cycle 4 of 337, in each block
+    anchored = [h for h in histories if len(h) == rounds + 1]
+    assert [(h.fixed_cycle, h.periodic_from, len(h.rows)) for h in anchored] == [(4, 62, 66)] * 3
+    assert [h.served_before for h in anchored] == [0, rounds, 2 * rounds]
+    assert calls == {"update": 50 + 4 * 4 + 2 * (50 + 4 * 4), "extract": 1}
+    assert calls["update"] == 198
+
+
+def test_verify_refuses_repeats_past_int64():
+    # the anchored sequence fits int64, its q-fold repeat may not: every
+    # value of the repeat is at most (q*T + k) times the largest distance
+    def instance(distance):
+        matrix = [[0 if i == j else distance for j in range(3)] for i in range(3)]
+        metric = MetricSpace.from_matrix(matrix)
+        return Instance.build(metric, 2, (0, 1), (2,))
+
+    rounds = 1 + len(compute_anchor(instance(1), 1, 3, 0).requests)
+    inside = (2**63 - 1) // (3 * rounds + 2)
+    report = verify_anchored_properties(instance(inside), 3, 0, 3)
+    assert report.status == "pass" and report.beta_used == 0
+    assert report.values["opt"] == inside
+    assert report.values["opt_chi"] == 3 * report.values["opt_rho_sigma"]
+    with pytest.raises(InputError, match="int64 bound"):
+        verify_anchored_properties(instance(inside + 1), 3, 0, 3)
+    # fewer repeats fit
+    assert verify_anchored_properties(instance(inside + 1), 3, 0, 2).status == "pass"
 
 
 def test_verify_base_values_match_direct_runs():

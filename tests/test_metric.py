@@ -324,3 +324,40 @@ class TestInstanceJson:
     def test_fingerprint_distinguishes(self, m3_instance):
         other = m3_instance.with_requests((2, 0))
         assert other.fingerprint() != m3_instance.fingerprint()
+
+
+INT64_MAX = 2**63 - 1
+
+
+def equidistant(n, distance):
+    return MetricSpace.from_matrix(
+        [[0 if i == j else distance for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), count=st.integers(0, 40))
+def test_work_values_must_fit_int64(k, count):
+    # after t requests every work value is at most (t + k) times the
+    # largest distance; one more than the largest distance that keeps
+    # that in int64 is refused, when building and when extending
+    inside = INT64_MAX // (count + k)
+    requests = [(k + i) % (k + 1) for i in range(count)]
+    inst = Instance.build(equidistant(k + 1, inside), k, range(k), requests)
+    with pytest.raises(InputError, match="int64 bound"):
+        Instance.build(equidistant(k + 1, inside + 1), k, range(k), requests)
+    assert inst.with_requests(requests) == inst
+    with pytest.raises(InputError, match="int64 bound"):
+        inst.with_requests(requests + [k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 2), count=st.integers(0, 8))
+def test_values_at_the_int64_bound_are_exact(k, count):
+    from kserver import final_work_vector
+    from kserver.offline import oracle_work_vector
+
+    inside = INT64_MAX // (count + k)
+    requests = [(k + i) % (k + 1) for i in range(count)]
+    inst = Instance.build(equidistant(k + 1, inside), k, range(k), requests)
+    assert dict(final_work_vector(inst).to_pairs()) == oracle_work_vector(inst)

@@ -25,7 +25,14 @@ from kserver import (
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace
 from kserver.offline import opt_cost, oracle_work_vector, work_vector_history
-from kserver.workfunction import ConfigurationSpace, continue_wfa, extend_wfa
+from kserver.rng import SplitMix64
+from kserver.workfunction import (
+    ConfigurationSpace,
+    History,
+    WorkVector,
+    configuration_space,
+    extend_wfa,
+)
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -231,22 +238,25 @@ class TestRunWfa:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_continued_run_equals_a_run_from_the_start(self, q):
         # the verify harness serves blocks 2..q of the repeated anchored
-        # block by continuing the anchored run; that must be exactly the
-        # run over the whole repeated block
+        # block by continuing the anchored run, each block folded from the
+        # previous block's last vector up to its anchor's fixed point; that
+        # must be exactly the run over the whole repeated block
         for seed, model in ((3, "uniform"), (8, "roundrobin_k_plus_1"), (5, "greedy_adversary")):
             inst = generate_instance(6, 3, 7, seed, request_model=model)
             opt = opt_cost(final_work_vector(inst))
             anchored = inst.with_requests(inst.requests + compute_anchor(inst, opt, 5, 0).requests)
             repeated = anchored.with_requests(anchored.requests * q)
-            trace, vector = continue_wfa(
-                run_wfa(anchored), final_work_vector(anchored), anchored.requests * (q - 1)
-            )
+            trace, vector = run_wfa(anchored), final_work_vector(anchored)
+            for _ in range(q - 1):
+                block = work_vector_history(anchored, work_vector_history(inst, first=vector))
+                assert block.fixed_cycle is not None
+                trace = extend_wfa(trace, block, anchored.requests)
+                vector = block[-1]
             assert np.array_equal(vector.values, final_work_vector(repeated).values)
             assert vector.served_count == len(repeated.requests)
             fresh = run_wfa(repeated)
             assert trace.rounds == fresh.rounds
             assert trace.total_cost == fresh.total_cost
-
 
     def test_run_read_off_a_stored_history(self):
         # the algorithm is online, so the history of the served sequence
@@ -264,6 +274,49 @@ class TestRunWfa:
             assert trace.rounds == fresh.rounds
             assert trace.total_cost == fresh.total_cost
             assert len(trace.rounds) == rho_len
+
+
+class TestHistory:
+    """A ``History`` read on rows that repeat with the period but differ
+    inside a cycle, which folded work vectors rarely show: reads and the
+    compressed online run against every vector listed out."""
+
+    @pytest.mark.parametrize("fixed_cycle", [1, 2, 4])
+    def test_periodic_reads_and_compressed_run(self, fixed_cycle):
+        costly = 0
+        for seed in range(1, 30):
+            inst = generate_instance(6, 3, 4, seed)
+            space = configuration_space(inst.metric, inst.k)
+            stream = SplitMix64(seed)
+            base_len, k, cycles = len(inst.requests), inst.k, 7
+            periodic_from = base_len + (fixed_cycle - 1) * k
+
+            def row():
+                return np.array([stream.randint(0, 40) for _ in space.configs], dtype=np.int64)
+
+            prefix = [row() for _ in range(periodic_from)]
+            cycle = [row() for _ in range(k)]
+            length = base_len + cycles * k
+            listed = (prefix + cycle * (cycles + 1))[: length + 1]
+            rows = np.array(listed[: periodic_from + k])
+            rows.setflags(write=False)
+            history = History(space, inst.initial, 5, rows, length, base_len, k, fixed_cycle)
+            assert history.periodic_from == periodic_from
+            assert len(history) == length + 1
+            for t, vector in enumerate(history):
+                assert vector.served_count == 5 + t
+                assert np.array_equal(vector.values, listed[t])
+            assert np.array_equal(history[-1].values, listed[-1])
+            with pytest.raises(IndexError):
+                history[length + 1]
+
+            requests = inst.requests + inst.initial * cycles
+            vectors = [WorkVector(space, inst.initial, t, v) for t, v in enumerate(listed)]
+            start = ExecutionTrace(inst.initial, (), 0)
+            want = extend_wfa(start, vectors, requests)
+            assert extend_wfa(start, history, requests) == want
+            costly += any(rnd.moves for rnd in want.rounds[-k:])
+        assert costly >= 2  # runs still moving in their last cycle
 
 
 class TestProperties:
