@@ -1,14 +1,19 @@
-"""Byte-identity gate: `kserver verify` reports and campaign CSVs must equal
-the committed goldens in ``tests/golden/`` byte for byte.
+"""Byte-identity gate: `kserver verify` reports, campaign CSVs, and what
+`kserver run --trace-out` prints and writes must equal the committed goldens
+in ``tests/golden/`` byte for byte.
 
-The goldens were written by the code as it stood before fixed-point
-compression of anchors, which skips work but must not change a single
-output byte.  Do not rewrite them to make a change pass; a change that
+The verify and campaign goldens were written by the code as it stood
+before fixed-point compression of anchors, the trace goldens by the code
+as it stood before the online decisions and the offline backtrack were
+moved onto the shared transition tables; both changes must not change a
+single output byte.  Do not rewrite them to make a change pass; a change that
 alters an output on purpose says so and why.
 
     PYTHONPATH=src python3 tests/test_golden.py DIR   # write every golden to DIR
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -38,16 +43,41 @@ for _model, _n, _k, _rho, _seed in (
             _n, _k, _rho, _seed, _model, (1, 1000), _q,
         )
 
+# name -> (n, k, |rho|, seed, request model, weight range); each is run
+# with both algorithms
+TRACE_CASES = {
+    "n12-k4-r50-s114": (12, 4, 50, 114, "uniform", (1, 9)),
+    "greedy_adversary-n8-k3-r40-s7-w1000": (8, 3, 40, 7, "greedy_adversary", (1, 1000)),
+    "uniform-n6-k3-r0-s1": (6, 3, 0, 1, "uniform", (1, 9)),
+}
+TRACE_ALGOS = ("wfa", "opt")
 
-def verify_report_bytes(case, workdir: Path) -> bytes:
-    """What `kserver verify INSTANCE --q Q --report-out OUT` writes to OUT."""
-    n, k, rho_len, seed, model, weights, q = case
+
+def instance_file(case, workdir: Path) -> Path:
+    n, k, rho_len, seed, model, weights = case
     inst = generate_instance(n, k, rho_len, seed, request_model=model, weight_range=weights)
     path = workdir / "instance.json"
     path.write_text(instance_to_json(inst))
+    return path
+
+
+def verify_report_bytes(case, workdir: Path) -> bytes:
+    """What `kserver verify INSTANCE --q Q --report-out OUT` writes to OUT."""
+    path = instance_file(case[:-1], workdir)
     out = workdir / "report.json"
-    main(["verify", str(path), "--q", str(q), "--report-out", str(out)])
+    main(["verify", str(path), "--q", str(case[-1]), "--report-out", str(out)])
     return out.read_bytes()
+
+
+def run_trace_bytes(case, algo: str, workdir: Path) -> tuple[bytes, bytes]:
+    """What `kserver run INSTANCE --algo ALGO --trace-out OUT` prints, and
+    what it writes to OUT."""
+    path = instance_file(case, workdir)
+    out = workdir / "trace.json"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        main(["run", str(path), "--algo", algo, "--trace-out", str(out)])
+    return printed.getvalue().encode("utf-8"), out.read_bytes()
 
 
 def campaign_csv_bytes(config) -> bytes:
@@ -62,6 +92,14 @@ def test_verify_report_matches_golden(name, tmp_path, capsys):
     assert got == (GOLDEN / "verify" / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("algo", TRACE_ALGOS)
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_run_trace_matches_golden(name, algo, tmp_path):
+    printed, trace = run_trace_bytes(TRACE_CASES[name], algo, tmp_path)
+    assert printed == (GOLDEN / "trace" / f"{name}-{algo}.stdout").read_bytes()
+    assert trace == (GOLDEN / "trace" / f"{name}-{algo}.json").read_bytes()
+
+
 def write_goldens(directory: Path) -> None:
     import tempfile
 
@@ -69,10 +107,16 @@ def write_goldens(directory: Path) -> None:
 
     (directory / "verify").mkdir(parents=True, exist_ok=True)
     (directory / "campaign").mkdir(parents=True, exist_ok=True)
+    (directory / "trace").mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for name, case in VERIFY_CASES.items():
             report = verify_report_bytes(case, Path(work))
             (directory / "verify" / f"{name}.json").write_bytes(report)
+        for name, case in TRACE_CASES.items():
+            for algo in TRACE_ALGOS:
+                printed, trace = run_trace_bytes(case, algo, Path(work))
+                (directory / "trace" / f"{name}-{algo}.stdout").write_bytes(printed)
+                (directory / "trace" / f"{name}-{algo}.json").write_bytes(trace)
     for model, config in CAMPAIGNS.items():
         (directory / "campaign" / f"{model}.csv").write_bytes(campaign_csv_bytes(config))
 
