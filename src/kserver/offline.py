@@ -5,8 +5,11 @@ optimum constrained to end in a given configuration is that entry.  A
 cost-realizing execution is reconstructed by backtracking through the
 per-round work vectors and then rescheduled lazily, so the emitted trace
 makes only forced moves except for final-round relocations into the
-target configuration.  ``first_start_visits`` does the same for many
-targets at once, keeping only where each trace first revisits the start.
+target configuration.  There is one backtrack, ``_backtrack``, over the
+configuration space's transition tables and for any number of targets,
+and two replays of its plans: ``extract_trace`` materializes the rounds
+of one target's trace, ``first_start_visits`` replays many targets at
+once and keeps only where each trace first revisits the start.
 
 The per-round vectors are a ``History``: one int64 row per stored
 vector.  ``work_vector_history`` folds an anchor onto a base history
@@ -118,14 +121,15 @@ def extract_trace(
 ) -> ExecutionTrace:
     """Cost-realizing execution ending in ``target``, from stored vectors.
 
-    Backtracking recovers, per round, which server position the optimal
-    plan leaves behind; ties take the smallest point identifier so traces
-    are reproducible.  The plan is then replayed lazily: each server
-    defers its planned hops until it actually serves, and outstanding hops
-    are folded into the final-round relocation (servers already on needed
-    target points stay put, the rest move by a minimum-weight matching).
-    The result is lazy except for that final relocation, and its total
-    cost equals the work-vector entry of ``target`` exactly.
+    The one-target case of ``_backtrack``, which recovers, per round, which
+    point the optimal plan's serving server moves on to; ties take the
+    smallest point identifier so traces are reproducible.  The plan is then
+    replayed lazily: each server defers its planned hops until it actually
+    serves, and outstanding hops are folded into the final-round relocation
+    (servers already on needed target points stay put, the rest move by a
+    minimum-weight matching).  The result is lazy except for that final
+    relocation, and its total cost equals the work-vector entry of
+    ``target`` exactly.
     """
     final = history[-1]
     space = final.space
@@ -136,8 +140,7 @@ def extract_trace(
         if target not in space.index:
             raise InputError(f"{target} is not a configuration of this space")
     requests = inst.requests
-    rounds_total = len(requests)
-    if rounds_total == 0:
+    if not requests:
         if target != inst.initial:
             raise InputError(
                 "an empty request sequence has no final round to relocate in; "
@@ -145,42 +148,16 @@ def extract_trace(
             )
         return ExecutionTrace(inst.initial, (), 0)
 
+    first, leave, _ = _backtrack(history, requests, [space.index[target]])
+    leave = leave[:, 0].tolist()
     dist = inst.metric.dist
-    index = space.index
-
-    # plan[t] = configuration of the cost-realizing plan after round t;
-    # leave[t] = position the serving server moves on to at round t
-    plan: list[Configuration] = [None] * (rounds_total + 1)
-    leave: list[int] = [0] * (rounds_total + 1)
-    plan[rounds_total] = target
-    for t in range(rounds_total, 0, -1):
-        request = requests[t - 1]
-        here = plan[t]
-        want = int(history.values(t)[index[here]])
-        prev_values = history.values(t - 1)
-        found = False
-        if request in here:
-            # only the stay-put term survives for covered requests
-            if int(prev_values[index[here]]) == want:
-                plan[t - 1], leave[t] = here, request
-                found = True
-        else:
-            for j, z in enumerate(here):
-                swapped = tuple(sorted(here[:j] + here[j + 1 :] + (request,)))
-                if int(prev_values[index[swapped]]) + dist[request][z] == want:
-                    plan[t - 1], leave[t] = swapped, z
-                    found = True
-                    break
-        if not found:
-            raise RuntimeError(f"backtracking found no predecessor at round {t}")
 
     # replay: plan positions move eagerly, actual positions lag lazily
-    plan_pos = list(matching_assignment(inst.initial, plan[0], inst.metric))
+    plan_pos = list(matching_assignment(inst.initial, space.configs[first[0]], inst.metric))
     lazy_pos = list(inst.initial)
     rounds = []
     total = 0
-    for t in range(1, rounds_total + 1):
-        request = requests[t - 1]
+    for t, request in enumerate(requests):
         sid = plan_pos.index(request)
         moves = []
         if lazy_pos[sid] != request:
@@ -189,13 +166,13 @@ def extract_trace(
             total += cost
             lazy_pos[sid] = request
         plan_pos[sid] = leave[t]
-        if t == rounds_total:
+        if t == len(requests) - 1:
             relocation, cost = _final_relocation(lazy_pos, target, inst.metric)
             moves.extend(relocation)
             total += cost
         rounds.append(Round(request, tuple(moves), tuple(sorted(lazy_pos))))
 
-    expected = int(final.values[index[target]])
+    expected = final.value(target)
     if total != expected:
         raise RuntimeError(
             f"extracted trace costs {total}, work vector says {expected}"
@@ -203,39 +180,32 @@ def extract_trace(
     return ExecutionTrace(inst.initial, tuple(rounds), total)
 
 
-def first_start_visits(
-    history: History, inst: Instance, ranks: Sequence[int], base_len: int
-) -> np.ndarray:
-    """For each target rank, the first round t in [base_len, T) at whose end
-    its extracted execution stands on the start configuration, else -1.
+def _backtrack(
+    history: History, requests: Sequence[int], ranks: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The backward pass behind every extracted trace, for many targets at
+    once: ``(first, leave, repeated_to)``.
 
-    Gives, for all targets at once, the traces ``extract_trace`` builds one
-    at a time.  A backward pass over the stored vectors picks every
-    target's predecessor per round (first matching transition slot, which
-    is the smallest leave point) and records the point the serving server
-    leaves for.  A forward pass replays all plans lazily on (targets, k)
-    position arrays.  As in ``extract_trace``, each trace's cost, final
-    relocation included, must equal its work-vector entry exactly.
+    Walking back from each target rank, every round takes the first
+    transition slot whose predecessor value plus move cost gives the
+    current value, which is the smallest leave point.  ``first[i]`` is the
+    plan's configuration before the first request, and ``leave[t, i]`` the
+    point the serving server moves on to at round t + 1 (the request
+    itself when it is covered, since the plan then stays put).
 
-    Both passes skip repeated cycles of a history whose anchor reached a
-    fixed point.  Backward, once every target's rank repeats across a
-    cycle of the periodic rows, each cycle below it down to
-    ``history.periodic_from`` is the same map and leaves the same points.
-    Forward, once the plan and lazy positions repeat across one of those
-    cycles, so do they up to the cycle the backward pass repeated from,
-    and each skipped cycle adds the same cost.
+    On a history whose anchor reached a fixed point, once every rank
+    repeats across a cycle of the periodic rows, each cycle below it down
+    to ``history.periodic_from`` is the same map and leaves the same
+    points: those rows of ``leave`` are tiled, and ``repeated_to`` is the
+    cycle start the tiling repeated down from (None if none was).
     """
-    final = history[-1]
-    space = final.space
-    requests = inst.requests
+    space = history.space
     period = history.period
     periodic_from = history.periodic_from
     cur = np.array(ranks, dtype=np.intp)
     rows = np.arange(cur.size)
-
-    # leave[t - 1] = point the serving server moves on to at round t
     leave = np.empty((len(requests), cur.size), dtype=space.slots.dtype)
-    repeated_to = None  # the cycle start the backward pass repeated down from
+    repeated_to = None
     marked = None  # ranks at the previous cycle start in the periodic rows
     t = len(requests)
     while t > 0:
@@ -257,6 +227,32 @@ def first_start_visits(
         leave[t - 1] = np.where(prev[0] == cur, request, space.slots[slot, cur])
         cur = prev[slot, rows]
         t -= 1
+    return cur, leave, repeated_to
+
+
+def first_start_visits(
+    history: History, inst: Instance, ranks: Sequence[int], base_len: int
+) -> np.ndarray:
+    """For each target rank, the first round t in [base_len, T) at whose end
+    its extracted execution stands on the start configuration, else -1.
+
+    Gives, for all targets at once, the traces ``extract_trace`` builds one
+    at a time: one ``_backtrack`` over every target, then a forward pass
+    that replays all plans lazily on (targets, k) position arrays.  As in
+    ``extract_trace``, each trace's cost, final relocation included, must
+    equal its work-vector entry exactly.
+
+    The forward pass skips repeated cycles as the backward pass does: once
+    the plan and lazy positions repeat across a cycle of the periodic rows,
+    so do they up to the cycle the backward pass repeated from, and each
+    skipped cycle adds the same cost.
+    """
+    final = history[-1]
+    space = final.space
+    requests = inst.requests
+    period = history.period
+    cur, leave, repeated_to = _backtrack(history, requests, ranks)
+    rows = np.arange(cur.size)
 
     # replay: plan positions move eagerly, actual positions lag lazily
     plans, which = np.unique(cur, return_inverse=True)

@@ -7,7 +7,8 @@ indexed by the configuration's position in the lexicographic enumeration
 (its combinatorial rank), which keeps updates, offset comparisons and
 Lipschitz sweeps to single numpy passes.  Per-request transition tables
 are slot-major, ``(k, |configs|)``, so an update is one gather plus a
-minimum across the k slots.
+minimum across the k slots, and a decision the same gather at one
+configuration.
 
 Folding in a request r replaces each entry by
 
@@ -216,11 +217,10 @@ class History:
         return self.length + 1
 
     def __getitem__(self, t: int) -> "WorkVector":
-        if t < 0:
-            t += len(self)
-        if not 0 <= t < len(self):
+        row = t + len(self) if t < 0 else t
+        if not 0 <= row < len(self):
             raise IndexError(f"history index {t} out of range for {len(self)} vectors")
-        return WorkVector(self.space, self.origin, self.served_before + t, self.values(t))
+        return WorkVector(self.space, self.origin, self.served_before + row, self.values(row))
 
     def __iter__(self):
         return (self[t] for t in range(len(self)))
@@ -263,29 +263,25 @@ def wfa_decide(vector: WorkVector, config, request: int) -> WfaDecision:
     """Decide the move for one request from the pre-update work vector.
 
     Covered requests get the empty move.  Otherwise the server position
-    with the minimal updated-value-plus-distance score moves; ties go to
+    with the minimal updated-value-plus-distance score moves, scored over
+    the request's transition table; ties go to the first slot, which holds
     the smallest position identifier.  The decision depends only on the
     configuration, the request and the vector's entries, and is unchanged
     when a constant is added to every entry.
     """
-    cfg = tuple(config)
-    if cfg not in vector.space.index:
-        raise InputError(f"{cfg} is not a configuration of this space")
-    vector.space.metric.check_point(request)
-    if request in cfg:
-        return WfaDecision(request, 0, cfg)
-    dist = vector.space.metric.dist
-    values = vector.values
-    index = vector.space.index
-    best_score = None
-    best = None
-    for j, x in enumerate(cfg):
-        swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
-        score = int(values[index[swapped]]) + dist[x][request]
-        if best_score is None or score < best_score:
-            best_score = score
-            best = (x, dist[x][request], swapped)
-    return WfaDecision(*best)
+    space = vector.space
+    rank = space.index.get(tuple(config))
+    if rank is None:
+        raise InputError(f"{tuple(config)} is not a configuration of this space")
+    request = space.metric.check_point(request)
+    targets, costs = space.transitions(request)
+    if targets[0, rank] == rank:  # covered: every slot points back at it
+        return WfaDecision(request, 0, space.configs[rank])
+    slot = int(np.argmin(vector.values[targets[:, rank]] + costs[:, rank]))
+    return WfaDecision(
+        int(space.slots[slot, rank]), int(costs[slot, rank]),
+        space.configs[targets[slot, rank]],
+    )
 
 
 def run_wfa(inst: Instance) -> ExecutionTrace:

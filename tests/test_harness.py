@@ -31,19 +31,20 @@ from kserver.harness import (
     _check_start_visits,
 )
 from kserver.execution import ExecutionTrace
-from kserver.offline import extract_trace, first_start_visits, oracle_opt, work_vector_history
+from kserver.offline import first_start_visits, oracle_opt, work_vector_history
 from kserver.rng import SplitMix64
 from kserver.workfunction import extend_wfa, initial_work_vector, update_work_vector
+from test_offline import loop_extract_trace
 
 
 def count_work(monkeypatch):
-    """Count work-vector updates and reference trace extractions from here
-    on.  One ``verify_anchored_properties`` call makes |rho| updates once
-    (base history), then per beta attempt k per anchor cycle folded onto
-    it (anchored history, which the anchored online run is read off): up
-    to the first cycle that maps the vector to itself, else all m.  Each of
-    blocks 2..q then folds |rho| plus its anchor the same way, and C1b
-    makes one extraction."""
+    """Count work-vector updates and trace extractions from here on.  One
+    ``verify_anchored_properties`` call makes |rho| updates once (base
+    history), then per beta attempt k per anchor cycle folded onto it
+    (anchored history, which the anchored online run is read off): up to
+    the first cycle that maps the vector to itself, else all m.  Each of
+    blocks 2..q then folds |rho| plus its anchor the same way.  C1b
+    backtracks all its targets in one batch and makes no extraction."""
     import kserver.harness as harness
     import kserver.offline as offline
     import kserver.workfunction as workfunction
@@ -133,7 +134,7 @@ class TestVerify:
         # the fixed point at cycle 4 (k = 2: 8 updates); the other checks
         # and the repeat (q = 3: two blocks of 1 + 8) run once, on the last
         # anchor
-        assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 1}
+        assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 0}
         assert calls["update"] == 51
         direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4, beta_cap=4)
         assert report.checks == direct.checks
@@ -148,8 +149,8 @@ class TestVerify:
 
 
 def per_target_start_visits(history, anchored, base_len, sample_cap):
-    """C1b the unbatched way: one ``extract_trace`` per examined target, in
-    rank order, stopping at the first that never revisits the start."""
+    """C1b the unbatched way: one reference extraction per examined target,
+    in rank order, stopping at the first that never revisits the start."""
     space = history[-1].space
     if len(space) <= sample_cap:
         ranks = range(len(space))
@@ -159,7 +160,7 @@ def per_target_start_visits(history, anchored, base_len, sample_cap):
     start = anchored.initial
     for examined, rank in enumerate(ranks, start=1):
         target = space.configs[rank]
-        trace = extract_trace(history, anchored, target)
+        trace = loop_extract_trace(history, anchored, target)
         if not any(
             trace.config_after(t) == start for t in range(base_len, len(anchored.requests))
         ):
@@ -169,8 +170,8 @@ def per_target_start_visits(history, anchored, base_len, sample_cap):
 
 class TestStartVisits:
     """The batched C1b, on the history verify builds (anchor folded onto the
-    base up to its fixed point), against the per-target ``extract_trace``
-    loop on the full fold."""
+    base up to its fixed point), against the per-target reference
+    extraction on the full fold."""
 
     def test_batched_equals_per_target_extraction(self):
         statuses = []
@@ -308,7 +309,7 @@ def test_verify_work_counts(monkeypatch):
     anchored = [h for h in histories if len(h) == rounds + 1]
     assert [(h.fixed_cycle, h.periodic_from, len(h.rows)) for h in anchored] == [(4, 62, 66)] * 3
     assert [h.served_before for h in anchored] == [0, rounds, 2 * rounds]
-    assert calls == {"update": 50 + 4 * 4 + 2 * (50 + 4 * 4), "extract": 1}
+    assert calls == {"update": 50 + 4 * 4 + 2 * (50 + 4 * 4), "extract": 0}
     assert calls["update"] == 198
 
 

@@ -16,8 +16,15 @@ from kserver import (
     update_work_vector,
     work_vector_history,
 )
-from kserver.execution import Move
-from kserver.offline import oracle_schedule_costs, oracle_work_vector
+from kserver.anchor import compute_anchor
+from kserver.execution import ExecutionTrace, Move, Round
+from kserver.metric import matching_assignment
+from kserver.offline import (
+    _final_relocation,
+    extract_trace,
+    oracle_schedule_costs,
+    oracle_work_vector,
+)
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -28,6 +35,55 @@ def small_instance(seed, n_max=5, k_max=3, len_max=6):
     k = stream.randint(1, min(k_max, n))
     rho_len = stream.randint(0, len_max)
     return generate_instance(n, k, rho_len, seed)
+
+
+def loop_extract_trace(history, inst, target):
+    """Reference: backtrack one target through the stored vectors, trying
+    each server of the plan's configuration one swapped tuple at a time
+    (the smallest leave point first), then replay the plan lazily."""
+    requests = inst.requests
+    index = history[-1].space.index
+    dist = inst.metric.dist
+    if not requests:
+        return ExecutionTrace(inst.initial, (), 0)
+    # plan[t] = configuration of the plan after round t; leave[t] = the
+    # point the serving server moves on to at round t
+    plan = [None] * len(requests) + [target]
+    leave = [None] * (len(requests) + 1)
+    for t in range(len(requests), 0, -1):
+        request, here = requests[t - 1], plan[t]
+        want = int(history.values(t)[index[here]])
+        prev_values = history.values(t - 1)
+        if request in here:
+            # only the stay-put term survives for covered requests
+            if int(prev_values[index[here]]) == want:
+                plan[t - 1], leave[t] = here, request
+        else:
+            for j, z in enumerate(here):
+                swapped = tuple(sorted(here[:j] + here[j + 1 :] + (request,)))
+                if int(prev_values[index[swapped]]) + dist[request][z] == want:
+                    plan[t - 1], leave[t] = swapped, z
+                    break
+        assert plan[t - 1] is not None, f"no predecessor at round {t}"
+
+    plan_pos = list(matching_assignment(inst.initial, plan[0], inst.metric))
+    lazy_pos = list(inst.initial)
+    rounds = []
+    total = 0
+    for t, request in enumerate(requests, start=1):
+        sid = plan_pos.index(request)
+        moves = []
+        if lazy_pos[sid] != request:
+            moves.append(Move(lazy_pos[sid], request, dist[lazy_pos[sid]][request]))
+            total += moves[-1].cost
+            lazy_pos[sid] = request
+        plan_pos[sid] = leave[t]
+        if t == len(requests):
+            relocation, cost = _final_relocation(lazy_pos, target, inst.metric)
+            moves.extend(relocation)
+            total += cost
+        rounds.append(Round(request, tuple(moves), tuple(sorted(lazy_pos))))
+    return ExecutionTrace(inst.initial, tuple(rounds), total)
 
 
 class TestOptCost:
@@ -150,6 +206,33 @@ class TestOracle:
             oracle = oracle_work_vector(inst)
             for cfg, value in w.to_pairs():
                 assert value == oracle[cfg], (seed, cfg)
+
+
+EXTRACT_MODELS = ("uniform", "roundrobin_k_plus_1", "greedy_adversary")
+
+
+@pytest.mark.parametrize("weights", [(1, 9), (1, 1), (1, 1000)])
+def test_extract_trace_equals_the_loop(weights):
+    # every target, on the full fold of a base sequence and on anchors of
+    # one, two and m cycles folded onto it up to their fixed points; the
+    # reference reads every vector of the anchored sequence folded in full
+    fixed = 0
+    for model, seed in itertools.product(EXTRACT_MODELS, range(1, 7)):
+        n, k = (5, 2) if seed % 2 == 0 else (6, 3)
+        inst = generate_instance(n, k, 8, seed, request_model=model, weight_range=weights)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
+        pairs = [(inst, base, base)]
+        for m in (1, 2, cycles):
+            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            history = work_vector_history(anchored, base)
+            fixed += history.fixed_cycle is not None
+            pairs.append((anchored, history, work_vector_history(anchored)))
+        for served, history, full in pairs:
+            for target in history.space.configs:
+                got = extract_trace(history, served, target)
+                assert got == loop_extract_trace(full, served, target), (model, seed, target)
+    assert fixed >= 18  # every m-cycle anchor, at least
 
 
 def test_history_shape(m3_instance):

@@ -29,6 +29,7 @@ from kserver.rng import SplitMix64
 from kserver.workfunction import (
     ConfigurationSpace,
     History,
+    WfaDecision,
     WorkVector,
     configuration_space,
     extend_wfa,
@@ -113,6 +114,22 @@ def loop_transitions(space, request):
             targets[i, j] = space.index[swapped]
             costs[i, j] = dist[request][z]
     return targets, costs
+
+
+def loop_decide(vector, config, request):
+    """Reference: score every server of the configuration by swapping it
+    for the request one tuple at a time; ties to the smallest position."""
+    cfg = tuple(config)
+    if request in cfg:
+        return WfaDecision(request, 0, cfg)
+    dist = vector.space.metric.dist
+    best_score = best = None
+    for j, x in enumerate(cfg):
+        swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
+        score = int(vector.values[vector.space.index[swapped]]) + dist[x][request]
+        if best_score is None or score < best_score:
+            best_score, best = score, WfaDecision(x, dist[x][request], swapped)
+    return best
 
 
 def loop_distance_vector(space, origin):
@@ -210,6 +227,29 @@ class TestDecide:
             wfa_decide(w, (0, 5), 2)
         with pytest.raises(InputError):
             wfa_decide(w, (0, 1), 9)
+
+    def test_numpy_inputs_give_python_ints(self, m3):
+        w = initial_work_vector(m3, (0, 1))
+        for decision, want in (
+            (wfa_decide(w, (0, 1), np.int64(2)), WfaDecision(1, 2, (0, 2))),
+            (wfa_decide(w, np.array([0, 1]), np.int64(1)), WfaDecision(1, 0, (0, 1))),
+        ):
+            assert decision == want
+            fields = (decision.mover, decision.cost, *decision.config)
+            assert all(type(value) is int for value in fields), decision
+
+    @pytest.mark.parametrize("n,k,weights", list(kernel_cases()))
+    def test_equals_the_loop(self, n, k, weights):
+        # every configuration and request, on a vector some requests in:
+        # weights (1, 1) tie most scores
+        metric = random_metric(n, seed=100 * n + k, weight_range=weights)
+        space = ConfigurationSpace(metric, k)
+        vector = initial_work_vector(metric, space.configs[len(space) // 3])
+        for request in (n - 1, 0, n // 2):
+            vector = update_work_vector(vector, request)
+        for config in space.configs:
+            for request in range(n):
+                assert wfa_decide(vector, config, request) == loop_decide(vector, config, request)
 
 
 class TestRunWfa:
@@ -317,6 +357,14 @@ class TestHistory:
             assert extend_wfa(start, history, requests) == want
             costly += any(rnd.moves for rnd in want.rounds[-k:])
         assert costly >= 2  # runs still moving in their last cycle
+
+
+    def test_index_error_names_the_index_passed(self, m3_instance):
+        history = work_vector_history(m3_instance.with_requests((2, 0, 1)))
+        assert history[-4].served_count == 0 and history[3].served_count == 3
+        for t in (-5, 4):
+            with pytest.raises(IndexError, match=f"history index {t} out of range for 4 vectors"):
+                history[t]
 
 
 class TestProperties:
