@@ -13,7 +13,9 @@ C1b  for every ending configuration, the extracted cost-realizing
      block (checked on all configurations, or a seeded sample of 512).
      All examined targets are backtracked and lazily replayed together
      (``offline.first_start_visits``), each trace's cost checked against
-     its work-vector entry.
+     its work-vector entry; the first target's trace is also replayed
+     round by round by ``extract_trace``, and a different first visit
+     raises.
 C2   the anchored work vector equals its value at the start plus the
      matching distance from the start, entry for entry.
 E2   the optimum of the q-fold repeated block is exactly q times the
@@ -68,7 +70,7 @@ from .metric import (
     random_metric,
 )
 from .offline import (
-    extract_trace,  # unused here; the benchmark tracer wraps this name
+    extract_trace,
     first_start_visits,
     opt_cost,
     opt_cost_to,
@@ -324,7 +326,10 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
     the end of some round inside the anchor block.
 
     ``first_start_visits`` backtracks and replays every examined target at
-    once."""
+    once, skipping repeated anchor cycles.  The first target's trace is
+    also replayed by ``extract_trace``, one round at a time with nothing
+    skipped.  Both replay the same backtracked plan, so a different first
+    visit raises: the two replays disagree."""
     space = history[-1].space
     if len(space) <= sample_cap:
         ranks = range(len(space))
@@ -332,6 +337,15 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
         stream = SplitMix64(int(anchored.fingerprint()[:16], 16))
         ranks = stream.sample(len(space), sample_cap)
     first = first_start_visits(history, anchored, ranks, base_len)
+    reference = extract_trace(history, anchored, space.configs[ranks[0]])
+    visits = (
+        t for t in range(base_len, len(anchored.requests))
+        if reference.config_after(t) == anchored.initial
+    )
+    if next(visits, -1) != first[0]:
+        raise RuntimeError(
+            f"batched C1b disagrees with extract_trace on {space.configs[ranks[0]]}"
+        )
     missed = np.flatnonzero(first < 0)
     if missed.size:
         examined = int(missed[0]) + 1

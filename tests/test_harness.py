@@ -31,20 +31,20 @@ from kserver.harness import (
     _check_start_visits,
 )
 from kserver.execution import ExecutionTrace
-from kserver.offline import first_start_visits, oracle_opt, work_vector_history
+from kserver.offline import _backtrack, first_start_visits, oracle_opt, work_vector_history
 from kserver.rng import SplitMix64
-from kserver.workfunction import extend_wfa, initial_work_vector, update_work_vector
+from kserver.workfunction import History, extend_wfa, initial_work_vector, update_work_vector
 from test_offline import loop_extract_trace
 
 
 def count_work(monkeypatch):
-    """Count work-vector updates and trace extractions from here on.  One
-    ``verify_anchored_properties`` call makes |rho| updates once (base
-    history), then per beta attempt k per anchor cycle folded onto it
-    (anchored history, which the anchored online run is read off): up to
-    the first cycle that maps the vector to itself, else all m.  Each of
-    blocks 2..q then folds |rho| plus its anchor the same way.  C1b
-    backtracks all its targets in one batch and makes no extraction."""
+    """Count work-vector updates and reference trace extractions from here
+    on.  One ``verify_anchored_properties`` call makes |rho| updates once
+    (base history), then per beta attempt k per anchor cycle folded onto
+    it (anchored history, which the anchored online run is read off): up
+    to the first cycle that maps the vector to itself, else all m.  Each of
+    blocks 2..q then folds |rho| plus its anchor the same way, and C1b
+    makes one extraction."""
     import kserver.harness as harness
     import kserver.offline as offline
     import kserver.workfunction as workfunction
@@ -134,7 +134,7 @@ class TestVerify:
         # the fixed point at cycle 4 (k = 2: 8 updates); the other checks
         # and the repeat (q = 3: two blocks of 1 + 8) run once, on the last
         # anchor
-        assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 0}
+        assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 1}
         assert calls["update"] == 51
         direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4, beta_cap=4)
         assert report.checks == direct.checks
@@ -192,6 +192,55 @@ class TestStartVisits:
                     assert got == want, (model, weights, seed, cycles, cap)
                     statuses.append(got.status)
         assert statuses.count("fail") >= 50 and statuses.count("pass") >= 50
+
+    # (model, weights, seed, |rho|) at n = 4, k = 2: the smallest full
+    # anchors found with both properties below, one per model and weights
+    @pytest.mark.parametrize("model,weights,seed,rho_len", [
+        ("uniform", (1, 9), 11, 5),
+        ("uniform", (1, 1), 1, 4),
+        ("uniform", (1, 1000), 2, 5),
+        ("roundrobin_k_plus_1", (1, 9), 11, 5),
+        ("roundrobin_k_plus_1", (1, 1), 1, 4),
+        ("roundrobin_k_plus_1", (1, 1000), 2, 5),
+        ("greedy_adversary", (1, 9), 11, 5),
+        ("greedy_adversary", (1, 1), 2, 5),
+        ("greedy_adversary", (1, 1000), 2, 5),
+    ])
+    def test_forward_skip_then_visits_inside_the_anchor(
+        self, model, weights, seed, rho_len, monkeypatch
+    ):
+        """Anchors on which the forward replay skips repeated cycles, while
+        targets first revisit the start inside the anchor, past its first
+        round: every target's first visit against the reference extraction
+        on the full fold."""
+        inst = generate_instance(4, 2, rho_len, seed, request_model=model, weight_range=weights)
+        base_len = len(inst.requests)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 5, 0).cycles
+        anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+        history = work_vector_history(anchored, base)
+        ranks = range(len(history.space))
+        repeated_to = _backtrack(history, anchored.requests, ranks)[2]
+        asked = []
+        starts = History.starts_periodic_cycle
+        monkeypatch.setattr(
+            History, "starts_periodic_cycle", lambda h, t: asked.append(t) or starts(h, t)
+        )
+        first = first_start_visits(history, anchored, ranks, base_len).tolist()
+        monkeypatch.undo()
+        # the backward pass asks for t >= 1 only; the forward replay asks
+        # from t = 0 up to repeated_to, unless it skips cycles on the way
+        forward = asked[asked.index(0):]
+        assert repeated_to is not None and forward[-1] < repeated_to
+        reference = work_vector_history(anchored)
+        start, rounds = inst.initial, len(anchored.requests)
+        want = []
+        for config in history.space.configs:
+            trace = loop_extract_trace(reference, anchored, config)
+            visits = (t for t in range(base_len, rounds) if trace.config_after(t) == start)
+            want.append(next(visits, -1))
+        assert first == want
+        assert max(first) > base_len
 
     def test_empty_base_visits_at_round_zero(self, m3_instance):
         anchored = m3_instance.with_requests((0, 1))
@@ -309,7 +358,7 @@ def test_verify_work_counts(monkeypatch):
     anchored = [h for h in histories if len(h) == rounds + 1]
     assert [(h.fixed_cycle, h.periodic_from, len(h.rows)) for h in anchored] == [(4, 62, 66)] * 3
     assert [h.served_before for h in anchored] == [0, rounds, 2 * rounds]
-    assert calls == {"update": 50 + 4 * 4 + 2 * (50 + 4 * 4), "extract": 0}
+    assert calls == {"update": 50 + 4 * 4 + 2 * (50 + 4 * 4), "extract": 1}
     assert calls["update"] == 198
 
 
