@@ -13,9 +13,10 @@ C1b  for every ending configuration, the extracted cost-realizing
      block (checked on all configurations, or a seeded sample of 512).
      All examined targets are backtracked and lazily replayed together
      (``offline.first_start_visits``), each trace's cost checked against
-     its work-vector entry; the first target's trace is also replayed
-     round by round by ``extract_trace``, and a different first visit
-     raises.
+     its work-vector entry, with every final relocation priced by one
+     batched subset DP (``metric.matching_costs``); the first target's
+     trace is also replayed round by round by ``extract_trace``, and a
+     different first visit raises.
 C2   the anchored work vector equals its value at the start plus the
      matching distance from the start, entry for entry.
 E2   the optimum of the q-fold repeated block is exactly q times the

@@ -265,6 +265,36 @@ def matching_assignment(
     return tuple(targets[j] for j in _min_assignment(sources, targets, metric))
 
 
+def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Minimum total distance of a bijection from column i of ``sources`` to
+    column i of ``targets``, for every column at once.
+
+    ``targets`` is a ``(k, N)`` table of points and ``sources`` a ``(k, N)``
+    or ``(k, 1)`` one (a single origin for every column); points may repeat
+    on either side.  A DP over subsets of the source rows: target rows
+    0..j-1 are matched to each subset of j sources at least cost, and
+    target row j then takes each unused source in turn.  k * 2^(k-1)
+    vector steps give the exact minimum over bijections.  Sums stay in
+    int64; callers bound k times the largest distance by int64.
+    """
+    k = len(targets)
+    layer = {0: np.zeros(targets.shape[1], dtype=np.int64)}
+    for target in targets:
+        step = matrix[sources, target]
+        grown: dict[int, np.ndarray] = {}
+        for used, values in layer.items():
+            for a in range(k):
+                if used >> a & 1:
+                    continue
+                candidate = values + step[a]
+                best = grown.setdefault(used | 1 << a, candidate)
+                if best is not candidate:
+                    np.minimum(best, candidate, out=best)
+        layer = grown
+    (values,) = layer.values()
+    return values
+
+
 def configuration_distance(
     x: Iterable[int], y: Iterable[int], metric: MetricSpace
 ) -> int:

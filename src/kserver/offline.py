@@ -9,7 +9,11 @@ target configuration.  There is one backtrack, ``_backtrack``, over the
 configuration space's transition tables and for any number of targets,
 and two replays of its plans: ``extract_trace`` materializes the rounds
 of one target's trace, ``first_start_visits`` replays many targets at
-once and keeps only where each trace first revisits the start.
+once and keeps only where each trace first revisits the start.  The
+latter prices every target's final relocation in one batched subset DP
+(``metric.matching_costs``, the kernel behind distance vectors), since
+under the triangle inequality the relocation costs exactly a minimum
+matching.
 
 The per-round vectors are a ``History``: one int64 row per stored
 vector.  ``work_vector_history`` folds an anchor onto a base history
@@ -38,6 +42,7 @@ from .metric import (
     canonical_configuration,
     matching_assignment,
     matching_cost,
+    matching_costs,
 )
 from .workfunction import (
     History,
@@ -175,7 +180,7 @@ def extract_trace(
     expected = final.value(target)
     if total != expected:
         raise RuntimeError(
-            f"extracted trace costs {total}, work vector says {expected}"
+            f"extracted trace ending in {target} costs {total}, work vector says {expected}"
         )
     return ExecutionTrace(inst.initial, tuple(rounds), total)
 
@@ -240,7 +245,11 @@ def first_start_visits(
     at a time: one ``_backtrack`` over every target, then a forward pass
     that replays all plans lazily on (targets, k) position arrays.  As in
     ``extract_trace``, each trace's cost, final relocation included, must
-    equal its work-vector entry exactly.
+    equal its work-vector entry exactly; a mismatch raises, naming the
+    first such target in the order given.  The relocation costs all come
+    from one batched subset DP, ``matching_costs`` from the lazy positions
+    to the targets: by ``_final_relocation``'s lemma that is what
+    ``extract_trace`` pays to relocate.
 
     The forward pass skips repeated cycles as the backward pass does: once
     the plan and lazy positions repeat across a cycle of the periodic rows,
@@ -291,14 +300,15 @@ def first_start_visits(
         plan_pos[rows, sid] = leave[t]
         t += 1
 
-    for i, rank in enumerate(ranks):
-        _, relocation = _final_relocation(lazy_pos[i].tolist(), space.configs[rank], inst.metric)
-        total = int(cost[i]) + relocation
-        expected = int(final.values[rank])
-        if total != expected:
-            raise RuntimeError(
-                f"extracted trace costs {total}, work vector says {expected}"
-            )
+    total = cost + matching_costs(dist, lazy_pos.T, space.slots[:, ranks])
+    expected = final.values[ranks]
+    wrong = np.flatnonzero(total != expected)
+    if wrong.size:
+        i = wrong[0]
+        raise RuntimeError(
+            f"extracted trace ending in {space.configs[ranks[i]]} costs {total[i]}, "
+            f"work vector says {expected[i]}"
+        )
     return first
 
 
@@ -306,7 +316,14 @@ def _final_relocation(lazy_pos: list[int], target: Configuration, metric):
     """Move lagging servers onto the target configuration, mutating lazy_pos.
 
     Servers already standing on still-needed target points are pinned at
-    zero cost; the remainder are matched minimum-weight.
+    zero cost; the remainder are matched minimum-weight.  On a metric the
+    total is the minimum matching cost from lazy_pos to the target: if a
+    minimal bijection sends no server standing on target point p to p,
+    it sends one of them to some q and a server at some x to p, and
+    swapping those two destinations costs d(x, q) <= d(x, p) + d(p, q),
+    no more.  Each swap pins p and unpins nothing, so some minimal
+    bijection pins one server on every target point that has one, which
+    is the pinning here.
     """
     needed = list(target)
     movers = []

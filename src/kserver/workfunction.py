@@ -39,6 +39,7 @@ from .metric import (
     canonical_configuration,
     check_int64_bound,
     matching_cost,  # unused here; the benchmark tracer counts matchings through this name
+    matching_costs,
 )
 
 
@@ -105,29 +106,18 @@ class ConfigurationSpace:
     def distance_vector(self, origin: Configuration) -> np.ndarray:
         """Matching distance from ``origin`` to every configuration.
 
-        A DP over subsets of the origin's points: slots 0..j-1 of every
+        ``matching_costs`` with the origin broadcast to every column: a DP
+        over subsets of the origin's points, where slots 0..j-1 of every
         configuration are matched to each subset of j origin points at
         least cost, and slot j then takes each unused origin point in turn.
-        k * 2^(k-1) vector steps give the exact minimum over bijections.
+        k * 2^(k-1) vector steps give the exact minimum over bijections,
+        and the space's int64 bound covers their sums.
         """
         cached = self._distance_vectors.get(origin)
         if cached is not None:
             return cached
-        rows = self.metric.matrix[list(origin)]
-        layer = {0: np.zeros(len(self.configs), dtype=np.int64)}
-        for slot in self.slots:
-            step = rows[:, slot]
-            grown: dict[int, np.ndarray] = {}
-            for used, values in layer.items():
-                for a in range(self.k):
-                    if used >> a & 1:
-                        continue
-                    candidate = values + step[a]
-                    best = grown.setdefault(used | 1 << a, candidate)
-                    if best is not candidate:
-                        np.minimum(best, candidate, out=best)
-            layer = grown
-        (values,) = layer.values()
+        sources = np.array(origin, dtype=np.intp)[:, None]
+        values = matching_costs(self.metric.matrix, sources, self.slots)
         values.setflags(write=False)
         self._distance_vectors[origin] = values
         return values

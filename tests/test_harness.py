@@ -362,6 +362,28 @@ def test_verify_work_counts(monkeypatch):
     assert calls["update"] == 198
 
 
+def test_verify_matching_count(monkeypatch):
+    # the same verify-mid instance: C1b prices all 495 examined targets'
+    # final relocations in one batched DP, so the only Kuhn-Munkres
+    # matchings left align the one distinct first plan in
+    # first_start_visits and the reference trace's first plan in
+    # extract_trace (whose final relocation moves no server)
+    import kserver.offline as offline
+
+    calls = []
+    assignment = offline.matching_assignment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assignment(*args, **kwargs)
+
+    monkeypatch.setattr(offline, "matching_assignment", counted)
+    inst = generate_instance(12, 4, 50, seed=114)
+    report = verify_anchored_properties(inst, "2k-1", 0, 3)
+    assert report.check("C1b").lhs == 495
+    assert len(calls) == 2
+
+
 def test_verify_refuses_repeats_past_int64():
     # the anchored sequence fits int64, its q-fold repeat may not: every
     # value of the repeat is at most (q*T + k) times the largest distance

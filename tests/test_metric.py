@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from kserver import (
     random_metric,
     validate_metric,
 )
+from kserver.metric import matching_costs
 
 M3_MATRIX = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
 
@@ -193,6 +195,73 @@ class TestMatchingRoutes:
             metric = MetricSpace.from_matrix(matrix)
             x, y = tuple(range(7)), tuple(range(7, 14))
             assert configuration_distance(x, y, metric) == brute_force_distance(x, y, metric)
+
+
+class TestMatchingCostsKernel:
+    """The batched subset DP against ``matching_cost``, column by column."""
+
+    @staticmethod
+    def check_columns(metric, sources, targets):
+        # sources (k, N) or (k, 1), targets (k, N), as Python lists
+        got = matching_costs(
+            metric.matrix, np.array(sources, dtype=np.intp), np.array(targets, dtype=np.intp)
+        )
+        assert got.dtype == np.int64
+        assert got.shape == (len(targets[0]),)
+        for i, value in enumerate(got.tolist()):
+            column = [row[i if len(row) > 1 else 0] for row in sources]
+            target = [row[i] for row in targets]
+            assert value == matching_cost(column, target, metric), (column, target)
+
+    @staticmethod
+    def random_columns(rng, n, k, count):
+        # stacked sources, configurations as targets
+        sources = [[rng.randrange(n) for _ in range(count)] for _ in range(k)]
+        configs = [sorted(rng.sample(range(n), k)) for _ in range(count)]
+        return sources, [list(row) for row in zip(*configs)]
+
+    @pytest.mark.parametrize("weights", [(1, 1), (1, 9), (1, 1000)])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_columns_equal_matching_cost(self, k, weights):
+        rng = random.Random(1000 * k + weights[1])
+        n = rng.randint(max(k, 2), 16)
+        metric = random_metric(n, seed=rng.randrange(2**32), weight_range=weights)
+        sources, targets = self.random_columns(rng, n, k, 24)
+        self.check_columns(metric, sources, targets)
+        # one origin broadcast to every column, as distance vectors use it
+        origin = [[p] for p in rng.sample(range(n), k)]
+        self.check_columns(metric, origin, targets)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_zero_and_one_column(self, k):
+        metric = random_metric(10, seed=k)
+        empty = matching_costs(metric.matrix, np.zeros((k, 0), dtype=np.intp),
+                               np.zeros((k, 0), dtype=np.intp))
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        broadcast = matching_costs(metric.matrix, np.zeros((k, 1), dtype=np.intp),
+                                   np.zeros((k, 0), dtype=np.intp))
+        assert broadcast.shape == (0,)
+        sources, targets = self.random_columns(random.Random(k), 10, k, 1)
+        self.check_columns(metric, sources, targets)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_largest_distance_the_int64_guard_admits(self, k):
+        # k distances of (2^63 - 1) // k sum to at most int64's maximum;
+        # entries in its upper half satisfy the triangle inequality
+        far = INT64_MAX // k
+        rng = random.Random(k)
+        n = max(k + 2, 4)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = far - rng.randrange(4)
+        metric = MetricSpace.from_matrix(matrix)
+        sources, targets = self.random_columns(rng, n, k, 16)
+        self.check_columns(metric, sources, targets)
+        uniform = equidistant(2 * k, far)
+        disjoint = matching_costs(uniform.matrix, np.arange(k)[:, None],
+                                  np.arange(k, 2 * k)[:, None])
+        assert disjoint.tolist() == [k * far]
 
 
 def test_import_leaves_scipy_out():

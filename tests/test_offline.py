@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from kserver import offline
 from kserver import (
     InputError,
     OracleGuardExceeded,
@@ -18,18 +19,18 @@ from kserver import (
 )
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
-from kserver.metric import matching_assignment
+from kserver.metric import matching_assignment, matching_cost, random_metric
+from kserver.rng import SplitMix64
 from kserver.offline import (
     _final_relocation,
     extract_trace,
+    first_start_visits,
     oracle_schedule_costs,
     oracle_work_vector,
 )
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
-    from kserver.rng import SplitMix64
-
     stream = SplitMix64(seed)
     n = stream.randint(2, n_max)
     k = stream.randint(1, min(k_max, n))
@@ -264,3 +265,60 @@ def test_stacked_positions_handled():
     assert (1, 2) in costs and (0, 1) in costs
     for target in itertools.combinations(range(3), 2):
         assert oracle_opt(inst, target) == opt_cost_to(final_work_vector(inst), target)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 9), (1, 1000)])
+def test_final_relocation_costs_the_minimum_matching(weights):
+    # the lemma behind C1b's batched relocation costs: on a metric,
+    # pinning servers that stand on target points loses nothing
+    for seed in range(40):
+        stream = SplitMix64(seed)
+        n = stream.randint(2, 8)
+        k = stream.randint(1, min(n, 5))
+        metric = random_metric(n, seed, weight_range=weights)
+        lazy = [stream.randint(0, n - 1) for _ in range(k)]  # may stack
+        for target in itertools.combinations(range(n), k):
+            moved = list(lazy)
+            moves, cost = _final_relocation(moved, target, metric)
+            assert cost == matching_cost(lazy, target, metric), (seed, lazy, target)
+            assert sorted(moved) == list(target)
+            assert cost == sum(move.cost for move in moves)
+
+
+# a wrong plan for target (2, 3) of a (4, 2, 4) instance: its serving
+# server at round 2 moves on to point 2 instead of its planned leave
+# point, and the lazy replay of that plan costs 17 against the optimal 11
+WRONG_PLAN = {"seed": 1, "target": (2, 3), "round": 1, "point": 2}
+WRONG_COST = r"extracted trace ending in \(2, 3\) costs 17, work vector says 11"
+
+
+def wrong_plan_case(monkeypatch):
+    inst = generate_instance(4, 2, 4, WRONG_PLAN["seed"])
+    history = work_vector_history(inst)
+    rank = history.space.index[WRONG_PLAN["target"]]
+    assert int(history[-1].values[rank]) == 11
+    backtrack = offline._backtrack
+
+    def wrong(history, requests, ranks):
+        first, leave, repeated_to = backtrack(history, requests, ranks)
+        column = list(ranks).index(rank)
+        assert leave[WRONG_PLAN["round"], column] != WRONG_PLAN["point"]
+        leave = leave.copy()
+        leave[WRONG_PLAN["round"], column] = WRONG_PLAN["point"]
+        return first, leave, repeated_to
+
+    monkeypatch.setattr(offline, "_backtrack", wrong)
+    return inst, history
+
+
+def test_extract_trace_cost_check_names_the_target(monkeypatch):
+    inst, history = wrong_plan_case(monkeypatch)
+    with pytest.raises(RuntimeError, match=WRONG_COST):
+        extract_trace(history, inst, WRONG_PLAN["target"])
+
+
+def test_start_visits_cost_check_names_the_target(monkeypatch):
+    inst, history = wrong_plan_case(monkeypatch)
+    # every other target's plan is intact, so only (2, 3) mismatches
+    with pytest.raises(RuntimeError, match=WRONG_COST):
+        first_start_visits(history, inst, range(len(history.space)), 0)
