@@ -58,7 +58,6 @@ from .rng import SplitMix64
 from .workfunction import (
     ConfigurationSpace,
     History,
-    WfaDecision,
     WorkVector,
     configuration_space,
     d_equivalence,

@@ -438,8 +438,7 @@ def generate_instance(
                 key=lambda p: (min(metric.dist[p][s] for s in config), -p),
             )
             requests.append(request)
-            decision = wfa_decide(vector, config, request)
-            config = decision.config
+            config = wfa_decide(vector, config, request).config
             vector = update_work_vector(vector, request)
     return Instance.build(metric, k, initial, requests)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -155,26 +155,27 @@ class MetricSpace:
         return max(map(max, self.dist))
 
     def check_point(self, p: int) -> int:
-        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-            raise InputError(f"point identifier must be an integer, got {p!r}")
-        if not 0 <= p < self.n:
-            raise InputError(f"point {p} out of range [0, {self.n})")
-        return int(p)
+        return _check_point(p, self.n)
+
+
+def _check_point(p, n: int | None = None) -> int:
+    """``p`` as an ``int`` if it is an integer (not a bool), and in
+    [0, n) when ``n`` is given; otherwise :class:`InputError`."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise InputError(f"point identifier must be an integer, got {p!r}")
+    if n is not None and not 0 <= p < n:
+        raise InputError(f"point {p} out of range [0, {n})")
+    return int(p)
 
 
 def canonical_configuration(points: Iterable[int], n: int | None = None) -> Configuration:
     """Sorted tuple of distinct point identifiers; the canonical encoding."""
-    pts = []
-    for p in points:
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-            raise InputError(f"point identifier must be an integer, got {p!r}")
-        pts.append(int(p))
+    pts = [_check_point(p) for p in points]
     if len(set(pts)) != len(pts):
         raise InputError(f"configuration has repeated points: {pts}")
     if n is not None:
         for p in pts:
-            if not 0 <= p < n:
-                raise InputError(f"point {p} out of range [0, {n})")
+            _check_point(p, n)
     if not pts:
         raise InputError("configuration is empty")
     return tuple(sorted(pts))
@@ -330,7 +331,7 @@ def random_metric(
     if not MIN_POINTS <= n <= MAX_POINTS:
         raise InputError(f"point count {n} outside supported range [{MIN_POINTS}, {MAX_POINTS}]")
     lo, hi = weight_range
-    if not (isinstance(lo, int) and isinstance(hi, int)) or lo < 1 or hi < lo:
+    if any(isinstance(w, bool) or not isinstance(w, int) for w in (lo, hi)) or lo < 1 or hi < lo:
         raise InputError(f"weight range must be integers with 1 <= lo <= hi, got {weight_range}")
     stream = SplitMix64(seed)
     weights = np.zeros((n, n), dtype=np.int64)
@@ -373,14 +374,21 @@ class Instance:
         start = canonical_configuration(initial, metric.n)
         if len(start) != k:
             raise InputError(f"initial configuration has {len(start)} points, expected k={k}")
-        reqs = tuple(metric.check_point(r) for r in requests)
+        reqs = tuple(requests)
+        # each distinct (type, value) once, in first-occurrence order, so
+        # the first bad request is named; the type keeps True, 1.0, 1 apart
+        try:
+            distinct = dict.fromkeys(zip(map(type, reqs), reqs))
+        except TypeError:  # an unhashable request, refused in sequence order
+            distinct = zip(map(type, reqs), reqs)
+        for _, r in distinct:
+            metric.check_point(r)
+        reqs = tuple(map(int, reqs))
         _check_work_bound(metric, k, reqs)
         return cls(metric, k, start, reqs)
 
     def with_requests(self, requests: Iterable[int]) -> "Instance":
-        reqs = tuple(self.metric.check_point(r) for r in requests)
-        _check_work_bound(self.metric, self.k, reqs)
-        return replace(self, requests=reqs)
+        return Instance.build(self.metric, self.k, self.initial, requests)
 
     def to_dict(self) -> dict:
         out = {

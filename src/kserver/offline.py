@@ -94,7 +94,7 @@ def work_vector_history(
             rows[t] = vector.values
         rows.setflags(write=False)
         length = len(requests)
-        return History(first.space, first.origin, first.served_count, rows, length, length, 0, None)
+        return History(first.space, rows, length, length, 0, None)
 
     base_len = base.length
     cycle = inst.initial

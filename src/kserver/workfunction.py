@@ -123,22 +123,25 @@ class ConfigurationSpace:
         return values
 
 
-@lru_cache(maxsize=128)
+# One space at a time: the generator, ``verify``, ``measure_strict_ratio``
+# and ``kserver run`` all ask for one instance's (metric, k), and each
+# campaign instance draws a new metric, so an older space is never asked
+# for again while it holds tens of MB of tables at n = 16.
+@lru_cache(maxsize=1)
 def configuration_space(metric: MetricSpace, k: int) -> ConfigurationSpace:
     return ConfigurationSpace(metric, k)
 
 
 @dataclass(frozen=True, eq=False)
 class WorkVector:
-    """Work function values over every configuration of a space.
+    """Work function values over every configuration of a space, in rank
+    order: a space and one read-only int64 entry per configuration.
 
     Immutable; updates return fresh vectors so histories from different
     request sequences can be compared entry by entry.
     """
 
     space: ConfigurationSpace
-    origin: Configuration
-    served_count: int
     values: np.ndarray
 
     def value(self, config) -> int:
@@ -156,7 +159,7 @@ class WorkVector:
         """Pointwise addition of a constant, for offset-invariance checks."""
         values = self.values + np.int64(offset)
         values.setflags(write=False)
-        return WorkVector(self.space, self.origin, self.served_count, values)
+        return WorkVector(self.space, values)
 
     def to_pairs(self) -> list[tuple[Configuration, int]]:
         return [(cfg, int(v)) for cfg, v in zip(self.space.configs, self.values)]
@@ -175,11 +178,11 @@ class History:
     Otherwise every row is stored and ``fixed_cycle`` is None.  ``len``,
     indexing and iteration keep the nominal meaning: ``len(history)`` is
     T + 1, and ``history[t]`` is the vector after t of the T requests.
+    Row 0 is the vector the fold started from, which may follow earlier
+    requests (a repeated block's starts where the last block ended).
     """
 
     space: ConfigurationSpace
-    origin: Configuration
-    served_before: int  # requests served before row 0
     rows: np.ndarray
     length: int
     base_len: int
@@ -210,7 +213,7 @@ class History:
         row = t + len(self) if t < 0 else t
         if not 0 <= row < len(self):
             raise IndexError(f"history index {t} out of range for {len(self)} vectors")
-        return WorkVector(self.space, self.origin, self.served_before + row, self.values(row))
+        return WorkVector(self.space, self.values(row))
 
     def __iter__(self):
         return (self[t] for t in range(len(self)))
@@ -220,7 +223,7 @@ def initial_work_vector(metric: MetricSpace, initial) -> WorkVector:
     """Vector before any request: matching distance from the start."""
     origin = canonical_configuration(initial, metric.n)
     space = configuration_space(metric, len(origin))
-    return WorkVector(space, origin, 0, space.distance_vector(origin))
+    return WorkVector(space, space.distance_vector(origin))
 
 
 def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
@@ -230,7 +233,7 @@ def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
     values += costs
     values = values.min(axis=0)
     values.setflags(write=False)
-    return WorkVector(vector.space, vector.origin, vector.served_count + 1, values)
+    return WorkVector(vector.space, values)
 
 
 def final_work_vector(inst: Instance) -> WorkVector:
@@ -240,21 +243,14 @@ def final_work_vector(inst: Instance) -> WorkVector:
     return vector
 
 
-@dataclass(frozen=True)
-class WfaDecision:
-    """Chosen move: server position, its cost, the resulting configuration."""
+def wfa_decide(vector: WorkVector, config, request: int) -> Round:
+    """The online round for one request, decided from the pre-update work
+    vector: the request, the moves and the configuration after them.
 
-    mover: int
-    cost: int
-    config: Configuration
-
-
-def wfa_decide(vector: WorkVector, config, request: int) -> WfaDecision:
-    """Decide the move for one request from the pre-update work vector.
-
-    Covered requests get the empty move.  Otherwise the server position
-    with the minimal updated-value-plus-distance score moves, scored over
-    the request's transition table; ties go to the first slot, which holds
+    A covered request gets no moves.  Otherwise the server position with
+    the minimal updated-value-plus-distance score moves to the request, as
+    one ``Move(mover, request, cost)`` of Python ints, scored over the
+    request's transition table; ties go to the first slot, which holds
     the smallest position identifier.  The decision depends only on the
     configuration, the request and the vector's entries, and is unchanged
     when a constant is added to every entry.
@@ -266,12 +262,10 @@ def wfa_decide(vector: WorkVector, config, request: int) -> WfaDecision:
     request = space.metric.check_point(request)
     targets, costs = space.transitions(request)
     if targets[0, rank] == rank:  # covered: every slot points back at it
-        return WfaDecision(request, 0, space.configs[rank])
+        return Round(request, (), space.configs[rank])
     slot = int(np.argmin(vector.values[targets[:, rank]] + costs[:, rank]))
-    return WfaDecision(
-        int(space.slots[slot, rank]), int(costs[slot, rank]),
-        space.configs[targets[slot, rank]],
-    )
+    move = Move(int(space.slots[slot, rank]), request, int(costs[slot, rank]))
+    return Round(request, (move,), space.configs[targets[slot, rank]])
 
 
 def run_wfa(inst: Instance) -> ExecutionTrace:
@@ -286,9 +280,9 @@ def run_wfa(inst: Instance) -> ExecutionTrace:
 
 
 def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
-    """Append one online round per request to ``trace``, deciding each from
-    the matching item of ``vectors``: the work vector before that request.
-    A stored history will do, or a lazy iterator.
+    """Append the round ``wfa_decide`` makes for each request to ``trace``,
+    deciding each from the matching item of ``vectors``: the work vector
+    before that request.  A stored history will do, or a lazy iterator.
 
     On a ``History`` whose anchor reached a fixed point, the run stops as
     soon as its configuration repeats across a cycle of the periodic rows:
@@ -299,24 +293,20 @@ def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
     rounds = []
     total = trace.total_cost
     periodic = isinstance(vectors, History)
-    marks = {}  # cycle start in the periodic rows -> (configuration, total) there
+    mark = None  # (configuration, total) at the previous cycle start
     for i, (request, vector) in enumerate(zip(requests, vectors)):
         if periodic and vectors.starts_periodic_cycle(i):
-            period = vectors.period
-            mark = marks.get(i - period)
             if mark is not None and mark[0] == config:
+                period = vectors.period
                 repeats = (len(requests) - i) // period
                 rounds += rounds[-period:] * repeats
                 total += (total - mark[1]) * repeats
                 break
-            marks[i] = (config, total)
-        decision = wfa_decide(vector, config, request)
-        moves = ()
-        if decision.mover != request:
-            moves = (Move(decision.mover, request, decision.cost),)
-            total += decision.cost
-        rounds.append(Round(request, moves, decision.config))
-        config = decision.config
+            mark = (config, total)
+        rnd = wfa_decide(vector, config, request)
+        total += sum(move.cost for move in rnd.moves)
+        rounds.append(rnd)
+        config = rnd.config
     return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total)
 
 

@@ -33,7 +33,13 @@ from kserver.harness import (
 from kserver.execution import ExecutionTrace
 from kserver.offline import _backtrack, first_start_visits, oracle_opt, work_vector_history
 from kserver.rng import SplitMix64
-from kserver.workfunction import History, extend_wfa, initial_work_vector, update_work_vector
+from kserver.workfunction import (
+    History,
+    configuration_space,
+    extend_wfa,
+    initial_work_vector,
+    update_work_vector,
+)
 from test_offline import loop_extract_trace
 
 
@@ -296,7 +302,6 @@ class TestFixedPointCompression:
             reference = full_fold(anchored)
             assert len(history) == len(reference)
             for t, vector in enumerate(history):
-                assert vector.served_count == t
                 assert np.array_equal(vector.values, reference[t]), t
             assert history.fixed_cycle == first_repeated_cycle(reference, base_len, k)
             if history.fixed_cycle is not None:
@@ -357,9 +362,13 @@ def test_verify_work_counts(monkeypatch):
     # the anchor reaches its fixed point at cycle 4 of 337, in each block
     anchored = [h for h in histories if len(h) == rounds + 1]
     assert [(h.fixed_cycle, h.periodic_from, len(h.rows)) for h in anchored] == [(4, 62, 66)] * 3
-    assert [h.served_before for h in anchored] == [0, rounds, 2 * rounds]
     assert calls == {"update": 50 + 4 * 4 + 2 * (50 + 4 * 4), "extract": 1}
     assert calls["update"] == 198
+    # block j starts where the full fold is after j blocks
+    block = inst.with_requests(inst.requests + inst.initial * report.cycles)
+    reference = full_fold(block.with_requests(block.requests * 3))
+    for j, history in enumerate(anchored):
+        assert np.array_equal(history[0].values, reference[j * rounds]), j
 
 
 def test_verify_matching_count(monkeypatch):
@@ -487,6 +496,27 @@ class TestGenerateInstance:
     def test_unknown_model(self):
         with pytest.raises(InputError):
             generate_instance(4, 2, 3, seed=1, request_model="zipf")
+
+
+class TestSpaceCache:
+    """``configuration_space`` holds one space: every layer of an instance
+    asks for the same one, and a campaign's instances never ask again for
+    an earlier instance's."""
+
+    def test_campaign_holds_one_space(self):
+        configuration_space.cache_clear()
+        report = run_campaign(dict(DEFAULT_CAMPAIGN, seeds=[1, 3]))
+        assert len({row.instance.metric for row in report.rows}) == 3
+        info = configuration_space.cache_info()
+        assert (info.currsize, info.misses) == (1, 3)
+
+    def test_one_instance_builds_one_space(self):
+        configuration_space.cache_clear()
+        inst = generate_instance(8, 3, 12, seed=5, request_model="greedy_adversary")
+        verify_anchored_properties(inst, "2k-1", 0, 3)
+        measure_strict_ratio(inst)
+        info = configuration_space.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
 
 
 class TestCampaign:

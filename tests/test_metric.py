@@ -316,6 +316,11 @@ class TestRandomMetric:
         with pytest.raises(InputError):
             random_metric(4, seed=0, weight_range=(5, 4))
 
+    @pytest.mark.parametrize("weights", [(True, True), (1, True), (True, 2), (1.0, 2)])
+    def test_weights_must_be_ints_not_bools(self, weights):
+        with pytest.raises(InputError, match="weight range must be integers"):
+            random_metric(4, 1, weights)
+
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**62), n=st.integers(2, 9))
@@ -347,6 +352,54 @@ class TestCanonicalConfiguration:
             canonical_configuration((0, 5), n=3)
         with pytest.raises(InputError):
             canonical_configuration(())
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "1", None, 3, -1, np.int64(7)])
+    def test_point_messages_match_check_point(self, m3, bad):
+        with pytest.raises(InputError) as refused:
+            m3.check_point(bad)
+        with pytest.raises(InputError) as in_config:
+            canonical_configuration((0, bad), n=3)
+        assert str(in_config.value) == str(refused.value)
+
+    def test_repeats_are_named_before_range(self):
+        with pytest.raises(InputError, match="repeated points"):
+            canonical_configuration((5, 5), n=3)
+
+
+class TestRequestChecks:
+    """``Instance.build`` and ``with_requests`` check each distinct
+    request once, yet refuse exactly what a check of every request in
+    sequence order refuses, naming the same first bad request."""
+
+    @staticmethod
+    def makers(m3, m3_instance):
+        return (lambda reqs: Instance.build(m3, 2, (0, 1), reqs), m3_instance.with_requests)
+
+    @pytest.mark.parametrize(
+        "requests,message",
+        [
+            ([1, True, 0], "point identifier must be an integer, got True"),
+            ([1, 1.0, 0], "point identifier must be an integer, got 1.0"),
+            ([0, 3, 1], "point 3 out of range [0, 3)"),
+            ([0, 7, 0, 9], "point 7 out of range [0, 3)"),
+            ([0, 9, 1, True], "point 9 out of range [0, 3)"),
+            ([2, True, 9], "point identifier must be an integer, got True"),
+            ([0, 7, [1]], "point 7 out of range [0, 3)"),
+            ([0, [1], 7], "point identifier must be an integer, got [1]"),
+        ],
+    )
+    def test_refuses_and_names_the_first_bad_request(self, m3, m3_instance, requests, message):
+        for make in self.makers(m3, m3_instance):
+            with pytest.raises(InputError) as refused:
+                make(requests)
+            assert str(refused.value) == message
+
+    def test_numpy_requests_become_ints(self, m3, m3_instance):
+        requests = [np.int64(2), 2, np.uint8(0), np.int64(2), 1]
+        for make in self.makers(m3, m3_instance):
+            inst = make(requests)
+            assert inst.requests == (2, 2, 0, 2, 1)
+            assert all(type(r) is int for r in inst.requests)
 
 
 class TestInstanceJson:

@@ -33,3 +33,34 @@ def test_wrapped_functions_are_bound(tracer):
 def test_wrapped_methods_are_defined_on_the_class(tracer):
     for _, attr in tracer.METHODS:
         assert attr in workfunction.ConfigurationSpace.__dict__, attr
+
+
+def test_count_hooks_read_real_results(tracer):
+    # the hooks run only in traced benchmark runs; here each reads a real
+    # result of the layer it counts, so a change to what those results
+    # hold (a space, its size and k, a history's length) shows in tier-1
+    from collections import Counter
+    from math import comb
+
+    from kserver import compute_anchor, generate_instance, opt_cost
+
+    inst = generate_instance(6, 3, 5, seed=2)
+    configs = comb(6, 3)
+    before = workfunction.initial_work_vector(inst.metric, inst.initial)
+    counts = Counter()
+    tracer._count_update(counts, (before, 4), workfunction.update_work_vector(before, 4))
+    assert counts == {"workfunction.update.computed_bytes": 8 * configs * (7 * 3 + 1)}
+
+    base = offline.work_vector_history(inst)
+    anchor = compute_anchor(inst, opt_cost(base[-1]), 5, 0)
+    anchored = inst.with_requests(inst.requests + anchor.requests)
+    history = offline.work_vector_history(anchored, base)
+    assert len(history.rows) < len(history)  # the fold stopped at a fixed point
+    for result, rounds in ((base, 5), (history, 5 + 3 * anchor.cycles)):
+        counts = Counter()
+        tracer._count_history(counts, (anchored, base), result)
+        assert counts == {"offline.history.computed_bytes": 8 * (rounds + 1) * configs}
+
+    counts = Counter()
+    tracer._count_anchor(counts, (inst, opt_cost(base[-1]), 5, 0), anchor)
+    assert counts == {"anchor.rounds": 3 * anchor.cycles}

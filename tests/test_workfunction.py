@@ -23,13 +23,12 @@ from kserver import (
     work_vector_to_json,
 )
 from kserver.anchor import compute_anchor
-from kserver.execution import ExecutionTrace
+from kserver.execution import ExecutionTrace, Move, Round
 from kserver.offline import opt_cost, oracle_work_vector, work_vector_history
 from kserver.rng import SplitMix64
 from kserver.workfunction import (
     ConfigurationSpace,
     History,
-    WfaDecision,
     WorkVector,
     configuration_space,
     extend_wfa,
@@ -52,7 +51,6 @@ class TestInitialVector:
         assert w.value((0, 1)) == 0
         assert w.value((0, 2)) == 2
         assert w.value((1, 2)) == 3
-        assert w.served_count == 0
 
     def test_equals_matching_distance_everywhere(self):
         from kserver import random_metric
@@ -121,14 +119,14 @@ def loop_decide(vector, config, request):
     for the request one tuple at a time; ties to the smallest position."""
     cfg = tuple(config)
     if request in cfg:
-        return WfaDecision(request, 0, cfg)
+        return Round(request, (), cfg)
     dist = vector.space.metric.dist
     best_score = best = None
     for j, x in enumerate(cfg):
         swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
         score = int(vector.values[vector.space.index[swapped]]) + dist[x][request]
         if best_score is None or score < best_score:
-            best_score, best = score, WfaDecision(x, dist[x][request], swapped)
+            best_score, best = score, Round(request, (Move(x, request, dist[x][request]),), swapped)
     return best
 
 
@@ -207,19 +205,15 @@ class TestConfigurationSpaceKernels:
 class TestDecide:
     def test_covered_request_is_empty_move(self, m3):
         w = initial_work_vector(m3, (0, 1))
-        decision = wfa_decide(w, (0, 1), 0)
-        assert (decision.mover, decision.cost, decision.config) == (0, 0, (0, 1))
+        assert wfa_decide(w, (0, 1), 0) == Round(0, (), (0, 1))
 
     def test_m3_moves_closer_server(self, m3):
         w = initial_work_vector(m3, (0, 1))
-        decision = wfa_decide(w, (0, 1), 2)
-        assert (decision.mover, decision.cost, decision.config) == (1, 2, (0, 2))
+        assert wfa_decide(w, (0, 1), 2) == Round(2, (Move(1, 2, 2),), (0, 2))
 
     def test_tie_breaks_to_smallest_position(self, uniform3):
         w = initial_work_vector(uniform3, (0, 1))
-        decision = wfa_decide(w, (0, 1), 2)
-        assert decision.mover == 0
-        assert decision.config == (1, 2)
+        assert wfa_decide(w, (0, 1), 2) == Round(2, (Move(0, 2, 1),), (1, 2))
 
     def test_errors(self, m3):
         w = initial_work_vector(m3, (0, 1))
@@ -231,11 +225,12 @@ class TestDecide:
     def test_numpy_inputs_give_python_ints(self, m3):
         w = initial_work_vector(m3, (0, 1))
         for decision, want in (
-            (wfa_decide(w, (0, 1), np.int64(2)), WfaDecision(1, 2, (0, 2))),
-            (wfa_decide(w, np.array([0, 1]), np.int64(1)), WfaDecision(1, 0, (0, 1))),
+            (wfa_decide(w, (0, 1), np.int64(2)), Round(2, (Move(1, 2, 2),), (0, 2))),
+            (wfa_decide(w, np.array([0, 1]), np.int64(1)), Round(1, (), (0, 1))),
         ):
             assert decision == want
-            fields = (decision.mover, decision.cost, *decision.config)
+            moves = [(m.origin, m.target, m.cost) for m in decision.moves]
+            fields = (decision.request, *decision.config, *itertools.chain(*moves))
             assert all(type(value) is int for value in fields), decision
 
     @pytest.mark.parametrize("n,k,weights", list(kernel_cases()))
@@ -293,7 +288,6 @@ class TestRunWfa:
                 trace = extend_wfa(trace, block, anchored.requests)
                 vector = block[-1]
             assert np.array_equal(vector.values, final_work_vector(repeated).values)
-            assert vector.served_count == len(repeated.requests)
             fresh = run_wfa(repeated)
             assert trace.rounds == fresh.rounds
             assert trace.total_cost == fresh.total_cost
@@ -340,18 +334,17 @@ class TestHistory:
             listed = (prefix + cycle * (cycles + 1))[: length + 1]
             rows = np.array(listed[: periodic_from + k])
             rows.setflags(write=False)
-            history = History(space, inst.initial, 5, rows, length, base_len, k, fixed_cycle)
+            history = History(space, rows, length, base_len, k, fixed_cycle)
             assert history.periodic_from == periodic_from
             assert len(history) == length + 1
             for t, vector in enumerate(history):
-                assert vector.served_count == 5 + t
                 assert np.array_equal(vector.values, listed[t])
             assert np.array_equal(history[-1].values, listed[-1])
             with pytest.raises(IndexError):
                 history[length + 1]
 
             requests = inst.requests + inst.initial * cycles
-            vectors = [WorkVector(space, inst.initial, t, v) for t, v in enumerate(listed)]
+            vectors = [WorkVector(space, v) for v in listed]
             start = ExecutionTrace(inst.initial, (), 0)
             want = extend_wfa(start, vectors, requests)
             assert extend_wfa(start, history, requests) == want
@@ -360,8 +353,11 @@ class TestHistory:
 
 
     def test_index_error_names_the_index_passed(self, m3_instance):
-        history = work_vector_history(m3_instance.with_requests((2, 0, 1)))
-        assert history[-4].served_count == 0 and history[3].served_count == 3
+        inst = m3_instance.with_requests((2, 0, 1))
+        history = work_vector_history(inst)
+        first = initial_work_vector(inst.metric, inst.initial)
+        assert np.array_equal(history[-4].values, first.values)
+        assert np.array_equal(history[3].values, final_work_vector(inst).values)
         for t in (-5, 4):
             with pytest.raises(IndexError, match=f"history index {t} out of range for 4 vectors"):
                 history[t]
