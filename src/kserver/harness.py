@@ -12,11 +12,12 @@ C1b  for every ending configuration, the extracted cost-realizing
      execution passes through the start configuration during the anchor
      block (checked on all configurations, or a seeded sample of 512).
      All examined targets are backtracked and lazily replayed together
-     (``offline.first_start_visits``), each trace's cost checked against
-     its work-vector entry, with every final relocation priced by one
-     batched subset DP (``metric.matching_costs``); the first target's
-     trace is also replayed round by round by ``extract_trace``, and a
-     different first visit raises.
+     (``offline.first_start_visits``), each shared plan walked once and
+     each trace's cost checked against its work-vector entry, with every
+     final relocation priced by one batched subset DP
+     (``metric.matching_costs``); the first target's trace is also
+     built by ``extract_trace``, and a different first visit raises.
+     Both replays skip repeated anchor cycles.
 C2   the anchored work vector equals its value at the start plus the
      matching distance from the start, entry for entry.
 E2   the optimum of the q-fold repeated block is exactly q times the
@@ -327,10 +328,11 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
     the end of some round inside the anchor block.
 
     ``first_start_visits`` backtracks and replays every examined target at
-    once, skipping repeated anchor cycles.  The first target's trace is
-    also replayed by ``extract_trace``, one round at a time with nothing
-    skipped.  Both replay the same backtracked plan, so a different first
-    visit raises: the two replays disagree."""
+    once.  The first target's trace is also built by ``extract_trace``,
+    one ``Round`` per replayed round.  Both skip repeated anchor cycles
+    and replay the same backtracked plan, so a different first visit
+    raises: the two replays disagree.  The tests check both skips against
+    traces walked over every round of the anchored sequence."""
     space = history[-1].space
     if len(space) <= sample_cap:
         ranks = range(len(space))

@@ -13,12 +13,14 @@ once and keeps only where each trace first revisits the start.  The
 latter prices every target's final relocation in one batched subset DP
 (``metric.matching_costs``, the kernel behind distance vectors), since
 under the triangle inequality the relocation costs exactly a minimum
-matching.
+matching.  Targets that share a plan share its work: the backtrack
+follows one column once every target's rank agrees, and the batched
+replay runs one row while every plan agrees.
 
 The per-round vectors are a ``History``: one int64 row per stored
 vector.  ``work_vector_history`` folds an anchor onto a base history
-only until a cycle maps the vector to itself, and the passes over such a
-history skip the cycles that repeat exactly.
+only until a cycle maps the vector to itself, and the backtrack and
+both replays over such a history skip the cycles that repeat exactly.
 
 ``oracle_opt`` is the independent ground truth: it enumerates all k^T
 assignments of servers to requests, simulates each lazy execution
@@ -134,7 +136,14 @@ def extract_trace(
     (servers already on needed target points stay put, the rest move by a
     minimum-weight matching).  The result is lazy except for that final
     relocation, and its total cost equals the work-vector entry of
-    ``target`` exactly.
+    ``target`` exactly; a plan that misses a request or a cost that
+    differs raises ``RuntimeError``.
+
+    On an anchored history the replay skips repeated cycles as
+    ``first_start_visits`` does: once the plan and lazy positions repeat
+    across a cycle of the periodic rows, up to the cycle the backtrack
+    repeated from, the trace repeats that cycle's rounds and cost once
+    per skipped cycle.
     """
     final = history[-1]
     space = final.space
@@ -153,16 +162,32 @@ def extract_trace(
             )
         return ExecutionTrace(inst.initial, (), 0)
 
-    first, leave, _ = _backtrack(history, requests, [space.index[target]])
+    first, leave, repeated_to = _backtrack(history, requests, [space.index[target]])
     leave = leave[:, 0].tolist()
     dist = inst.metric.dist
+    period = history.period
 
     # replay: plan positions move eagerly, actual positions lag lazily
     plan_pos = list(matching_assignment(inst.initial, space.configs[first[0]], inst.metric))
     lazy_pos = list(inst.initial)
     rounds = []
     total = 0
-    for t, request in enumerate(requests):
+    marked = None  # (plan, lazy positions, rounds, cost) at the previous cycle start
+    t = 0
+    while t < len(requests):
+        if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
+            if marked is not None and marked[0] == plan_pos and marked[1] == lazy_pos:
+                cycles = (repeated_to - t) // period
+                rounds.extend(rounds[marked[2] :] * cycles)
+                total += (total - marked[3]) * cycles
+                t, repeated_to = repeated_to, None
+                continue
+            marked = (plan_pos.copy(), lazy_pos.copy(), len(rounds), total)
+        request = requests[t]
+        if request not in plan_pos:
+            raise RuntimeError(
+                f"the plan ending in {target} does not cover request {request} at round {t + 1}"
+            )
         sid = plan_pos.index(request)
         moves = []
         if lazy_pos[sid] != request:
@@ -176,6 +201,7 @@ def extract_trace(
             moves.extend(relocation)
             total += cost
         rounds.append(Round(request, tuple(moves), tuple(sorted(lazy_pos))))
+        t += 1
 
     expected = final.value(target)
     if total != expected:
@@ -198,6 +224,12 @@ def _backtrack(
     point the serving server moves on to at round t + 1 (the request
     itself when it is covered, since the plan then stays put).
 
+    The walk is deterministic, so once every target's rank is the same,
+    every earlier step is the same for all of them: from that round down
+    one column is walked, and each of its ``leave`` rows is copied to
+    every target.  ``first`` and ``leave`` still hold one column per
+    target.
+
     On a history whose anchor reached a fixed point, once every rank
     repeats across a cycle of the periodic rows, each cycle below it down
     to ``history.periodic_from`` is the same map and leaves the same
@@ -208,12 +240,16 @@ def _backtrack(
     period = history.period
     periodic_from = history.periodic_from
     cur = np.array(ranks, dtype=np.intp)
-    rows = np.arange(cur.size)
-    leave = np.empty((len(requests), cur.size), dtype=space.slots.dtype)
+    width = cur.size
+    rows = np.arange(width)
+    leave = np.empty((len(requests), width), dtype=space.slots.dtype)
     repeated_to = None
     marked = None  # ranks at the previous cycle start in the periodic rows
     t = len(requests)
     while t > 0:
+        if rows.size > 1 and (cur == cur[0]).all():
+            # every earlier step is shared: walk one column for all
+            cur, rows = cur[:1], rows[:1]
         if history.starts_periodic_cycle(t):
             if marked is not None and np.array_equal(marked, cur):
                 cycles = (t - periodic_from) // period
@@ -232,7 +268,7 @@ def _backtrack(
         leave[t - 1] = np.where(prev[0] == cur, request, space.slots[slot, cur])
         cur = prev[slot, rows]
         t -= 1
-    return cur, leave, repeated_to
+    return np.broadcast_to(cur, width).copy(), leave, repeated_to
 
 
 def first_start_visits(
@@ -243,9 +279,13 @@ def first_start_visits(
 
     Gives, for all targets at once, the traces ``extract_trace`` builds one
     at a time: one ``_backtrack`` over every target, then a forward pass
-    that replays all plans lazily on (targets, k) position arrays.  As in
-    ``extract_trace``, each trace's cost, final relocation included, must
-    equal its work-vector entry exactly; a mismatch raises, naming the
+    that replays all plans lazily on (targets, k) position arrays.  While
+    every target has the same first plan and the same leave points, one
+    row stands for all of them; the rows are copied out to one per target
+    at the first round whose leave points differ, found from the leave
+    table itself.  As in ``extract_trace``, each plan must cover every
+    request and each trace's cost, final relocation included, must equal
+    its work-vector entry exactly; either failure raises, naming the
     first such target in the order given.  The relocation costs all come
     from one batched subset DP, ``matching_costs`` from the lazy positions
     to the targets: by ``_final_relocation``'s lemma that is what
@@ -261,24 +301,37 @@ def first_start_visits(
     requests = inst.requests
     period = history.period
     cur, leave, repeated_to = _backtrack(history, requests, ranks)
-    rows = np.arange(cur.size)
+    width = cur.size
 
-    # replay: plan positions move eagerly, actual positions lag lazily
+    # replay: plan positions move eagerly, actual positions lag lazily;
+    # one row serves every target up to the first round whose plans differ
     plans, which = np.unique(cur, return_inverse=True)
+    split = np.flatnonzero((leave != leave[:, :1]).any(axis=1))
+    shared_to = 0 if plans.size > 1 else int(split[0]) if split.size else len(requests)
+    rows = np.arange(width if shared_to == 0 else 1)
     plan_pos = np.array(
         [matching_assignment(inst.initial, space.configs[p], inst.metric) for p in plans],
         dtype=np.intp,
-    )[which]
-    lazy_pos = np.tile(np.array(inst.initial, dtype=np.intp), (cur.size, 1))
+    )[which[rows]]
+    lazy_pos = np.tile(np.array(inst.initial, dtype=np.intp), (rows.size, 1))
     bit = np.left_shift(1, np.arange(inst.n), dtype=np.int32)
     start_mask = bit[list(inst.initial)].sum()
     dist = inst.metric.matrix
     # exact: every partial cost is at most the target's work value
-    cost = np.zeros(cur.size, dtype=np.int64)
-    first = np.full(cur.size, -1, dtype=np.intp)
+    cost = np.zeros(rows.size, dtype=np.int64)
+    first = np.full(rows.size, -1, dtype=np.intp)
     marked = None  # (plan, lazy positions, cost) at the previous cycle start
     t = 0
-    while t < len(requests):
+    while True:
+        if t >= shared_to and rows.size < width:
+            rows = np.arange(width)
+            plan_pos, lazy_pos, cost, first = (
+                a.repeat(width, axis=0) for a in (plan_pos, lazy_pos, cost, first)
+            )
+            if marked is not None:
+                marked = tuple(a.repeat(width, axis=0) for a in marked)
+        if t == len(requests):
+            break
         if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
             if (
                 marked is not None
@@ -294,10 +347,17 @@ def first_start_visits(
             on_start = np.bitwise_or.reduce(bit[lazy_pos], axis=1) == start_mask
             first[(first < 0) & on_start] = t
         request = requests[t]
-        sid = (plan_pos == request).argmax(axis=1)
+        serving = plan_pos == request
+        sid = serving.argmax(axis=1)
+        covered = serving[rows, sid]
+        if not covered.all():
+            raise RuntimeError(
+                f"the plan ending in {space.configs[ranks[int(covered.argmin())]]} "
+                f"does not cover request {request} at round {t + 1}"
+            )
         cost += dist[lazy_pos[rows, sid], request]
         lazy_pos[rows, sid] = request
-        plan_pos[rows, sid] = leave[t]
+        plan_pos[rows, sid] = leave[t, : rows.size]
         t += 1
 
     total = cost + matching_costs(dist, lazy_pos.T, space.slots[:, ranks])

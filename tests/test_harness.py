@@ -40,7 +40,7 @@ from kserver.workfunction import (
     initial_work_vector,
     update_work_vector,
 )
-from test_offline import loop_extract_trace
+from test_offline import WRONG_PLAN, loop_extract_trace, verify_mid_case
 
 
 def count_work(monkeypatch):
@@ -340,6 +340,44 @@ class TestFixedPointCompression:
             )
             statuses = [report.check(cid).status for cid in ("R1", "E2", "E3")]
             assert statuses == ["pass" if ok else "fail" for ok in (r1, e2, e3)]
+
+
+def single_walks(history, requests, ranks):
+    """``_backtrack`` over all ranks at once against one walk per rank:
+    the first plans, every leave column, and the first plans returned."""
+    first, leave, _ = _backtrack(history, requests, ranks)
+    for column, rank in enumerate(ranks):
+        alone_first, alone_leave, _ = _backtrack(history, requests, [rank])
+        assert first[column] == alone_first[0], rank
+        assert np.array_equal(leave[:, column], alone_leave[:, 0]), rank
+    return first.tolist()
+
+
+class TestMergedBackward:
+    """The backward pass continues on one column once every target's rank
+    agrees; each column must still be the walk from its own target."""
+
+    @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
+    def test_merged_walk_equals_single_walks(self, model, weights, seed):
+        inst = compression_instance(model, weights, seed)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
+        for m in (1, 2, cycles):
+            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            history = work_vector_history(anchored, base)
+            single_walks(history, anchored.requests, range(len(history.space)))
+
+    def test_verify_mid_walks_merge(self):
+        _, anchored, history = verify_mid_case()
+        first = single_walks(history, anchored.requests, range(len(history.space)))
+        assert len(set(first)) == 1  # all 495 plans share their first steps
+
+    def test_unanchored_walks_never_merge(self):
+        # distinct first plans: the columns stay apart down to round 1
+        inst = generate_instance(4, 2, 4, WRONG_PLAN["seed"])
+        history = work_vector_history(inst)
+        first = single_walks(history, inst.requests, range(len(history.space)))
+        assert first == [2, 2, 2, 0, 1, 1]
 
 
 def test_verify_work_counts(monkeypatch):

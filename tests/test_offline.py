@@ -324,3 +324,95 @@ def test_start_visits_cost_check_names_the_target(monkeypatch):
     # every other target's plan is intact, so only (2, 3) mismatches
     with pytest.raises(RuntimeError, match=WRONG_COST):
         first_start_visits(history, inst, range(len(history.space)), 0)
+
+
+def verify_mid_case():
+    """The seed-114 (12, 4, 50) instance of the verify-mid benchmark with
+    the anchor verify builds (alpha 2k-1, beta 0), folded onto its base
+    history up to the fixed point: 1398 rounds, 66 stored rows."""
+    inst = generate_instance(12, 4, 50, seed=114)
+    base = work_vector_history(inst)
+    cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
+    anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+    history = work_vector_history(anchored, base)
+    assert len(anchored.requests) == 1398 and history.fixed_cycle == 4
+    return inst, anchored, history
+
+
+def test_corrupted_shared_round_is_caught(monkeypatch):
+    # at base round 11 every target's plan leaves the same point; one
+    # column changed there must widen the forward replay before that round
+    inst, anchored, history = verify_mid_case()
+    ranks = range(len(history.space))
+    column, t = 7, 10
+    backtrack = offline._backtrack
+
+    def corrupted(history, requests, ranks):
+        first, leave, repeated_to = backtrack(history, requests, ranks)
+        assert (leave[t] == leave[t, 0]).all()
+        leave = leave.copy()
+        leave[t, column] = (leave[t, column] + 1) % inst.n
+        return first, leave, repeated_to
+
+    monkeypatch.setattr(offline, "_backtrack", corrupted)
+    assert history.space.configs[column] == (0, 1, 2, 10)
+    with pytest.raises(RuntimeError, match=r"ending in \(0, 1, 2, 10\)"):
+        first_start_visits(history, anchored, ranks, len(inst.requests))
+
+
+def uncovered_plan_case(monkeypatch, instance, target):
+    """The full history of ``instance``, with every plan ending in
+    ``target`` (every plan if None) starting from a configuration that
+    lacks the first request, so no server of it can serve round 1."""
+    history = work_vector_history(instance)
+    space = history.space
+    lacking = next(i for i, c in enumerate(space.configs) if instance.requests[0] not in c)
+    backtrack = offline._backtrack
+
+    def uncovered(history, requests, ranks):
+        first, leave, repeated_to = backtrack(history, requests, ranks)
+        first = first.copy()
+        if target is None:
+            first[:] = lacking
+        else:
+            first[list(ranks).index(space.index[target])] = lacking
+        return first, leave, repeated_to
+
+    monkeypatch.setattr(offline, "_backtrack", uncovered)
+    return history
+
+
+@pytest.mark.parametrize("instance,target,named", [
+    # one wrong column among plans that differ from round 1 on
+    ((4, 2, 4, 1), (2, 3), (2, 3)),
+    # every column wrong alike, one replayed row for all: the first named
+    ((12, 4, 50, 114), None, (0, 1, 2, 3)),
+])
+def test_uncovered_request_raises(monkeypatch, instance, target, named):
+    inst = generate_instance(*instance)
+    history = uncovered_plan_case(monkeypatch, inst, target)
+    message = rf"plan ending in \({', '.join(map(str, named))}\) does not cover request \d+ at round 1$"
+    with pytest.raises(RuntimeError, match=message):
+        first_start_visits(history, inst, range(len(history.space)), 0)
+    with pytest.raises(RuntimeError, match=message):
+        extract_trace(history, inst, named)
+
+
+def test_extract_trace_skips_repeated_cycles(monkeypatch):
+    # C1b's reference trace on the verify-mid instance: the replay builds
+    # the rounds up to the first repeated cycle and the tail after the
+    # skip, not all 1398, and equals the loop on the full fold
+    inst, anchored, history = verify_mid_case()
+    target = history.space.configs[0]
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Round(*args)
+
+    monkeypatch.setattr(offline, "Round", counted)
+    trace = extract_trace(history, anchored, target)
+    monkeypatch.undo()
+    assert len(built) < 100
+    assert len(trace.rounds) == 1398
+    assert trace == loop_extract_trace(work_vector_history(anchored), anchored, target)
