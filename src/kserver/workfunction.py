@@ -156,7 +156,9 @@ class WorkVector:
         return self.space.configs[int(np.argmin(self.values))]
 
     def shifted(self, offset: int) -> "WorkVector":
-        """Pointwise addition of a constant, for offset-invariance checks."""
+        """Pointwise addition of a constant.  Updates commute with it, so
+        ``verify`` builds the last vector of a repeated block that starts
+        from block 1's first vector plus ``offset`` this way."""
         values = self.values + np.int64(offset)
         values.setflags(write=False)
         return WorkVector(self.space, values)

@@ -49,8 +49,10 @@ def count_work(monkeypatch):
     (base history), then per beta attempt k per anchor cycle folded onto
     it (anchored history, which the anchored online run is read off): up
     to the first cycle that maps the vector to itself, else all m.  Each of
-    blocks 2..q then folds |rho| plus its anchor the same way, and C1b
-    makes one extraction."""
+    blocks 2..q that starts from the first vector plus a constant, back at
+    the start, is block 1 shifted and makes none; any other folds |rho|
+    plus its anchor the same way.  C1b makes one extraction.
+    ``measure_strict_ratio`` makes |rho| updates."""
     import kserver.harness as harness
     import kserver.offline as offline
     import kserver.workfunction as workfunction
@@ -138,8 +140,8 @@ class TestVerify:
         assert report.beta_used == 4  # 0, 1, 2, 4 all attempted
         # every attempt folds its anchor onto the one base history, up to
         # the fixed point at cycle 4 (k = 2: 8 updates); the other checks
-        # and the repeat (q = 3: two blocks of 1 + 8) run once, on the last
-        # anchor
+        # and the repeat (q = 3: two blocks of 1 + 8, folded since the
+        # forged run never ends at the start) run once, on the last anchor
         assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 1}
         assert calls["update"] == 51
         direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4, beta_cap=4)
@@ -316,14 +318,35 @@ class TestFixedPointCompression:
             )
         assert history.fixed_cycle is not None  # the full anchor's
 
+    @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_repeated_blocks_equal_the_full_fold(self, q):
-        for model, weights, seed in COMPRESSION_CASES:
+    def test_repeated_blocks_equal_the_full_fold(self, q, forced, monkeypatch):
+        # blocks 2..q are block 1 shifted on every natural case; a forced
+        # one-cycle anchor without escalation leaves C2 failing or R1
+        # inconclusive on most cases, and those blocks are folded
+        import kserver.harness as harness
+
+        folds = []
+        fold = harness.work_vector_history
+
+        def spy(*args, **kwargs):
+            if "first" in kwargs:  # a block's base, folded from the last block's vector
+                folds.append(kwargs["first"])
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "work_vector_history", spy)
+        if forced:
+            anchor = harness.compute_anchor
+            monkeypatch.setattr(harness, "compute_anchor", lambda inst, *args: dataclasses.replace(
+                anchor(inst, *args), cycles=1, requests=inst.initial,
+            ))
+        folded = 0
+        # weights past 2^53: every value must still equal the fold's to the unit
+        for model, weights, seed in COMPRESSION_CASES + [("uniform", (2**50, 2**51), 3)]:
             inst = compression_instance(model, weights, seed)
-            report = verify_anchored_properties(inst, "2k-1", 0, q)
-            alpha = 2 * inst.k - 1
-            anchor = compute_anchor(inst, report.values["opt"], alpha, report.beta_used)
-            anchored = inst.with_requests(inst.requests + anchor.requests)
+            folds.clear()
+            report = verify_anchored_properties(inst, "2k-1", 0, q, beta_cap=0 if forced else None)
+            anchored = inst.with_requests(inst.requests + inst.initial * report.cycles)
             repeated = anchored.with_requests(anchored.requests * q)
             run_anchored, run_repeated = run_wfa(anchored), run_wfa(repeated)
             opt_anchored = int(full_fold(anchored)[-1].min())
@@ -339,7 +362,21 @@ class TestFixedPointCompression:
                 and run_repeated.total_cost == q * run_anchored.total_cost
             )
             statuses = [report.check(cid).status for cid in ("R1", "E2", "E3")]
-            assert statuses == ["pass" if ok else "fail" for ok in (r1, e2, e3)]
+            assert statuses == [
+                "pass" if r1 else "inconclusive", *("pass" if ok else "fail" for ok in (e2, e3))
+            ]
+            differ = (
+                i + 1 for i, (got, want) in enumerate(zip(run_repeated.rounds, run_anchored.rounds * q))
+                if got != want
+            )
+            first_differing = next(differ, None)
+            witness = None if first_differing is None else {"round": first_differing}
+            assert report.check("E3").witness == witness
+            shifted = r1 and report.check("C2").status == "pass"
+            assert bool(folds) == (q > 1 and not shifted)
+            assert forced or not folds
+            folded += bool(folds)
+        assert (folded > 0) == (forced and q > 1)
 
 
 def single_walks(history, requests, ranks):
@@ -397,16 +434,20 @@ def test_verify_work_counts(monkeypatch):
     assert report.beta_used == 0 and report.status == "pass"
     rounds = len(inst.requests) + inst.k * report.cycles
     assert rounds == 1398
-    # the anchor reaches its fixed point at cycle 4 of 337, in each block
+    # the anchor reaches its fixed point at cycle 4 of 337; blocks 2 and 3
+    # are block 1 shifted, so no other anchored history is folded
     anchored = [h for h in histories if len(h) == rounds + 1]
-    assert [(h.fixed_cycle, h.periodic_from, len(h.rows)) for h in anchored] == [(4, 62, 66)] * 3
-    assert calls == {"update": 50 + 4 * 4 + 2 * (50 + 4 * 4), "extract": 1}
-    assert calls["update"] == 198
-    # block j starts where the full fold is after j blocks
+    assert [(h.fixed_cycle, h.periodic_from, len(h.rows)) for h in anchored] == [(4, 62, 66)]
+    assert calls == {"update": 50 + 4 * 4, "extract": 1}
+    assert calls["update"] == 66
+    # the shifted blocks end where the full fold of all three blocks does
     block = inst.with_requests(inst.requests + inst.initial * report.cycles)
     reference = full_fold(block.with_requests(block.requests * 3))
-    for j, history in enumerate(anchored):
-        assert np.array_equal(history[0].values, reference[j * rounds]), j
+    assert report.values["opt_chi"] == int(reference[-1].min())
+    # the ratio row folds the base once, its online run read off the fold
+    calls["update"] = 0
+    measure_strict_ratio(inst)
+    assert calls == {"update": 50, "extract": 1}
 
 
 def test_verify_matching_count(monkeypatch):
