@@ -181,67 +181,37 @@ def canonical_configuration(points: Iterable[int], n: int | None = None) -> Conf
     return tuple(sorted(pts))
 
 
-def _min_assignment(
+def _matching_table(
     sources: Sequence[int], targets: Sequence[int], metric: MetricSpace
-) -> list[int]:
-    """Lexicographically first minimum-weight bijection sources -> targets.
+) -> tuple[list[list[int]], list[int]]:
+    """Distance rows and suffix subset DP of a bijection sources -> targets.
 
-    Returns the index into ``targets`` matched to each source.  Shortest
-    augmenting paths with dual potentials (Kuhn-Munkres), O(k^3) in exact
-    Python integers.  Each distance is scaled by k^k and target index j of
-    source i adds j * k^(k-1-i): these offsets spell the bijection in base
-    k, sum to less than one unit of distance, and so make the optimum
-    unique: the minimal bijection with the lexicographically first index
-    sequence.
+    ``rows[i][j]`` is the distance from source i to target j.
+    ``rest[mask]`` is the least cost of matching the last popcount(mask)
+    sources to the targets in ``mask``: the first of them takes some
+    target j in ``mask`` and the others match ``mask`` without j.  That
+    is the recurrence of :func:`matching_costs` with the sides swapped,
+    so that the tie-break can be read off per source, in exact Python
+    integers: k * 2^(k-1) steps over the set bits of each mask.
     """
     if len(sources) != len(targets):
         raise InputError(f"matching sides differ: {len(sources)} vs {len(targets)}")
     k = len(sources)
     dist = metric.dist
-    scale = k**k
-    weight = [
-        [dist[s][t] * scale + j * k ** (k - 1 - i) for j, t in enumerate(targets)]
-        for i, s in enumerate(sources)
-    ]
-    u = [0] * k  # row potentials
-    v = [0] * (k + 1)  # column potentials; column k is the root of each search
-    row_of = [None] * (k + 1)  # row matched to each column
-    for i in range(k):
-        row_of[k] = i
-        # reduced costs from row i alone (u[i] is still 0)
-        slack = [weight[i][j] - v[j] for j in range(k)]
-        way = [k] * k  # previous column on the shortest path
-        free = list(range(k))
-        used = [k]
-        col = k
-        while True:
-            if col != k:
-                r = row_of[col]
-                w, ur = weight[r], u[r]
-                for j in free:
-                    reduced = w[j] - ur - v[j]
-                    if reduced < slack[j]:
-                        slack[j] = reduced
-                        way[j] = col
-            col = min(free, key=slack.__getitem__)
-            delta = slack[col]
-            for j in used:
-                u[row_of[j]] += delta
-                v[j] -= delta
-            for j in free:
-                slack[j] -= delta
-            free.remove(col)
-            used.append(col)
-            if row_of[col] is None:
-                break
-        while col != k:
-            prev = way[col]
-            row_of[col] = row_of[prev]
-            col = prev
-    cols = [0] * k
-    for j in range(k):
-        cols[row_of[j]] = j
-    return cols
+    rows = [[dist[s][t] for t in targets] for s in sources]
+    rest = [0] * (1 << k)
+    for mask in range(1, 1 << k):
+        row = rows[k - mask.bit_count()]
+        best = None
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            cost = row[low.bit_length() - 1] + rest[mask ^ low]
+            if best is None or cost < best:
+                best = cost
+        rest[mask] = best
+    return rows, rest
 
 
 def matching_cost(sources: Sequence[int], targets: Sequence[int], metric: MetricSpace) -> int:
@@ -250,8 +220,7 @@ def matching_cost(sources: Sequence[int], targets: Sequence[int], metric: Metric
     Accepts repeated points on either side (server positions may stack
     mid-execution).
     """
-    cols = _min_assignment(sources, targets, metric)
-    return sum(metric.dist[s][targets[j]] for s, j in zip(sources, cols))
+    return _matching_table(sources, targets, metric)[1][-1]
 
 
 def matching_assignment(
@@ -261,9 +230,20 @@ def matching_assignment(
 
     Among minimal bijections the one whose sequence of target positions is
     lexicographically first is returned, for every k, which makes
-    downstream trace extraction deterministic.
+    downstream trace extraction deterministic: each source in turn takes
+    the smallest unused target index that still reaches the minimum.
     """
-    return tuple(targets[j] for j in _min_assignment(sources, targets, metric))
+    rows, rest = _matching_table(sources, targets, metric)
+    mask = len(rest) - 1
+    picked = []
+    for row in rows:
+        j = next(
+            j for j in range(len(row))
+            if mask >> j & 1 and row[j] + rest[mask ^ 1 << j] == rest[mask]
+        )
+        picked.append(targets[j])
+        mask ^= 1 << j
+    return tuple(picked)
 
 
 def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -275,8 +255,10 @@ def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray)
     on either side.  A DP over subsets of the source rows: target rows
     0..j-1 are matched to each subset of j sources at least cost, and
     target row j then takes each unused source in turn.  k * 2^(k-1)
-    vector steps give the exact minimum over bijections.  Sums stay in
-    int64; callers bound k times the largest distance by int64.
+    vector steps give the exact minimum over bijections.  This is the
+    batched int64 form of the recurrence behind :func:`matching_cost`.
+    Sums stay in int64; callers bound k times the largest distance by
+    int64.
     """
     k = len(targets)
     layer = {0: np.zeros(targets.shape[1], dtype=np.int64)}

@@ -452,7 +452,7 @@ def test_verify_work_counts(monkeypatch):
 
 def test_verify_matching_count(monkeypatch):
     # the same verify-mid instance: C1b prices all 495 examined targets'
-    # final relocations in one batched DP, so the only Kuhn-Munkres
+    # final relocations in one batched DP, so the only single
     # matchings left align the one distinct first plan in
     # first_start_visits and the reference trace's first plan in
     # extract_trace (whose final relocation moves no server)

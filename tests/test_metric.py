@@ -109,6 +109,11 @@ class TestConfigurationDistance:
             configuration_distance((0, 3), (0, 1), m3)
         with pytest.raises(InputError):
             configuration_distance((0, 0), (0, 1), m3)
+        # the matching routines refuse unequal sides themselves
+        with pytest.raises(InputError, match="matching sides differ"):
+            matching_cost((0,), (0, 1), m3)
+        with pytest.raises(InputError, match="matching sides differ"):
+            matching_assignment((0, 1, 2), (0, 1), m3)
 
     @pytest.mark.parametrize("n,k,seed", [(6, 3, 11), (5, 2, 4), (4, 3, 8)])
     def test_is_metric_on_configurations(self, n, k, seed):
@@ -150,10 +155,11 @@ class TestMatchingRoutes:
                 sources, targets, metric
             )
 
-    def test_k7_matches_permutation_oracle(self):
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_k7_matches_permutation_oracle(self, k):
         metric = random_metric(16, seed=9)
-        sources = tuple(range(7))
-        targets = tuple(range(9, 16))
+        sources = tuple(range(k))
+        targets = tuple(range(16 - k, 16))
         assert matching_cost(sources, targets, metric) == brute_force_distance(
             sources, targets, metric
         )
@@ -168,37 +174,48 @@ class TestMatchingRoutes:
 
     def test_assignment_is_first_minimal_permutation(self):
         # trace extraction relies on this tie-break; small weights and
-        # repeated points make ties common
+        # repeated points make ties common; then a few draws at k = 8,
+        # the largest k the wide benchmark runs
         rng = random.Random(17)
-        for _ in range(300):
-            n = rng.randint(2, 6)
-            k = rng.randint(1, 7)
-            metric = random_metric(n, seed=rng.randrange(2**32), weight_range=(1, 3))
-            sources = tuple(rng.randrange(n) for _ in range(k))
-            targets = tuple(rng.randrange(n) for _ in range(k))
-            first = min(
-                itertools.permutations(targets),
-                key=lambda perm: sum(metric.dist[s][t] for s, t in zip(sources, perm)),
-            )
-            assert matching_assignment(sources, targets, metric) == first
+        for n_range, k_range, count in (((2, 6), (1, 7), 300), ((2, 9), (8, 8), 4)):
+            for _ in range(count):
+                n = rng.randint(*n_range)
+                k = rng.randint(*k_range)
+                metric = random_metric(n, seed=rng.randrange(2**32), weight_range=(1, 3))
+                sources = tuple(rng.randrange(n) for _ in range(k))
+                targets = tuple(rng.randrange(n) for _ in range(k))
+                first = min(
+                    itertools.permutations(targets),
+                    key=lambda perm: sum(metric.dist[s][t] for s, t in zip(sources, perm)),
+                )
+                assert matching_assignment(sources, targets, metric) == first
 
     def test_exact_beyond_float64(self):
         # distances 2^56 + r, 1 <= r <= 15, always satisfy the triangle
-        # inequality; a float64 solver cannot tell the small parts apart
-        for seed in range(10):
+        # inequality; a float64 solver cannot tell the small parts apart.
+        # 2^70 + r goes past int64 as well, where only Python integers stay exact
+        for base, seed in itertools.product((2**56, 2**70), range(10)):
             rng = random.Random(seed)
             n = 14
             matrix = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):
-                    matrix[i][j] = matrix[j][i] = 2**56 + rng.randint(1, 15)
+                    matrix[i][j] = matrix[j][i] = base + rng.randint(1, 15)
             metric = MetricSpace.from_matrix(matrix)
             x, y = tuple(range(7)), tuple(range(7, 14))
             assert configuration_distance(x, y, metric) == brute_force_distance(x, y, metric)
+            assigned = matching_assignment(x, y, metric)
+            assert sum(map(metric.distance, x, assigned)) == configuration_distance(x, y, metric)
 
 
 class TestMatchingCostsKernel:
-    """The batched subset DP against ``matching_cost``, column by column."""
+    """The batched subset DP against ``matching_cost``, column by column.
+
+    ``matching_cost`` is the scalar form of the same subset recurrence in
+    Python integers; ``TestMatchingRoutes`` checks it, and the assignment
+    read off its table, against all k! permutations at every k from 1
+    to 8.
+    """
 
     @staticmethod
     def check_columns(metric, sources, targets):

@@ -131,7 +131,12 @@ def loop_decide(vector, config, request):
 
 
 def loop_distance_vector(space, origin):
-    """Reference: one exact matching per configuration."""
+    """Reference: one exact matching per configuration.
+
+    ``matching_cost`` is the scalar subset DP in Python integers, which
+    ``tests/test_metric.py`` checks against all k! permutations at every
+    k from 1 to 8.
+    """
     return np.array(
         [matching_cost(origin, cfg, space.metric) for cfg in space.configs], dtype=np.int64
     )
