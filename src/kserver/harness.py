@@ -23,14 +23,14 @@ C2   the anchored work vector equals its value at the start plus the
 E2   the optimum of the q-fold repeated block is exactly q times the
      block optimum.
 E3   the online cost of the repeated block is exactly q times the block
-     cost, and the per-round behavior repeats verbatim.  E2 and E3 share
-     one pass: blocks 2..q continue the anchored online run and its work
-     vector.  When block j starts from block 1's first vector plus a
-     constant c (``d_equivalence``) and in the start configuration, it is
-     block 1 shifted by c: an update commutes with adding a constant and
-     a decision ignores it, so block 1's rounds and its last vector plus
-     c replace folding the base and the anchor again.  Otherwise block j
-     is folded like the first.
+     cost, and the per-round behavior repeats verbatim.  C2 and R1 decide
+     blocks 2..q once.  When both pass, block 1 ends in the start
+     configuration on its first vector plus c = its value at the start,
+     and an update commutes with adding a constant while a decision
+     ignores it: every later block is block 1 shifted by c, so the
+     repeated block is block 1's rounds q times, and its optimum is block
+     1's plus (q-1)*c.  Otherwise blocks 2..q continue the anchored online
+     run and its work vector, each folded like the first.
 R1   the online algorithm ends the anchored block back at the start
      configuration.  If this fails the anchor is rebuilt with a doubled
      allowance, up to a cap; running out of cap is reported as
@@ -52,9 +52,10 @@ repeats the last one (``offline.work_vector_history``).  Every pass over
 the anchor then stops at an exact repetition across a cycle and fills in
 the rest from it: the online run when its configuration repeats, C1b's
 backward pass when every target's rank repeats, its forward replay when
-the plan and lazy positions repeat.  No paper lemma is assumed: C2 and
-the repetition equalities stay checks, and an anchor that never repeats
-is folded to its end.  Reports are the same as with every cycle folded.
+the plan repeats (its lazy positions then equal the plan's; the argument
+is at the skip in ``offline.first_start_visits``).  No paper lemma is
+assumed: C2 and the repetition equalities stay checks, and an anchor
+that never repeats is folded to its end.  Reports are the same as with every cycle folded.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ from .offline import (
 )
 from .rng import SplitMix64
 from .workfunction import (
-    d_equivalence,
     extend_wfa,
     initial_work_vector,
     run_wfa,  # unused here; the benchmark tracer wraps this name
@@ -246,10 +246,8 @@ def verify_anchored_properties(
     r1 = CheckResult("R1", r1_status, list(end_config), list(start))
 
     alg_base = sum(move.cost for rnd in trace_anchored.rounds[:base_len] for move in rnd.moves)
-    p1 = _bool_check(
-        "P1", opt_cost_to(vector_base, start) <= 2 * opt_base,
-        opt_cost_to(vector_base, start), 2 * opt_base,
-    )
+    return_cost = opt_cost_to(vector_base, start)
+    p1 = _bool_check("P1", return_cost <= 2 * opt_base, return_cost, 2 * opt_base)
     t1 = _bool_check("T1", alg_base <= 2 * alpha * opt_base, alg_base, 2 * alpha * opt_base)
 
     vector_anchored = history[-1]
@@ -259,8 +257,7 @@ def verify_anchored_properties(
         [opt_base, opt_anchored], [opt_anchored, 2 * opt_base],
     )
 
-    minimum = int(vector_anchored.values.min())
-    minimizers = np.flatnonzero(vector_anchored.values == minimum)
+    minimizers = np.flatnonzero(vector_anchored.values == opt_anchored)
     unique_start = len(minimizers) == 1 and vector_anchored.space.configs[minimizers[0]] == start
     c1a = _bool_check(
         "C1a", unique_start,
@@ -282,30 +279,25 @@ def verify_anchored_properties(
 
     c1b = _check_start_visits(history, anchored, base_len, sample_cap)
 
-    # blocks 2..q continue the anchored run: one pass gives both the
-    # repeated block's work vector (E2) and its online trace (E3).  A block
-    # that starts from block 1's first vector plus a constant, back at the
-    # start, is block 1 shifted by that constant; any other is folded like
-    # the first, its anchor up to its fixed point
+    # C2 and R1 decide blocks 2..q once.  When both pass, block 1 ends on
+    # the start with its first vector plus at_start, so every later block
+    # is block 1 shifted by at_start; otherwise each continues the run
+    # folded like the first, its anchor up to its fixed point
     rounds = len(anchored.requests)
     check_int64_bound(
         f"q*T + k = {q}*{rounds} + {inst.k}", q * rounds + inst.k, inst.metric.largest
     )
     alg_anchored = trace_anchored.total_cost
-    trace_repeated, vector_repeated = trace_anchored, vector_anchored
-    for _ in range(q - 1):
-        offset = d_equivalence(vector_repeated, history[0])
-        if offset is not None and trace_repeated.config_after(len(trace_repeated.rounds)) == start:
-            trace_repeated = ExecutionTrace(
-                start, trace_repeated.rounds + trace_anchored.rounds,
-                trace_repeated.total_cost + alg_anchored,
-            )
-            vector_repeated = vector_anchored.shifted(offset)
-            continue
-        block = work_vector_history(anchored, work_vector_history(inst, first=vector_repeated))
-        trace_repeated = extend_wfa(trace_repeated, block, anchored.requests)
-        vector_repeated = block[-1]
-    opt_repeated = opt_cost(vector_repeated)
+    if c2.status == "pass" and r1_status == "pass":
+        trace_repeated = ExecutionTrace(start, trace_anchored.rounds * q, q * alg_anchored)
+        opt_repeated = opt_anchored + (q - 1) * at_start
+    else:
+        trace_repeated, vector_repeated = trace_anchored, vector_anchored
+        for _ in range(q - 1):
+            block = work_vector_history(anchored, work_vector_history(inst, first=vector_repeated))
+            trace_repeated = extend_wfa(trace_repeated, block, anchored.requests)
+            vector_repeated = block[-1]
+        opt_repeated = opt_cost(vector_repeated)
     e2 = _bool_check("E2", opt_repeated == q * opt_anchored, opt_repeated, q * opt_anchored)
 
     alg_repeated = trace_repeated.total_cost

@@ -69,15 +69,20 @@ class MetricValidation:
 def validate_metric(dist: Sequence[Sequence[int]]) -> MetricValidation:
     """Check the three metric axioms on a square integer matrix.
 
-    Structural problems (non-square shape, non-integer or negative entries)
-    raise :class:`InputError`; axiom failures are reported in the result,
-    one violation per witnessing index tuple.  Axiom names: ``identity``
-    (zero diagonal, positive off-diagonal), ``symmetry``, ``triangle``.
+    Structural problems (not a list of rows, non-square shape, non-integer
+    or negative entries) raise :class:`InputError`; axiom failures are
+    reported in the result, one violation per witnessing index tuple.
+    Axiom names: ``identity`` (zero diagonal, positive off-diagonal),
+    ``symmetry``, ``triangle``.
     """
+    if not _is_list(dist):
+        raise InputError(f"distance matrix must be a list of rows, got {dist!r}")
     n = len(dist)
     if n == 0:
         raise InputError("distance matrix is empty")
     for i, row in enumerate(dist):
+        if not _is_list(row):
+            raise InputError(f"row {i} of the distance matrix is not a list: {row!r}")
         if len(row) != n:
             raise InputError(f"row {i} has length {len(row)}, expected {n}")
         for j, entry in enumerate(row):
@@ -108,6 +113,11 @@ def validate_metric(dist: Sequence[Sequence[int]]) -> MetricValidation:
     return MetricValidation(not violations, tuple(violations))
 
 
+def _is_list(value) -> bool:
+    """A JSON array, or its Python and numpy counterparts."""
+    return isinstance(value, (list, tuple, np.ndarray))
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """Finite metric on points 0..n-1 with an exact integer distance matrix.
@@ -136,6 +146,8 @@ class MetricSpace:
         n = len(matrix)
         if not MIN_POINTS <= n <= MAX_POINTS:
             raise InputError(f"point count {n} outside supported range [{MIN_POINTS}, {MAX_POINTS}]")
+        if labels is not None and not _is_list(labels):
+            raise InputError(f"labels must be a list, got {labels!r}")
         if labels is not None and len(labels) != n:
             raise InputError(f"{len(labels)} labels for {n} points")
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
@@ -312,9 +324,14 @@ def random_metric(
 
     if not MIN_POINTS <= n <= MAX_POINTS:
         raise InputError(f"point count {n} outside supported range [{MIN_POINTS}, {MAX_POINTS}]")
-    lo, hi = weight_range
-    if any(isinstance(w, bool) or not isinstance(w, int) for w in (lo, hi)) or lo < 1 or hi < lo:
+    if (
+        not _is_list(weight_range)
+        or len(weight_range) != 2
+        or any(isinstance(w, bool) or not isinstance(w, int) for w in weight_range)
+        or not 1 <= weight_range[0] <= weight_range[1]
+    ):
         raise InputError(f"weight range must be integers with 1 <= lo <= hi, got {weight_range}")
+    lo, hi = weight_range
     stream = SplitMix64(seed)
     weights = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
@@ -396,6 +413,9 @@ class Instance:
         unknown = data.keys() - allowed
         if unknown:
             raise InputError(f"unknown instance fields: {sorted(unknown)}")
+        for field in ("initial", "requests"):
+            if not _is_list(data[field]):
+                raise InputError(f"instance field {field!r} must be a list, got {data[field]!r}")
         metric = MetricSpace.from_matrix(data["dist"], data.get("labels"))
         if data["n"] != metric.n:
             raise InputError(f"declared n={data['n']} but matrix has {metric.n} rows")

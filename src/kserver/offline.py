@@ -140,10 +140,9 @@ def extract_trace(
     differs raises ``RuntimeError``.
 
     On an anchored history the replay skips repeated cycles as
-    ``first_start_visits`` does: once the plan and lazy positions repeat
-    across a cycle of the periodic rows, up to the cycle the backtrack
-    repeated from, the trace repeats that cycle's rounds and cost once
-    per skipped cycle.
+    ``first_start_visits`` does: once the plan repeats across a cycle of
+    the periodic rows, up to the cycle the backtrack repeated from, the
+    trace repeats that cycle's rounds and cost once per skipped cycle.
     """
     final = history[-1]
     space = final.space
@@ -172,17 +171,22 @@ def extract_trace(
     lazy_pos = list(inst.initial)
     rounds = []
     total = 0
-    marked = None  # (plan, lazy positions, rounds, cost) at the previous cycle start
+    marked = None  # (plan, rounds, cost) at the previous cycle start
     t = 0
     while t < len(requests):
         if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
-            if marked is not None and marked[0] == plan_pos and marked[1] == lazy_pos:
+            # lazy positions need no comparison: a repeated cycle's plan
+            # costs w(t+p)[C] - w(t)[C] = 0, so it stays on the start, and
+            # each server has served its start point after one anchor
+            # cycle; a lag at the first mark needs fixed_cycle == 1, which
+            # rules it out (the argument is at first_start_visits' skip)
+            if marked is not None and marked[0] == plan_pos:
                 cycles = (repeated_to - t) // period
-                rounds.extend(rounds[marked[2] :] * cycles)
-                total += (total - marked[3]) * cycles
+                rounds.extend(rounds[marked[1] :] * cycles)
+                total += (total - marked[2]) * cycles
                 t, repeated_to = repeated_to, None
                 continue
-            marked = (plan_pos.copy(), lazy_pos.copy(), len(rounds), total)
+            marked = (plan_pos.copy(), len(rounds), total)
         request = requests[t]
         if request not in plan_pos:
             raise RuntimeError(
@@ -292,9 +296,9 @@ def first_start_visits(
     ``extract_trace`` pays to relocate.
 
     The forward pass skips repeated cycles as the backward pass does: once
-    the plan and lazy positions repeat across a cycle of the periodic rows,
-    so do they up to the cycle the backward pass repeated from, and each
-    skipped cycle adds the same cost.
+    the plan repeats across a cycle of the periodic rows, so does it up to
+    the cycle the backward pass repeated from, the lazy positions with it,
+    and each skipped cycle adds the same cost.
     """
     final = history[-1]
     space = final.space
@@ -320,7 +324,7 @@ def first_start_visits(
     # exact: every partial cost is at most the target's work value
     cost = np.zeros(rows.size, dtype=np.int64)
     first = np.full(rows.size, -1, dtype=np.intp)
-    marked = None  # (plan, lazy positions, cost) at the previous cycle start
+    marked = None  # (plan, cost) at the previous cycle start
     t = 0
     while True:
         if t >= shared_to and rows.size < width:
@@ -333,15 +337,25 @@ def first_start_visits(
         if t == len(requests):
             break
         if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
-            if (
-                marked is not None
-                and np.array_equal(marked[0], plan_pos)
-                and np.array_equal(marked[1], lazy_pos)
-            ):
-                cost += (cost - marked[2]) * ((repeated_to - t) // period)
+            # Lazy positions need no comparison; they equal the plan's at
+            # every mark.  The backward pass repeats a cycle only where its
+            # plan costs w(t+p)[C] - w(t)[C] = 0, so every leave point is
+            # the request and C is the start; from the start each anchor
+            # request is covered, so every plan stays on the start across
+            # [base_len, repeated_to), and after the first anchor cycle
+            # each server has served its own start point.  The first mark
+            # is at periodic_from = base_len + (fixed_cycle - 1)*p, so only
+            # fixed_cycle == 1 could mark a lag.  Then w(base_len) is fixed
+            # by every start request, hence w(base_len) = c + D(start, .)
+            # (a strictly decreasing chain of single swaps reaches the
+            # start), and its lazy schedule, made stack-free by serving
+            # with a server already on the request, ends in some X with
+            # c + D(start, X) + D(X, lazy) + sum d(lazy, plan) <= c: no lag
+            if marked is not None and np.array_equal(marked[0], plan_pos):
+                cost += (cost - marked[1]) * ((repeated_to - t) // period)
                 t, repeated_to = repeated_to, None
                 continue
-            marked = (plan_pos.copy(), lazy_pos.copy(), cost.copy())
+            marked = (plan_pos.copy(), cost.copy())
         if t >= base_len:
             # stacked servers cover fewer than k bits, so never the start's mask
             on_start = np.bitwise_or.reduce(bit[lazy_pos], axis=1) == start_mask

@@ -156,9 +156,9 @@ class WorkVector:
         return self.space.configs[int(np.argmin(self.values))]
 
     def shifted(self, offset: int) -> "WorkVector":
-        """Pointwise addition of a constant.  Updates commute with it, so
-        ``verify`` builds the last vector of a repeated block that starts
-        from block 1's first vector plus ``offset`` this way."""
+        """Pointwise addition of a constant, which updates commute with and
+        decisions ignore.  ``verify`` relies on that without building the
+        shifted vector; the tests check it with this."""
         values = self.values + np.int64(offset)
         values.setflags(write=False)
         return WorkVector(self.space, values)

@@ -83,11 +83,25 @@ class TestRun:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_IO_ERROR
 
-    def test_invalid_instance(self, tmp_path, capsys):
+    @pytest.mark.parametrize("changes, named", [
+        ({"initial": [0, 0]}, "repeated"),
+        ({"dist": 5}, "distance matrix"),
+        ({"dist": [0, 1]}, "row 0 of the distance matrix"),
+        ({"initial": 5}, "'initial'"),
+        ({"requests": 5}, "'requests'"),
+        ({"labels": 5}, "labels"),
+    ], ids=["repeated-start", "dist-scalar", "dist-flat", "initial-scalar", "requests-scalar",
+            "labels-scalar"])
+    def test_invalid_instance(self, tmp_path, capsys, changes, named):
+        doc = {"n": 2, "k": 2, "dist": [[0, 1], [1, 0]], "initial": [0, 1], "requests": []}
+        doc.update(changes)
         bad = tmp_path / "bad.json"
-        bad.write_text('{"n": 2, "k": 2, "dist": [[0, 1], [1, 0]], "initial": [0, 0], "requests": []}')
-        assert main(["run", str(bad)]) == EXIT_INPUT_ERROR
-        assert "repeated" in capsys.readouterr().err
+        bad.write_text(json.dumps(doc))
+        for command in ("run", "verify"):
+            assert main([command, str(bad)]) == EXIT_INPUT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+            assert "Traceback" not in err
 
 
 class TestVerify:

@@ -48,10 +48,10 @@ def count_work(monkeypatch):
     on.  One ``verify_anchored_properties`` call makes |rho| updates once
     (base history), then per beta attempt k per anchor cycle folded onto
     it (anchored history, which the anchored online run is read off): up
-    to the first cycle that maps the vector to itself, else all m.  Each of
-    blocks 2..q that starts from the first vector plus a constant, back at
-    the start, is block 1 shifted and makes none; any other folds |rho|
-    plus its anchor the same way.  C1b makes one extraction.
+    to the first cycle that maps the vector to itself, else all m.  When
+    C2 and R1 pass, blocks 2..q are block 1 shifted and make none; else
+    each folds |rho| plus its anchor the same way.  C1b makes one
+    extraction.
     ``measure_strict_ratio`` makes |rho| updates."""
     import kserver.harness as harness
     import kserver.offline as offline
@@ -319,7 +319,7 @@ class TestFixedPointCompression:
         assert history.fixed_cycle is not None  # the full anchor's
 
     @pytest.mark.parametrize("forced", [False, True])
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5])
     def test_repeated_blocks_equal_the_full_fold(self, q, forced, monkeypatch):
         # blocks 2..q are block 1 shifted on every natural case; a forced
         # one-cycle anchor without escalation leaves C2 failing or R1

@@ -332,6 +332,9 @@ class TestRandomMetric:
             random_metric(4, seed=0, weight_range=(0, 5))
         with pytest.raises(InputError):
             random_metric(4, seed=0, weight_range=(5, 4))
+        for weights in ((1,), (1, 2, 3), None):
+            with pytest.raises(InputError, match="weight range must be integers"):
+                random_metric(4, seed=0, weight_range=weights)
 
     @pytest.mark.parametrize("weights", [(True, True), (1, True), (True, 2), (1.0, 2)])
     def test_weights_must_be_ints_not_bools(self, weights):
@@ -459,6 +462,18 @@ class TestInstanceJson:
             Instance.from_dict(corrupt(labels=["only-one"]))
         with pytest.raises(InputError):
             instance_from_json("{not json")
+        # structurally wrong fields, each refused by name
+        for field, value, named in (
+            ("dist", 5, "distance matrix"),
+            ("dist", [0, 1], "row 0 of the distance matrix"),
+            ("initial", 5, "'initial'"),
+            ("requests", 5, "'requests'"),
+            ("labels", 5, "labels"),
+        ):
+            with pytest.raises(InputError, match=named):
+                Instance.from_dict(corrupt(**{field: value}))
+        with pytest.raises(InputError, match="distance matrix"):
+            MetricSpace.from_matrix(5)
 
     def test_fingerprint_distinguishes(self, m3_instance):
         other = m3_instance.with_requests((2, 0))

@@ -153,7 +153,9 @@ WEIGHT_RANGES = [(1, 1), (1, 9), (1, 1000)]
 def kernel_cases():
     for (n, k), weights in itertools.product(KERNEL_SHAPES, WEIGHT_RANGES):
         yield n, k, weights
-    # the largest space once: its reference loops take seconds
+    # the largest space once: its reference loops take seconds, and its
+    # distance vector is checked from one origin only (12,870 scalar
+    # matchings at k = 8 per origin)
     yield 16, 8, (1, 1000)
 
 
@@ -167,7 +169,8 @@ class TestConfigurationSpaceKernels:
             assert np.array_equal(targets, ref_targets.T)
             assert np.array_equal(costs, ref_costs.T)
         size = len(space)
-        for rank in sorted({0, size // 3, size - 1}):
+        ranks = {0} if (n, k) == (16, 8) else {0, size // 3, size - 1}
+        for rank in sorted(ranks):
             origin = space.configs[rank]
             assert np.array_equal(
                 space.distance_vector(origin), loop_distance_vector(space, origin)
