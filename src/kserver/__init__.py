@@ -60,7 +60,6 @@ from .workfunction import (
     History,
     WorkVector,
     configuration_space,
-    d_equivalence,
     final_work_vector,
     initial_work_vector,
     run_wfa,

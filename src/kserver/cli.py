@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="point count (2..16)")
     gen.add_argument("--k", type=int, required=True, help="server count")
     gen.add_argument("--rho-len", type=int, required=True, help="request count")
-    gen.add_argument("--seed", type=int, required=True, help="64-bit seed")
+    gen.add_argument("--seed", type=int, required=True, help="seed in [0, 2^64)")
     gen.add_argument(
         "--request-model", choices=REQUEST_MODELS, default="uniform",
         help="request distribution (default: uniform)",

@@ -75,6 +75,7 @@ from .metric import (
     Instance,
     check_int64_bound,
     check_integer,
+    check_seed,
     min_pairwise_distance,
     random_metric,
 )
@@ -425,7 +426,7 @@ def generate_instance(
     check_integer("server count", k, 1)
     if k > n:
         raise InputError(f"k exceeds n (k={k}, n={n})")
-    stream = SplitMix64(seed)
+    stream = SplitMix64(check_seed(seed))
     metric_seed = stream.next_u64()
     request_seed = stream.next_u64()
     metric = random_metric(n, metric_seed, weight_range)
@@ -500,6 +501,9 @@ def validate_campaign_config(config: dict) -> dict:
     if unknown:
         raise InputError(f"unknown campaign fields: {sorted(unknown)}")
     seeds = _check_range(config, "seeds", allow_empty=True)
+    if seeds[0] <= seeds[1]:  # an empty range draws no seed
+        for seed in seeds:
+            check_seed(seed)
     n_range = _check_range(config, "n")
     k_range = _check_range(config, "k")
     rho_range = _check_range(config, "rho_len")

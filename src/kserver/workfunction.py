@@ -49,10 +49,16 @@ class ConfigurationSpace:
     Tables are slot-major: ``slots[j]`` holds the j-th smallest point of
     every configuration, a C-contiguous ``(k, |configs|)`` uint8 table.
     Each configuration also has a bitmask, and a table of 2^n entries maps
-    a bitmask back to its rank, so a replacement is one XOR and one lookup.
+    a bitmask back to its rank.  Two request-independent intp tables, the
+    slot points and each mask with slot j cleared, are built once per
+    space, so a transition table takes one OR with the request's bit, one
+    gather through the rank table, one gather of the request's distance
+    row and one masked write of the covered columns, with no index cast.
     Cached per-request transition tables (target rank and move cost for
     every slot) make a work-vector update one gather plus a minimum across
-    the k slots; cached distance vectors from fixed origins serve initial
+    the k slots; their targets stay intp, since uint16 or int32 indices
+    are cast on every gather (an update at (16, 6) takes about twice as
+    long).  Cached distance vectors from fixed origins serve initial
     vectors and collapse checks.
     """
 
@@ -69,12 +75,18 @@ class ConfigurationSpace:
         self.index: dict[Configuration, int] = {
             cfg: i for i, cfg in enumerate(self.configs)
         }
-        self.slots = np.array(self.configs, dtype=np.uint8).T.copy()
-        self._bit = np.left_shift(1, np.arange(metric.n), dtype=np.int32)
-        self._masks = self._bit[self.slots].sum(axis=0, dtype=np.int32)
+        self.slots = (
+            np.fromiter(itertools.chain.from_iterable(self.configs), np.uint8, len(self.configs) * k)
+            .reshape(-1, k).T.copy()
+        )
+        # intp copies index natively; uint8 and int32 indices are cast on every use
+        self._points = self.slots.astype(np.intp)
+        bits = 1 << self._points
+        self._masks = bits.sum(axis=0)
+        self._without = self._masks ^ bits  # each mask with slot j's point cleared
         self._rank_of_mask = np.full(1 << metric.n, -1, dtype=np.int32)
         self._rank_of_mask[self._masks] = np.arange(len(self.configs), dtype=np.int32)
-        for table in (self.slots, self._masks, self._rank_of_mask):
+        for table in (self.slots, self._points, self._masks, self._without, self._rank_of_mask):
             table.setflags(write=False)
         self._transitions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._distance_vectors: dict[Configuration, np.ndarray] = {}
@@ -87,17 +99,18 @@ class ConfigurationSpace:
         of configuration i by ``request`` gives configuration
         ``targets[j, i]`` at cost ``costs[j, i]``.  Configurations that
         already hold the request point at themselves at zero cost."""
+        # checked before the lookup: True and 1.0 hash like 1
+        request = self.metric.check_point(request)
         cached = self._transitions.get(request)
         if cached is not None:
             return cached
-        self.metric.check_point(request)
-        bit = self._bit[request]
-        swapped = (self._masks ^ self._bit[self.slots]) | bit
-        targets = self._rank_of_mask[swapped].astype(np.intp)
-        costs = self.metric.matrix[request][self.slots]
-        covered = np.flatnonzero(self._masks & bit)
-        targets[:, covered] = covered
-        costs[:, covered] = 0
+        bit = 1 << request  # a Python int: under numpy 2, 1 << np.uint8(9) is 0
+        covered = (self._masks & bit) != 0
+        targets = self._without | bit
+        targets[...] = self._rank_of_mask[targets]
+        np.copyto(targets, np.arange(len(self.configs)), where=covered)
+        costs = self.metric.matrix[request][self._points]
+        np.copyto(costs, 0, where=covered)
         targets.setflags(write=False)
         costs.setflags(write=False)
         self._transitions[request] = (targets, costs)
@@ -111,7 +124,9 @@ class ConfigurationSpace:
         configuration are matched to each subset of j origin points at
         least cost, and slot j then takes each unused origin point in turn.
         k * 2^(k-1) vector steps give the exact minimum over bijections,
-        and the space's int64 bound covers their sums.
+        and the space's int64 bound covers their sums.  Configurations in
+        rank order share leading slots, so each step runs over one column
+        per shared prefix rather than one per configuration.
         """
         cached = self._distance_vectors.get(origin)
         if cached is not None:
@@ -154,14 +169,6 @@ class WorkVector:
     def argmin_config(self) -> Configuration:
         """Minimizing configuration, smallest rank on ties."""
         return self.space.configs[int(np.argmin(self.values))]
-
-    def shifted(self, offset: int) -> "WorkVector":
-        """Pointwise addition of a constant, which updates commute with and
-        decisions ignore.  ``verify`` relies on that without building the
-        shifted vector; the tests check it with this."""
-        values = self.values + np.int64(offset)
-        values.setflags(write=False)
-        return WorkVector(self.space, values)
 
     def to_pairs(self) -> list[tuple[Configuration, int]]:
         return [(cfg, int(v)) for cfg, v in zip(self.space.configs, self.values)]
@@ -310,17 +317,6 @@ def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
         rounds.append(rnd)
         config = rnd.config
     return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total)
-
-
-def d_equivalence(first: WorkVector, second: WorkVector) -> int | None:
-    """The constant by which two vectors differ everywhere, if one exists."""
-    if (first.space.metric, first.space.k) != (second.space.metric, second.space.k):
-        raise InputError("work vectors live on different configuration spaces")
-    diff = first.values - second.values
-    offset = int(diff[0])
-    if np.all(diff == offset):
-        return offset
-    return None
 
 
 def work_vector_to_json(vector: WorkVector) -> list:

@@ -10,7 +10,6 @@ import pytest
 
 from kserver import (
     CHECK_IDS,
-    d_equivalence,
     final_work_vector,
     generate_instance,
     initial_work_vector,
@@ -21,6 +20,7 @@ from kserver import (
 )
 from kserver.offline import oracle_work_vector
 from kserver.rng import SplitMix64
+from test_workfunction import d_equivalence, shifted
 
 UNIFORM_CAMPAIGN = {
     "seeds": [1, 100], "n": [4, 8], "k": [2, 3], "rho_len": [0, 12],
@@ -169,10 +169,10 @@ def test_robustness_invariants():
             offset = offsets[pairs % 3]
             for d in offsets:
                 assert wfa_decide(vector, config, request) == wfa_decide(
-                    vector.shifted(d), config, request
+                    shifted(vector, d), config, request
                 )
             updated = update_work_vector(vector, request)
-            updated_shifted = update_work_vector(vector.shifted(offset), request)
+            updated_shifted = update_work_vector(shifted(vector, offset), request)
             assert d_equivalence(updated_shifted, updated) == offset
             vector = updated
             pairs += 1

@@ -51,6 +51,17 @@ class TestGen:
         assert code == EXIT_INPUT_ERROR
         assert "k exceeds n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        # SplitMix64 keeps 64 bits, so these would write the files of
+        # seeds 2^64 - 1 and 0
+        out = tmp_path / "x.json"
+        code = main(["gen", "--n", "6", "--k", "2", "--rho-len", "5",
+                     "--seed", seed, "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert f"got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_wfa_cost(self, m3_file, capsys):

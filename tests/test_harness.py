@@ -636,6 +636,8 @@ class TestCampaign:
             dict(good, beta=-1),
             dict(good, alpha="k"),
             dict(good, extra=1),
+            dict(good, seeds=[-1, 2]),  # splitmix64 would draw 2^64 - 1's stream
+            dict(good, seeds=[0, 2**64]),  # and here seed 0's twice
         ):
             with pytest.raises(InputError):
                 validate_campaign_config(corrupt)

@@ -237,6 +237,41 @@ class TestMatchingCostsKernel:
         configs = [sorted(rng.sample(range(n), k)) for _ in range(count)]
         return sources, [list(row) for row in zip(*configs)]
 
+    @staticmethod
+    def shared_columns(rng, n, k):
+        """Inputs whose adjacent columns share sources and leading target
+        rows, so that the kernel carries one column per run of them."""
+        origin = [[p] for p in rng.sample(range(n), k)]
+
+        def blocks(count, size):
+            # per-column sources, one random origin per block of columns
+            cols = [rng.sample(range(n), k) for _ in range(-(-count // size))]
+            return [[cols[i // size][row] for i in range(count)] for row in range(k)]
+
+        # every configuration in rank order, as a space's slots (on the
+        # first k + 3 points, to keep the scalar reference quick)
+        ranked = [list(row) for row in zip(*itertools.combinations(range(min(n, k + 3)), k))]
+        yield origin, ranked
+        yield blocks(len(ranked[0]), 3), ranked
+        # adjacent duplicate columns, duplicated sources with them
+        repeats = [rng.randint(1, 3) for _ in range(8)]
+        sources, targets = TestMatchingCostsKernel.random_columns(rng, n, k, len(repeats))
+        dup = [[v for v, r in zip(row, repeats) for _ in range(r)] for row in sources + targets]
+        yield dup[:k], dup[k:]
+        yield origin, dup[k:]
+        # runs that break only in the sources: one configuration throughout
+        config = sorted(rng.sample(range(n), k))
+        yield blocks(12, 2), [[p] * 12 for p in config]
+        # runs that break only at the last target row
+        last = [p for p in range(n) if p > config[-2]] if k > 1 else list(range(n))
+        tails = [config[:-1] + [p] for p in last]
+        yield origin, [list(row) for row in zip(*tails)]
+        yield blocks(len(tails), len(tails)), [list(row) for row in zip(*tails)]
+        # widths 1 and 2
+        for count in (1, 2):
+            yield TestMatchingCostsKernel.random_columns(rng, n, k, count)
+        yield origin, [[p, p] for p in config]
+
     @pytest.mark.parametrize("weights", [(1, 1), (1, 9), (1, 1000)])
     @pytest.mark.parametrize("k", range(1, 9))
     def test_columns_equal_matching_cost(self, k, weights):
@@ -248,6 +283,8 @@ class TestMatchingCostsKernel:
         # one origin broadcast to every column, as distance vectors use it
         origin = [[p] for p in rng.sample(range(n), k)]
         self.check_columns(metric, origin, targets)
+        for sources, targets in self.shared_columns(rng, n, k):
+            self.check_columns(metric, sources, targets)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_zero_and_one_column(self, k):
@@ -335,6 +372,11 @@ class TestRandomMetric:
         for weights in ((1,), (1, 2, 3), None):
             with pytest.raises(InputError, match="weight range must be integers"):
                 random_metric(4, seed=0, weight_range=weights)
+        # SplitMix64 keeps 64 bits: 2^64 would alias 0, and -1 alias 2^64 - 1
+        for seed in (-1, 2**64, True, 1.0):
+            with pytest.raises(InputError, match=rf"seed .*got {seed!r}$"):
+                random_metric(4, seed=seed)
+        assert random_metric(4, seed=2**64 - 1).n == 4
 
     @pytest.mark.parametrize("weights", [(True, True), (1, True), (True, 2), (1.0, 2)])
     def test_weights_must_be_ints_not_bools(self, weights):

@@ -10,7 +10,6 @@ from kserver import (
     Instance,
     MetricSpace,
     configuration_distance,
-    d_equivalence,
     final_work_vector,
     generate_instance,
     initial_work_vector,
@@ -33,6 +32,26 @@ from kserver.workfunction import (
     configuration_space,
     extend_wfa,
 )
+
+
+def shifted(vector, offset):
+    """``vector`` plus a constant everywhere, which updates commute with and
+    decisions ignore.  ``verify`` relies on that without building the
+    shifted vector; these tests check it."""
+    values = vector.values + np.int64(offset)
+    values.setflags(write=False)
+    return WorkVector(vector.space, values)
+
+
+def d_equivalence(first, second):
+    """The constant by which two vectors differ everywhere, if one exists."""
+    if (first.space.metric, first.space.k) != (second.space.metric, second.space.k):
+        raise InputError("work vectors live on different configuration spaces")
+    diff = first.values - second.values
+    offset = int(diff[0])
+    if np.all(diff == offset):
+        return offset
+    return None
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -94,6 +113,13 @@ class TestUpdate:
         assert np.array_equal(w0.values, before)
         with pytest.raises(ValueError):
             w0.values[0] = 99  # read-only storage
+
+    def test_request_checked_before_the_cache(self, m3):
+        # True and 1.0 hash like 1: a cached table for 1 must not serve them
+        w = update_work_vector(initial_work_vector(m3, (0, 1)), 1)
+        for bad in (True, 1.0, [1], 3):
+            with pytest.raises(InputError):
+                update_work_vector(w, bad)
 
 
 def loop_transitions(space, request):
@@ -175,6 +201,19 @@ class TestConfigurationSpaceKernels:
             assert np.array_equal(
                 space.distance_vector(origin), loop_distance_vector(space, origin)
             )
+
+    @pytest.mark.parametrize("kind", [np.uint8, np.int64])
+    def test_numpy_requests_equal_int_requests(self, kind):
+        # on a space of its own, the numpy scalar builds every table rather
+        # than reading one cached from an int: 1 << np.uint8(p) is 0 from p = 8
+        metric = random_metric(16, seed=16)
+        plain, built = ConfigurationSpace(metric, 3), ConfigurationSpace(metric, 3)
+        before = [WorkVector(space, space.distance_vector((0, 5, 11))) for space in (plain, built)]
+        for p in range(16):
+            after = update_work_vector(before[1], kind(p))
+            assert np.array_equal(after.values, update_work_vector(before[0], p).values)
+            for got, want in zip(built.transitions(kind(p)), plain.transitions(p)):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (6, 3), (16, 8)])
     def test_table_layout(self, n, k):
@@ -410,18 +449,18 @@ class TestProperties:
     def test_translation_invariance_of_decisions(self, m3):
         w = initial_work_vector(m3, (0, 1))
         for offset in (1, 1000, 10**9):
-            shifted = w.shifted(offset)
+            moved = shifted(w, offset)
             for cfg in w.space.configs:
                 for request in range(3):
-                    assert wfa_decide(w, cfg, request) == wfa_decide(shifted, cfg, request)
+                    assert wfa_decide(w, cfg, request) == wfa_decide(moved, cfg, request)
 
     def test_d_equivalence_preserved_by_update(self, m3):
         w = initial_work_vector(m3, (0, 1))
-        shifted = w.shifted(7)
+        moved = shifted(w, 7)
         for request in (2, 0, 1, 2):
             w = update_work_vector(w, request)
-            shifted = update_work_vector(shifted, request)
-            assert d_equivalence(shifted, w) == 7
+            moved = update_work_vector(moved, request)
+            assert d_equivalence(moved, w) == 7
 
     def test_oblivious_across_histories(self, m3_instance):
         # two different served histories with offset-equivalent vectors must
@@ -454,7 +493,7 @@ class TestDEquivalence:
 
     def test_shift_detected(self, m3):
         w = initial_work_vector(m3, (0, 1))
-        assert d_equivalence(w.shifted(5), w) == 5
+        assert d_equivalence(shifted(w, 5), w) == 5
 
     def test_not_equivalent(self, m3):
         w0 = initial_work_vector(m3, (0, 1))
