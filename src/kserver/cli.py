@@ -16,7 +16,7 @@ from .harness import (
     run_campaign,
     verify_anchored_properties,
 )
-from .metric import InputError, instance_from_json, instance_to_json
+from .metric import InputError, Instance, instance_to_json, parse_json
 from .offline import opt_cost, opt_trace
 from .workfunction import final_work_vector, run_wfa
 
@@ -81,17 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """The JSON document in the file at ``path``; a file that is not UTF-8
+    or does not parse raises ``InputError`` naming the path."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} does not parse as JSON: {exc}") from exc
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_json(text, path)
 
 
 def _load_instance(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return instance_from_json(handle.read())
+    return Instance.from_dict(_read_json(path))
 
 
 def _cmd_gen(args) -> int:

@@ -473,9 +473,15 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(inst.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def instance_from_json(text: str) -> Instance:
+def parse_json(text: str, source: str):
+    """The document in ``text``; text that does not parse, or that nests
+    deeper than the parser can recurse, raises ``InputError`` naming
+    ``source``."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance JSON does not parse: {exc}") from exc
-    return Instance.from_dict(data)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{source} does not parse as JSON: {exc}") from exc
+
+
+def instance_from_json(text: str) -> Instance:
+    return Instance.from_dict(parse_json(text, "instance document"))

@@ -18,9 +18,10 @@ follows one column once every target's rank agrees, and the batched
 replay runs one row while every plan agrees.
 
 The per-round vectors are a ``History``: one int64 row per stored
-vector.  ``work_vector_history`` folds an anchor onto a base history
-only until a cycle maps the vector to itself, and the backtrack and
-both replays over such a history skip the cycles that repeat exactly.
+vector, the array the fold returned, never copied.  ``work_vector_history``
+folds an anchor onto a base history, sharing its rows, only until a cycle
+maps the vector to itself, and the backtrack and both replays over such a
+history skip the cycles that repeat exactly.
 
 ``oracle_opt`` is the independent ground truth: it enumerates all k^T
 assignments of servers to requests, simulates each lazy execution
@@ -88,13 +89,8 @@ def work_vector_history(
     if base is None:
         if first is None:
             first = initial_work_vector(inst.metric, inst.initial)
-        rows = np.empty((len(requests) + 1, len(first.space)), dtype=np.int64)
-        rows[0] = first.values
-        vector = first
-        for t, request in enumerate(requests, start=1):
-            vector = update_work_vector(vector, request)
-            rows[t] = vector.values
-        rows.setflags(write=False)
+        vectors = itertools.accumulate(requests, update_work_vector, initial=first)
+        rows = tuple(vector.values for vector in vectors)
         length = len(requests)
         return History(first.space, rows, length, length, 0, None)
 
@@ -115,11 +111,9 @@ def work_vector_history(
             fixed_cycle = c
             tail.pop()  # the row it repeats is stored
             break
-    rows = np.vstack([base.rows, *tail]) if tail else base.rows
-    rows.setflags(write=False)
     return replace(
-        base, rows=rows, length=len(requests), base_len=base_len, period=len(cycle),
-        fixed_cycle=fixed_cycle,
+        base, rows=base.rows + tuple(tail), length=len(requests), base_len=base_len,
+        period=len(cycle), fixed_cycle=fixed_cycle,
     )
 
 
@@ -223,10 +217,12 @@ def _backtrack(
 
     Walking back from each target rank, every round takes the first
     transition slot whose predecessor value plus move cost gives the
-    current value, which is the smallest leave point.  ``first[i]`` is the
-    plan's configuration before the first request, and ``leave[t, i]`` the
-    point the serving server moves on to at round t + 1 (the request
-    itself when it is covered, since the plan then stays put).
+    current value, which is the smallest leave point.  A target that holds
+    the request has no column in the request's tables: it is held, keeping
+    its rank, and its value must equal its predecessor's.  ``first[i]`` is
+    the plan's configuration before the first request, and ``leave[t, i]``
+    the point the serving server moves on to at round t + 1 (the request
+    itself when it is held, since the plan then stays put).
 
     The walk is deterministic, so once every target's rank is the same,
     every earlier step is the same for all of them: from that round down
@@ -262,15 +258,23 @@ def _backtrack(
                 continue
             marked = cur
         request = requests[t - 1]
-        targets, costs = space.transitions(request)
-        prev = targets[:, cur]
-        match = history.values(t - 1)[prev] + costs[:, cur] == history.values(t)[cur]
-        slot = match.argmax(axis=0)
-        if not match[slot, rows].all():
+        targets, costs, _, column = space.transitions(request)
+        before, after = history.values(t - 1), history.values(t)
+        col = column[cur]
+        held = col < 0  # covered: the plan keeps its configuration
+        if held.all():  # always at k = n, whose tables have no column
+            found = before[cur] == after[cur]
+            leave[t - 1] = request
+        else:
+            # a held target keeps its rank at zero cost in every slot
+            prev = np.where(held, cur, targets[:, col])
+            match = before[prev] + np.where(held, 0, costs[:, col]) == after[cur]
+            slot = match.argmax(axis=0)
+            found = match[slot, rows]
+            leave[t - 1] = np.where(held, request, space.slots[slot, cur])
+            cur = prev[slot, rows]
+        if not found.all():
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
-        # a covered request keeps the plan: all its slots point back at it
-        leave[t - 1] = np.where(prev[0] == cur, request, space.slots[slot, cur])
-        cur = prev[slot, rows]
         t -= 1
     return np.broadcast_to(cur, width).copy(), leave, repeated_to
 

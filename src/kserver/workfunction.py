@@ -5,10 +5,7 @@ cheapest way to serve that prefix from the start configuration and end up
 exactly in X.  Vectors are stored densely over all C(n, k) configurations,
 indexed by the configuration's position in the lexicographic enumeration
 (its combinatorial rank), which keeps updates, offset comparisons and
-Lipschitz sweeps to single numpy passes.  Per-request transition tables
-are slot-major, ``(k, |configs|)``, so an update is one gather plus a
-minimum across the k slots, and a decision the same gather at one
-configuration.
+Lipschitz sweeps to single numpy passes.
 
 Folding in a request r replaces each entry by
 
@@ -16,10 +13,14 @@ Folding in a request r replaces each entry by
 
 where replacements that would collapse the configuration (r already
 elsewhere in X) are skipped; for X containing r the surviving z = r term
-leaves the entry unchanged.  The decision rule moves the server x of the
-current configuration minimizing value((X minus x) plus r) + dist(x, r),
-breaking ties toward the smallest point identifier, and makes the empty
-move when the request is already covered.
+leaves the entry unchanged.  So per-request transition tables cover only
+the C(n-1, k) configurations that miss r, slot-major, ``(k, C(n-1, k))``:
+an update copies the vector and writes one gather plus a minimum across
+the k slots into those entries, and a decision is the same gather at one
+configuration.  The decision rule moves the server x of the current
+configuration minimizing value((X minus x) plus r) + dist(x, r), breaking
+ties toward the smallest point identifier, and makes the empty move when
+the request is already covered.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,25 @@ from .metric import (
 )
 
 
+class Transitions(NamedTuple):
+    """One request's transition tables, over the configurations that miss
+    it: a configuration holding the request keeps its work value, so it
+    needs no column.  Every array is read-only.
+
+    Replacing slot j of configuration ``uncovered[c]`` by the request gives
+    configuration ``targets[j, c]`` at cost ``costs[j, c]``.  ``targets``
+    (intp) and ``costs`` (int64) are C-contiguous ``(k, C(n-1, k))``
+    tables; ``uncovered`` holds the C(n-1, k) ranks in increasing order,
+    and ``column`` maps every rank to its column, or -1 where the
+    configuration holds the request.
+    """
+
+    targets: np.ndarray
+    costs: np.ndarray
+    uncovered: np.ndarray
+    column: np.ndarray
+
+
 class ConfigurationSpace:
     """All k-point configurations of a metric space in lexicographic order.
 
@@ -51,15 +72,17 @@ class ConfigurationSpace:
     Each configuration also has a bitmask, and a table of 2^n entries maps
     a bitmask back to its rank.  Two request-independent intp tables, the
     slot points and each mask with slot j cleared, are built once per
-    space, so a transition table takes one OR with the request's bit, one
-    gather through the rank table, one gather of the request's distance
-    row and one masked write of the covered columns, with no index cast.
-    Cached per-request transition tables (target rank and move cost for
-    every slot) make a work-vector update one gather plus a minimum across
-    the k slots; their targets stay intp, since uint16 or int32 indices
-    are cast on every gather (an update at (16, 6) takes about twice as
-    long).  Cached distance vectors from fixed origins serve initial
-    vectors and collapse checks.
+    space, so a transition table takes the columns that miss the request,
+    one OR with its bit, one gather through the rank table and one gather
+    of its distance row, with no index cast.  Cached per-request transition
+    tables (target rank and move cost for every slot of every configuration
+    that misses the request) make a work-vector update one copy, one gather
+    plus a minimum across the k slots, and one write into the uncovered
+    entries.  Targets stay intp, since uint16 or int32 indices are cast on
+    every gather (an update at (16, 6) takes about twice as long), and
+    costs stay int64, since narrower costs are cast on every addition.
+    Cached distance vectors from fixed origins serve initial vectors and
+    collapse checks.
     """
 
     def __init__(self, metric: MetricSpace, k: int):
@@ -88,33 +111,34 @@ class ConfigurationSpace:
         self._rank_of_mask[self._masks] = np.arange(len(self.configs), dtype=np.int32)
         for table in (self.slots, self._points, self._masks, self._without, self._rank_of_mask):
             table.setflags(write=False)
-        self._transitions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._transitions: dict[int, Transitions] = {}
         self._distance_vectors: dict[Configuration, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.configs)
 
-    def transitions(self, request: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(targets, costs)``, both ``(k, |configs|)``: replacing slot j
-        of configuration i by ``request`` gives configuration
-        ``targets[j, i]`` at cost ``costs[j, i]``.  Configurations that
-        already hold the request point at themselves at zero cost."""
+    def transitions(self, request: int) -> Transitions:
+        """The request's transition tables over the configurations that
+        miss it; see ``Transitions``."""
         # checked before the lookup: True and 1.0 hash like 1
         request = self.metric.check_point(request)
         cached = self._transitions.get(request)
         if cached is not None:
             return cached
         bit = 1 << request  # a Python int: under numpy 2, 1 << np.uint8(9) is 0
-        covered = (self._masks & bit) != 0
-        targets = self._without | bit
+        uncovered = np.flatnonzero((self._masks & bit) == 0)
+        column = np.full(len(self.configs), -1, dtype=np.intp)
+        column[uncovered] = np.arange(uncovered.size)
+        # take, not [:, uncovered]: that is F-ordered, and strides every minimum
+        targets = self._without.take(uncovered, axis=1)
+        targets |= bit
         targets[...] = self._rank_of_mask[targets]
-        np.copyto(targets, np.arange(len(self.configs)), where=covered)
-        costs = self.metric.matrix[request][self._points]
-        np.copyto(costs, 0, where=covered)
-        targets.setflags(write=False)
-        costs.setflags(write=False)
-        self._transitions[request] = (targets, costs)
-        return targets, costs
+        costs = self.metric.matrix[request].take(self._points.take(uncovered, axis=1))
+        tables = Transitions(targets, costs, uncovered, column)
+        for table in tables:
+            table.setflags(write=False)
+        self._transitions[request] = tables
+        return tables
 
     def distance_vector(self, origin: Configuration) -> np.ndarray:
         """Matching distance from ``origin`` to every configuration.
@@ -177,7 +201,9 @@ class WorkVector:
 @dataclass(frozen=True, eq=False)
 class History:
     """The work vectors after each prefix of a request sequence, stored as
-    one read-only ``(stored rows, |configs|)`` int64 array.
+    a tuple of rows: the read-only int64 value arrays of the vectors, one
+    per stored vector, shared with the vectors themselves and with any
+    history that extends this one rather than copied.
 
     A sequence of ``base_len`` requests followed by whole cycles of
     ``period`` requests (an anchor) may be folded only until one cycle maps
@@ -192,7 +218,7 @@ class History:
     """
 
     space: ConfigurationSpace
-    rows: np.ndarray
+    rows: tuple[np.ndarray, ...]
     length: int
     base_len: int
     period: int
@@ -236,11 +262,16 @@ def initial_work_vector(metric: MetricSpace, initial) -> WorkVector:
 
 
 def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
-    """Fold one request into a work vector, returning a new vector."""
-    targets, costs = vector.space.transitions(request)
-    values = vector.values[targets]
-    values += costs
-    values = values.min(axis=0)
+    """Fold one request into a work vector, returning a new vector.
+
+    Entries of configurations that hold the request are copied; the
+    others take the minimum over their transition table's k slots.
+    """
+    targets, costs, uncovered, _ = vector.space.transitions(request)
+    moved = vector.values[targets]
+    moved += costs
+    values = vector.values.copy()
+    values[uncovered] = moved.min(axis=0)
     values.setflags(write=False)
     return WorkVector(vector.space, values)
 
@@ -269,12 +300,13 @@ def wfa_decide(vector: WorkVector, config, request: int) -> Round:
     if rank is None:
         raise InputError(f"{tuple(config)} is not a configuration of this space")
     request = space.metric.check_point(request)
-    targets, costs = space.transitions(request)
-    if targets[0, rank] == rank:  # covered: every slot points back at it
+    targets, costs, _, column = space.transitions(request)
+    col = column[rank]
+    if col < 0:  # covered
         return Round(request, (), space.configs[rank])
-    slot = int(np.argmin(vector.values[targets[:, rank]] + costs[:, rank]))
-    move = Move(int(space.slots[slot, rank]), request, int(costs[slot, rank]))
-    return Round(request, (move,), space.configs[targets[slot, rank]])
+    slot = int(np.argmin(vector.values[targets[:, col]] + costs[:, col]))
+    move = Move(int(space.slots[slot, rank]), request, int(costs[slot, col]))
+    return Round(request, (move,), space.configs[targets[slot, col]])
 
 
 def run_wfa(inst: Instance) -> ExecutionTrace:

@@ -94,6 +94,20 @@ class TestRun:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_IO_ERROR
 
+    @pytest.mark.parametrize("command", ["run", "verify", "campaign"])
+    @pytest.mark.parametrize("content, named", [
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+        (b"[" * 100_000, "does not parse as JSON"),
+    ], ids=["utf16-bom", "deep-nesting"])
+    def test_unreadable_file(self, tmp_path, capsys, command, content, named):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        extra = ["--out", str(tmp_path / "out.csv")] if command == "campaign" else []
+        assert main([command, str(bad), *extra]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} {named}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("changes, named", [
         ({"initial": [0, 0]}, "repeated"),
         ({"dist": 5}, "distance matrix"),

@@ -504,6 +504,8 @@ class TestInstanceJson:
             Instance.from_dict(corrupt(labels=["only-one"]))
         with pytest.raises(InputError):
             instance_from_json("{not json")
+        with pytest.raises(InputError, match="does not parse"):
+            instance_from_json("[" * 100_000)  # deeper than the parser recurses
         # structurally wrong fields, each refused by name
         for field, value, named in (
             ("dist", 5, "distance matrix"),

@@ -245,6 +245,31 @@ def test_history_shape(m3_instance):
         assert (w.values == prefix.values).all(), t
 
 
+def test_histories_share_the_vectors(monkeypatch):
+    # no row is copied: the base history stores the arrays its updates
+    # return, and an anchored history stores the base history's own rows
+    returned = []
+    update = offline.update_work_vector
+
+    def recorded(vector, request):
+        returned.append(update(vector, request))
+        return returned[-1]
+
+    monkeypatch.setattr(offline, "update_work_vector", recorded)
+    inst = generate_instance(6, 3, 8, seed=4)
+    base = work_vector_history(inst)
+    assert base.rows[0] is initial_work_vector(inst.metric, inst.initial).values
+    assert all(row is vector.values for row, vector in zip(base.rows[1:], returned, strict=True))
+    anchored = inst.with_requests(inst.requests + inst.initial * 40)
+    returned.clear()
+    history = work_vector_history(anchored, base)
+    assert history.fixed_cycle is not None
+    base_len = len(inst.requests)
+    assert all(a is b for a, b in zip(history.rows[: base_len + 1], base.rows, strict=True))
+    assert all(row is vector.values for row, vector in zip(history.rows[base_len + 1 :], returned))
+    assert len(history.rows) == base_len + 1 + len(returned) - 1  # the repeating row is not kept
+
+
 def test_k7_uses_assignment_matching():
     # at k = 7 the initial alignment and final relocation still realize
     # the optimum through matching_assignment

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,12 +19,20 @@ from kserver import (
     run_wfa,
     trace_violations,
     update_work_vector,
+    verify_anchored_properties,
     wfa_decide,
     work_vector_to_json,
 )
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
-from kserver.offline import opt_cost, oracle_work_vector, work_vector_history
+from kserver.offline import (
+    extract_trace,
+    first_start_visits,
+    opt_cost,
+    oracle_opt,
+    oracle_work_vector,
+    work_vector_history,
+)
 from kserver.rng import SplitMix64
 from kserver.workfunction import (
     ConfigurationSpace,
@@ -114,6 +123,20 @@ class TestUpdate:
         with pytest.raises(ValueError):
             w0.values[0] = 99  # read-only storage
 
+    def test_equals_a_dense_reference_fold(self):
+        # every entry, those of configurations holding the request too, on
+        # seeded instances from k = 1 up to k = n
+        shapes = set()
+        for seed in range(1, 41):
+            inst = small_instance(seed, n_max=7, k_max=7, len_max=10)
+            shapes.add(inst.n - inst.k)
+            vector = initial_work_vector(inst.metric, inst.initial)
+            for request in inst.requests:
+                want = loop_update(vector, request)
+                vector = update_work_vector(vector, request)
+                assert vector.values.tolist() == want, (seed, request)
+        assert {0, 1, 2} <= shapes
+
     def test_request_checked_before_the_cache(self, m3):
         # True and 1.0 hash like 1: a cached table for 1 must not serve them
         w = update_work_vector(initial_work_vector(m3, (0, 1)), 1)
@@ -123,21 +146,36 @@ class TestUpdate:
 
 
 def loop_transitions(space, request):
-    """Reference: the per-configuration loop, configuration-major
-    (|configs|, k) tables."""
+    """Reference: the per-configuration loop over the configurations that
+    miss the request, configuration-major (C(n-1, k), k) tables, and the
+    ranks of those configurations."""
     dist = space.metric.dist
-    size, k = len(space.configs), space.k
-    targets = np.empty((size, k), dtype=np.intp)
-    costs = np.zeros((size, k), dtype=np.int64)
-    for i, cfg in enumerate(space.configs):
-        if request in cfg:
-            targets[i, :] = i
-            continue
+    uncovered = [i for i, cfg in enumerate(space.configs) if request not in cfg]
+    targets = np.empty((len(uncovered), space.k), dtype=np.intp)
+    costs = np.zeros((len(uncovered), space.k), dtype=np.int64)
+    for c, i in enumerate(uncovered):
+        cfg = space.configs[i]
         for j, z in enumerate(cfg):
             swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
-            targets[i, j] = space.index[swapped]
-            costs[i, j] = dist[request][z]
-    return targets, costs
+            targets[c, j] = space.index[swapped]
+            costs[c, j] = dist[request][z]
+    return uncovered, targets, costs
+
+
+def loop_update(vector, request):
+    """Reference: the recurrence at every configuration in Python ints,
+    min over z in X of w(X - z + r) + d(r, z), skipping the replacements
+    that would collapse X; covered configurations are not told apart."""
+    space, dist = vector.space, vector.space.metric.dist
+    out = []
+    for cfg in space.configs:
+        scores = []
+        for j, z in enumerate(cfg):
+            swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
+            if len(set(swapped)) == len(swapped):
+                scores.append(int(vector.values[space.index[swapped]]) + dist[request][z])
+        out.append(min(scores))
+    return out
 
 
 def loop_decide(vector, config, request):
@@ -190,10 +228,12 @@ class TestConfigurationSpaceKernels:
     def test_tables_equal_the_loops(self, n, k, weights):
         space = ConfigurationSpace(random_metric(n, seed=100 * n + k, weight_range=weights), k)
         for request in range(n):
-            targets, costs = space.transitions(request)
-            ref_targets, ref_costs = loop_transitions(space, request)
+            targets, costs, uncovered, column = space.transitions(request)
+            ref_uncovered, ref_targets, ref_costs = loop_transitions(space, request)
+            assert np.array_equal(uncovered, ref_uncovered)
             assert np.array_equal(targets, ref_targets.T)
             assert np.array_equal(costs, ref_costs.T)
+            assert np.array_equal(column[uncovered], np.arange(len(uncovered)))
         size = len(space)
         ranks = {0} if (n, k) == (16, 8) else {0, size // 3, size - 1}
         for rank in sorted(ranks):
@@ -225,16 +265,33 @@ class TestConfigurationSpaceKernels:
         assert space.slots.dtype == np.uint8
         assert space.slots.flags.c_contiguous
         for request in (0, n - 1):
-            targets, costs = space.transitions(request)
+            targets, costs, uncovered, column = space.transitions(request)
+            width = math.comb(n - 1, k)
             for table, dtype in ((targets, np.intp), (costs, np.int64)):
-                assert table.shape == (k, size)
+                assert table.shape == (k, width)
                 assert table.dtype == dtype
                 assert table.flags.c_contiguous
                 assert not table.flags.writeable
+            for table, length in ((uncovered, width), (column, size)):
+                assert table.shape == (length,)
+                assert table.dtype == np.intp
+                assert not table.flags.writeable
+            covered = [request in cfg for cfg in space.configs]
+            assert np.array_equal(column == -1, covered)
+            assert np.array_equal(column[uncovered], np.arange(width))
         vector = space.distance_vector(space.configs[-1])
         assert vector.shape == (size,)
         assert vector.dtype == np.int64
         assert not vector.flags.writeable
+
+    def test_table_bytes(self):
+        # k intp targets and k int64 costs per configuration that misses
+        # the request: 16 * 8 * C(14, 8) = 384,384 bytes at (15, 8), where
+        # a table over all C(15, 8) configurations took 823,680
+        space = ConfigurationSpace(random_metric(15, seed=15), 8)
+        for request in range(15):
+            targets, costs, _, _ = space.transitions(request)
+            assert targets.nbytes + costs.nbytes == 16 * 8 * math.comb(14, 8) == 384_384
 
     def test_int64_overflow_is_refused(self):
         # the distance DP adds up to k distances: 2 * 2^62 would wrap
@@ -408,6 +465,39 @@ class TestHistory:
         for t in (-5, 4):
             with pytest.raises(IndexError, match=f"history index {t} out of range for 4 vectors"):
                 history[t]
+
+
+class TestOneOrNoUncoveredColumn:
+    """At k = n every request is covered, so every transition table has no
+    columns; at n = k + 1 each has one.  Every pass that reads the tables,
+    against its reference."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (5, 5), (3, 2), (4, 3), (6, 5)])
+    def test_every_pass(self, n, k):
+        for seed in range(1, 5):
+            inst = generate_instance(n, k, 6, seed)
+            space = configuration_space(inst.metric, k)
+            for request in range(n):
+                assert space.transitions(request).targets.shape == (k, n - k)
+            vectors = [initial_work_vector(inst.metric, inst.initial)]
+            config, rounds = inst.initial, []
+            for request in inst.requests:
+                rnd = wfa_decide(vectors[-1], config, request)
+                assert rnd == loop_decide(vectors[-1], config, request)
+                rounds.append(rnd)
+                config = rnd.config
+                vectors.append(update_work_vector(vectors[-1], request))
+                assert vectors[-1].values.tolist() == loop_update(vectors[-2], request)
+            assert run_wfa(inst).rounds == tuple(rounds)
+            history = work_vector_history(inst)
+            visits = []
+            for target in space.configs:
+                trace = extract_trace(history, inst, target)
+                assert trace.total_cost == oracle_opt(inst, target)
+                on_start = (t for t in range(6) if trace.config_after(t) == inst.initial)
+                visits.append(next(on_start, -1))
+            assert first_start_visits(history, inst, range(len(space)), 0).tolist() == visits
+            assert verify_anchored_properties(inst, 2 * k - 1, 0, 3).status == "pass"
 
 
 class TestProperties:
