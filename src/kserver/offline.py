@@ -13,9 +13,12 @@ once and keeps only where each trace first revisits the start.  The
 latter prices every target's final relocation in one batched subset DP
 (``metric.matching_costs``, the kernel behind distance vectors), since
 under the triangle inequality the relocation costs exactly a minimum
-matching.  Targets that share a plan share its work: the backtrack
-follows one column once every target's rank agrees, and the batched
-replay runs one row while every plan agrees.
+matching.  Targets that share a plan share its work, and that work is
+done in Python ints rather than numpy arrays of width one: the backtrack
+walks one rank with scalar reads once every target's rank agrees (a
+one-target walk from its first round), and the batched replay runs one
+plan on Python lists while every plan agrees.  Only the rounds where
+targets differ run on arrays.
 
 The per-round vectors are a ``History``: one int64 row per stored
 vector, the array the fold returned, never copied.  ``work_vector_history``
@@ -225,38 +228,36 @@ def _backtrack(
     itself when it is held, since the plan then stays put).
 
     The walk is deterministic, so once every target's rank is the same,
-    every earlier step is the same for all of them: from that round down
-    one column is walked, and each of its ``leave`` rows is copied to
-    every target.  ``first`` and ``leave`` still hold one column per
-    target.
+    every earlier step is the same for all of them.  So the ranks are
+    walked side by side on arrays only while they differ; from the round
+    they agree down, one rank is walked with scalar reads (its column, its
+    value and the slots in order until one matches), and each leave point
+    is written into its whole ``leave`` row.  A one-target walk is scalar
+    from its first round.  ``first`` and ``leave`` still hold one column
+    per target.
 
-    On a history whose anchor reached a fixed point, once every rank
-    repeats across a cycle of the periodic rows, each cycle below it down
-    to ``history.periodic_from`` is the same map and leaves the same
-    points: those rows of ``leave`` are tiled, and ``repeated_to`` is the
-    cycle start the tiling repeated down from (None if none was).
+    On a history whose anchor reached a fixed point, once the rank repeats
+    across a cycle of the periodic rows, each cycle below it down to
+    ``history.periodic_from`` is the same map and leaves the same points:
+    those rows of ``leave`` are tiled, and ``repeated_to`` is the cycle
+    start the tiling repeated down from (None if none was).  Only a shared
+    rank can repeat.  Between two cycle starts of the periodic rows the
+    vectors are equal, so a plan that leaves rank C at one and comes back
+    to it at the next costs w(t+p)[C] - w(t)[C] = 0; distances between
+    distinct points are positive, so every move is the empty one, C holds
+    every request of the cycle, and C is the start.  Ranks that differ
+    never all repeat, and the array walk takes no mark.
     """
     space = history.space
+    slots = space.slots
     period = history.period
     periodic_from = history.periodic_from
     cur = np.array(ranks, dtype=np.intp)
     width = cur.size
     rows = np.arange(width)
-    leave = np.empty((len(requests), width), dtype=space.slots.dtype)
-    repeated_to = None
-    marked = None  # ranks at the previous cycle start in the periodic rows
+    leave = np.empty((len(requests), width), dtype=slots.dtype)
     t = len(requests)
-    while t > 0:
-        if rows.size > 1 and (cur == cur[0]).all():
-            # every earlier step is shared: walk one column for all
-            cur, rows = cur[:1], rows[:1]
-        if history.starts_periodic_cycle(t):
-            if marked is not None and np.array_equal(marked, cur):
-                cycles = (t - periodic_from) // period
-                leave[periodic_from:t] = np.tile(leave[t : t + period], (cycles, 1))
-                repeated_to, t, marked = t, periodic_from, None
-                continue
-            marked = cur
+    while t > 0 and (cur != cur[0]).any():
         request = requests[t - 1]
         targets, costs, _, column = space.transitions(request)
         before, after = history.values(t - 1), history.values(t)
@@ -271,12 +272,46 @@ def _backtrack(
             match = before[prev] + np.where(held, 0, costs[:, col]) == after[cur]
             slot = match.argmax(axis=0)
             found = match[slot, rows]
-            leave[t - 1] = np.where(held, request, space.slots[slot, cur])
+            leave[t - 1] = np.where(held, request, slots[slot, cur])
             cur = prev[slot, rows]
         if not found.all():
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         t -= 1
-    return np.broadcast_to(cur, width).copy(), leave, repeated_to
+    if t == 0:  # the plans may differ from the first request on
+        return cur, leave, None
+
+    # every earlier step is shared: walk one rank for all
+    rank = int(cur[0])
+    repeated_to = None
+    marked = None  # the rank at the previous cycle start in the periodic rows
+    while t > 0:
+        if t >= periodic_from and (t - periodic_from) % period == 0:
+            if rank == marked:
+                cycles = (t - periodic_from) // period
+                leave[periodic_from:t] = np.tile(leave[t : t + period], (cycles, 1))
+                repeated_to, t, marked = t, periodic_from, None
+                continue
+            marked = rank
+        request = requests[t - 1]
+        targets, costs, _, column = space.transitions(request)
+        before, after = history.values(t - 1), history.values(t)
+        col = column[rank]
+        value = after[rank]
+        if col < 0:  # covered
+            found = before[rank] == value
+            leave[t - 1] = request
+        else:
+            found = False
+            for j in range(space.k):
+                prev = targets[j, col]
+                if before[prev] + costs[j, col] == value:
+                    leave[t - 1] = slots[j, rank]
+                    found, rank = True, int(prev)
+                    break
+        if not found:
+            raise RuntimeError(f"backtracking found no predecessor at round {t}")
+        t -= 1
+    return np.full(width, rank, dtype=np.intp), leave, repeated_to
 
 
 def first_start_visits(
@@ -287,22 +322,24 @@ def first_start_visits(
 
     Gives, for all targets at once, the traces ``extract_trace`` builds one
     at a time: one ``_backtrack`` over every target, then a forward pass
-    that replays all plans lazily on (targets, k) position arrays.  While
-    every target has the same first plan and the same leave points, one
-    row stands for all of them; the rows are copied out to one per target
+    that replays all plans lazily.  While every target has the same first
+    plan and the same leave points, one plan stands for all of them and is
+    replayed on Python lists, as ``extract_trace`` replays its one plan;
     at the first round whose leave points differ, found from the leave
-    table itself.  As in ``extract_trace``, each plan must cover every
-    request and each trace's cost, final relocation included, must equal
-    its work-vector entry exactly; either failure raises, naming the
-    first such target in the order given.  The relocation costs all come
-    from one batched subset DP, ``matching_costs`` from the lazy positions
-    to the targets: by ``_final_relocation``'s lemma that is what
-    ``extract_trace`` pays to relocate.
+    table itself, its state is copied out to one row per target of
+    (targets, k) position arrays.  As in ``extract_trace``, each plan must
+    cover every request and each trace's cost, final relocation included,
+    must equal its work-vector entry exactly; either failure raises,
+    naming the first such target in the order given.  The relocation
+    costs all come from one batched subset DP, ``matching_costs`` from the
+    lazy positions to the targets: by ``_final_relocation``'s lemma that
+    is what ``extract_trace`` pays to relocate.
 
     The forward pass skips repeated cycles as the backward pass does: once
     the plan repeats across a cycle of the periodic rows, so does it up to
     the cycle the backward pass repeated from, the lazy positions with it,
-    and each skipped cycle adds the same cost.
+    and each skipped cycle adds the same cost.  Those cycles all lie in the
+    shared rounds, so only the one plan is ever compared or skipped.
     """
     final = history[-1]
     space = final.space
@@ -312,34 +349,22 @@ def first_start_visits(
     width = cur.size
 
     # replay: plan positions move eagerly, actual positions lag lazily;
-    # one row serves every target up to the first round whose plans differ
+    # one plan serves every target up to the first round whose plans differ
     plans, which = np.unique(cur, return_inverse=True)
     split = np.flatnonzero((leave != leave[:, :1]).any(axis=1))
     shared_to = 0 if plans.size > 1 else int(split[0]) if split.size else len(requests)
-    rows = np.arange(width if shared_to == 0 else 1)
-    plan_pos = np.array(
-        [matching_assignment(inst.initial, space.configs[p], inst.metric) for p in plans],
-        dtype=np.intp,
-    )[which[rows]]
-    lazy_pos = np.tile(np.array(inst.initial, dtype=np.intp), (rows.size, 1))
-    bit = np.left_shift(1, np.arange(inst.n), dtype=np.int32)
-    start_mask = bit[list(inst.initial)].sum()
-    dist = inst.metric.matrix
-    # exact: every partial cost is at most the target's work value
-    cost = np.zeros(rows.size, dtype=np.int64)
-    first = np.full(rows.size, -1, dtype=np.intp)
+    aligned = [
+        list(matching_assignment(inst.initial, space.configs[p], inst.metric)) for p in plans
+    ]
+    # rounds [0, shared_to) in Python ints, on the one plan aligned[0]
+    plan, lazy = aligned[0], list(inst.initial)
+    start = set(inst.initial)
+    dist = inst.metric.dist
+    shared_leave = leave[:shared_to, 0].tolist()
+    cost, visit = 0, -1
     marked = None  # (plan, cost) at the previous cycle start
     t = 0
-    while True:
-        if t >= shared_to and rows.size < width:
-            rows = np.arange(width)
-            plan_pos, lazy_pos, cost, first = (
-                a.repeat(width, axis=0) for a in (plan_pos, lazy_pos, cost, first)
-            )
-            if marked is not None:
-                marked = tuple(a.repeat(width, axis=0) for a in marked)
-        if t == len(requests):
-            break
+    while t < shared_to:
         if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
             # Lazy positions need no comparison; they equal the plan's at
             # every mark.  The backward pass repeats a cycle only where its
@@ -355,11 +380,38 @@ def first_start_visits(
             # start), and its lazy schedule, made stack-free by serving
             # with a server already on the request, ends in some X with
             # c + D(start, X) + D(X, lazy) + sum d(lazy, plan) <= c: no lag
-            if marked is not None and np.array_equal(marked[0], plan_pos):
+            if marked is not None and marked[0] == plan:
                 cost += (cost - marked[1]) * ((repeated_to - t) // period)
                 t, repeated_to = repeated_to, None
                 continue
-            marked = (plan_pos.copy(), cost.copy())
+            marked = (plan.copy(), cost)
+        if visit < 0 and t >= base_len and set(lazy) == start:
+            visit = t
+        request = requests[t]
+        if request not in plan:
+            raise RuntimeError(
+                f"the plan ending in {space.configs[ranks[0]]} "
+                f"does not cover request {request} at round {t + 1}"
+            )
+        sid = plan.index(request)
+        cost += dist[lazy[sid]][request]
+        lazy[sid] = request
+        plan[sid] = shared_leave[t]
+        t += 1
+
+    # then one row per target.  No cycle is skipped here: the backward
+    # pass repeats cycles only on a shared rank, so every leave row below
+    # repeated_to + p is shared, and shared_to > repeated_to
+    rows = np.arange(width)
+    plan_pos = np.array(aligned, dtype=np.intp)[which]
+    lazy_pos = np.array([lazy], dtype=np.intp).repeat(width, axis=0)
+    # exact: every partial cost is at most the target's work value
+    cost = np.full(width, cost, dtype=np.int64)
+    first = np.full(width, visit, dtype=np.intp)
+    bit = np.left_shift(1, np.arange(inst.n), dtype=np.int32)
+    start_mask = bit[list(inst.initial)].sum()
+    matrix = inst.metric.matrix
+    while t < len(requests):
         if t >= base_len:
             # stacked servers cover fewer than k bits, so never the start's mask
             on_start = np.bitwise_or.reduce(bit[lazy_pos], axis=1) == start_mask
@@ -373,12 +425,12 @@ def first_start_visits(
                 f"the plan ending in {space.configs[ranks[int(covered.argmin())]]} "
                 f"does not cover request {request} at round {t + 1}"
             )
-        cost += dist[lazy_pos[rows, sid], request]
+        cost += matrix[lazy_pos[rows, sid], request]
         lazy_pos[rows, sid] = request
-        plan_pos[rows, sid] = leave[t, : rows.size]
+        plan_pos[rows, sid] = leave[t]
         t += 1
 
-    total = cost + matching_costs(dist, lazy_pos.T, space.slots[:, ranks])
+    total = cost + matching_costs(matrix, lazy_pos.T, space.slots[:, ranks])
     expected = final.values[ranks]
     wrong = np.flatnonzero(total != expected)
     if wrong.size:

@@ -53,9 +53,11 @@ class Transitions(NamedTuple):
     Replacing slot j of configuration ``uncovered[c]`` by the request gives
     configuration ``targets[j, c]`` at cost ``costs[j, c]``.  ``targets``
     (intp) and ``costs`` (int64) are C-contiguous ``(k, C(n-1, k))``
-    tables; ``uncovered`` holds the C(n-1, k) ranks in increasing order,
-    and ``column`` maps every rank to its column, or -1 where the
-    configuration holds the request.
+    tables; ``uncovered`` holds the C(n-1, k) ranks in increasing order
+    (intp), and ``column`` maps every rank to its column, or -1 where the
+    configuration holds the request.  The map is int32, half the bytes of
+    intp: it is read one rank at a time, or gathered at a few hundred
+    ranks, so no large gather pays its cast.
     """
 
     targets: np.ndarray
@@ -80,7 +82,8 @@ class ConfigurationSpace:
     plus a minimum across the k slots, and one write into the uncovered
     entries.  Targets stay intp, since uint16 or int32 indices are cast on
     every gather (an update at (16, 6) takes about twice as long), and
-    costs stay int64, since narrower costs are cast on every addition.
+    costs stay int64, since narrower costs are cast on every addition; only
+    the rank -> column map, which no update gathers through, is int32.
     Cached distance vectors from fixed origins serve initial vectors and
     collapse checks.
     """
@@ -120,15 +123,18 @@ class ConfigurationSpace:
     def transitions(self, request: int) -> Transitions:
         """The request's transition tables over the configurations that
         miss it; see ``Transitions``."""
-        # checked before the lookup: True and 1.0 hash like 1
-        request = self.metric.check_point(request)
-        cached = self._transitions.get(request)
+        # only an int is looked up unchecked: True, 1.0 and np.int64(1) hash
+        # like 1, and a cached key is a point of the space
+        cached = self._transitions.get(request) if type(request) is int else None
+        if cached is None:
+            request = self.metric.check_point(request)
+            cached = self._transitions.get(request)
         if cached is not None:
             return cached
         bit = 1 << request  # a Python int: under numpy 2, 1 << np.uint8(9) is 0
         uncovered = np.flatnonzero((self._masks & bit) == 0)
-        column = np.full(len(self.configs), -1, dtype=np.intp)
-        column[uncovered] = np.arange(uncovered.size)
+        column = np.full(len(self.configs), -1, dtype=np.int32)
+        column[uncovered] = np.arange(uncovered.size, dtype=np.int32)
         # take, not [:, uncovered]: that is F-ordered, and strides every minimum
         targets = self._without.take(uncovered, axis=1)
         targets |= bit

@@ -31,7 +31,13 @@ from kserver.harness import (
     _check_start_visits,
 )
 from kserver.execution import ExecutionTrace
-from kserver.offline import _backtrack, first_start_visits, oracle_opt, work_vector_history
+from kserver.offline import (
+    _backtrack,
+    extract_trace,
+    first_start_visits,
+    oracle_opt,
+    work_vector_history,
+)
 from kserver.rng import SplitMix64
 from kserver.workfunction import (
     History,
@@ -236,19 +242,35 @@ class TestStartVisits:
         )
         first = first_start_visits(history, anchored, ranks, base_len).tolist()
         monkeypatch.undo()
-        # the backward pass asks for t >= 1 only; the forward replay asks
-        # from t = 0 up to repeated_to, unless it skips cycles on the way
+        # only the forward replay asks, from t = 0 up to repeated_to,
+        # unless it skips cycles on the way
         forward = asked[asked.index(0):]
         assert repeated_to is not None and forward[-1] < repeated_to
-        reference = work_vector_history(anchored)
-        start, rounds = inst.initial, len(anchored.requests)
-        want = []
-        for config in history.space.configs:
-            trace = loop_extract_trace(reference, anchored, config)
-            visits = (t for t in range(base_len, rounds) if trace.config_after(t) == start)
-            want.append(next(visits, -1))
-        assert first == want
+        assert first == loop_first_visits(anchored, base_len, ranks)
         assert max(first) > base_len
+
+    @pytest.mark.parametrize("n,k,rho_len,seed", [(4, 2, 5, 82), (4, 3, 8, 60), (5, 2, 8, 32)])
+    def test_stacked_servers_are_not_on_the_start(self, n, k, rho_len, seed):
+        """Uniform instances on which some trace's lazy servers stack on
+        start points inside the anchor before the trace first revisits the
+        start: standing on a subset of the start is not standing on it."""
+        inst = generate_instance(n, k, rho_len, seed)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
+        anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+        history = work_vector_history(anchored, base)
+        ranks = range(len(history.space))
+        want = loop_first_visits(anchored, rho_len, ranks)
+        assert first_start_visits(history, anchored, ranks, rho_len).tolist() == want
+        reference = work_vector_history(anchored)
+        start = set(inst.initial)
+        stacked = (
+            set(trace.config_after(t)) < start
+            for rank, visit in zip(ranks, want)
+            for trace in [loop_extract_trace(reference, anchored, history.space.configs[rank])]
+            for t in range(rho_len, visit)
+        )
+        assert any(stacked)
 
     def test_empty_base_visits_at_round_zero(self, m3_instance):
         anchored = m3_instance.with_requests((0, 1))
@@ -256,6 +278,19 @@ class TestStartVisits:
         assert _check_start_visits(history, anchored, 0, C1B_SAMPLE_CAP) == per_target_start_visits(
             history, anchored, 0, C1B_SAMPLE_CAP
         )
+
+
+def loop_first_visits(anchored, base_len, ranks):
+    """Each target's first visit to the start in [base_len, T), from the
+    reference extraction on the full fold, else -1."""
+    reference = work_vector_history(anchored)
+    start, rounds = anchored.initial, len(anchored.requests)
+    want = []
+    for rank in ranks:
+        trace = loop_extract_trace(reference, anchored, reference.space.configs[rank])
+        visits = (t for t in range(base_len, rounds) if trace.config_after(t) == start)
+        want.append(next(visits, -1))
+    return want
 
 
 def full_fold(inst):
@@ -390,6 +425,18 @@ def single_walks(history, requests, ranks):
     return first.tolist()
 
 
+def walked_ranks(space, requests, target, leave):
+    """The rank of one target's plan after each round, read back from its
+    leave points: before round t the plan held the request where it holds
+    the leave point after it (the same point when the request is held)."""
+    config = space.configs[target]
+    walked = [target]
+    for request, point in zip(reversed(requests), reversed(leave.tolist())):
+        config = tuple(sorted(request if p == point else p for p in config))
+        walked.append(space.index[config])
+    return walked[::-1]
+
+
 class TestMergedBackward:
     """The backward pass continues on one column once every target's rank
     agrees; each column must still be the walk from its own target."""
@@ -409,12 +456,120 @@ class TestMergedBackward:
         first = single_walks(history, anchored.requests, range(len(history.space)))
         assert len(set(first)) == 1  # all 495 plans share their first steps
 
+    def test_merge_between_cycle_starts(self, monkeypatch):
+        """Anchors whose ranks still differ at a cycle start of the periodic
+        rows and agree before the next one: the array walk passes that
+        start, and the scalar walk takes its first mark below the merge and
+        tiles where its rank first repeats.  The rounds it reads are spied
+        on; the ranks each target passes through are read back from its
+        leave points; and every target's walk, trace and first visit is
+        compared with one walk per rank and with the reference."""
+        values = History.values
+        for model, weights, seed in COMPRESSION_CASES:
+            inst = compression_instance(model, weights, seed)
+            base = work_vector_history(inst)
+            cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
+            anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+            history = work_vector_history(anchored, base)
+            space, requests = history.space, anchored.requests
+            ranks = range(len(space))
+            asked = []
+            monkeypatch.setattr(History, "values", lambda h, t: asked.append(t) or values(h, t))
+            first, leave, repeated_to = _backtrack(history, requests, ranks)
+            monkeypatch.undo()
+            walked = np.array([
+                walked_ranks(space, requests, rank, leave[:, rank]) for rank in ranks
+            ])
+            rounds, period, periodic_from = len(requests), history.period, history.periodic_from
+            merged = max(t for t in range(rounds + 1) if (walked[:, t] == walked[0, t]).all())
+            starts = range(periodic_from, rounds + 1, period)
+            # the array walk passes a cycle start, and the next lies below the merge
+            above = [t for t in starts if t > merged]
+            assert above and min(above) - period >= periodic_from, (model, weights, seed)
+            below = [t for t in reversed(starts) if t + period <= merged]
+            repeat = next(t for t in below if walked[0, t] == walked[0, t + period])
+            assert repeated_to == repeat, (model, weights, seed)
+            # the tiled rounds between periodic_from and repeated_to are not read
+            assert set(asked) == set(range(periodic_from + 1)) | set(range(repeat, rounds + 1))
+            assert first.tolist() == single_walks(history, requests, ranks)
+            reference = work_vector_history(anchored)
+            for config in space.configs[:: max(1, len(space) // 4)]:
+                assert extract_trace(history, anchored, config) == loop_extract_trace(
+                    reference, anchored, config
+                )
+            base_len = len(inst.requests)
+            assert first_start_visits(history, anchored, ranks, base_len).tolist() == (
+                loop_first_visits(anchored, base_len, ranks)
+            )
+
     def test_unanchored_walks_never_merge(self):
         # distinct first plans: the columns stay apart down to round 1
         inst = generate_instance(4, 2, 4, WRONG_PLAN["seed"])
         history = work_vector_history(inst)
         first = single_walks(history, inst.requests, range(len(history.space)))
         assert first == [2, 2, 2, 0, 1, 1]
+
+
+class TestSharedReplay:
+    """The forward replay runs one plan on Python lists while every target
+    shares it, and one row per target after that."""
+
+    def test_one_plan_to_the_last_round(self, monkeypatch):
+        """One target, or one target repeated, shares its plan and its leave
+        points up to the last round, so the whole forward replay runs on
+        Python lists: it must still skip the repeated cycles and find the
+        reference's first visit."""
+        starts = History.starts_periodic_cycle
+        for model, weights, seed in COMPRESSION_CASES:
+            inst = compression_instance(model, weights, seed)
+            base_len = len(inst.requests)
+            base = work_vector_history(inst)
+            cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
+            anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+            history = work_vector_history(anchored, base)
+            for rank in (0, len(history.space) // 2, len(history.space) - 1):
+                want = loop_first_visits(anchored, base_len, [rank])
+                repeated_to = _backtrack(history, anchored.requests, [rank])[2]
+                for ranks in ([rank], [rank] * 3):
+                    asked = []
+                    monkeypatch.setattr(
+                        History, "starts_periodic_cycle",
+                        lambda h, t: asked.append(t) or starts(h, t),
+                    )
+                    first = first_start_visits(history, anchored, ranks, base_len).tolist()
+                    monkeypatch.undo()
+                    assert first == want * len(ranks), (model, weights, seed, ranks)
+                    # the replay skipped cycles, so it stopped asking below repeated_to
+                    assert repeated_to is not None and asked[-1] < repeated_to
+
+    @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
+    def test_skipped_cycles_lie_in_the_shared_rounds(self, model, weights, seed):
+        """The array replay has no skip, since it never meets a cycle it
+        could skip: a cycle repeats only on the start, where every leave
+        point is the request, so every target shares its plan and its
+        leave points up to repeated_to + p, past the last skip's landing.
+        A skip across the first round whose leave points differ cannot
+        happen; this checks the premise on every anchor length."""
+        inst = compression_instance(model, weights, seed)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
+        repeats = 0
+        for m in (1, 2, cycles):
+            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            history = work_vector_history(anchored, base)
+            requests, period = anchored.requests, history.period
+            size = len(history.space)
+            for ranks in (range(size), [size - 1, 0, size // 2]):
+                first, leave, repeated_to = _backtrack(history, requests, ranks)
+                if repeated_to is None:
+                    continue
+                repeats += 1
+                shared = leave[: repeated_to + period]
+                assert (first == first[0]).all()
+                assert (shared == shared[:, :1]).all()
+                periodic = range(history.periodic_from, repeated_to + period)
+                assert all((leave[t] == requests[t]).all() for t in periodic)
+        assert repeats > 0
 
 
 def test_verify_work_counts(monkeypatch):

@@ -144,6 +144,17 @@ class TestUpdate:
             with pytest.raises(InputError):
                 update_work_vector(w, bad)
 
+    def test_cached_int_skips_the_check_and_nothing_else(self, m3):
+        # an int is looked up before it is checked; any other type, and an
+        # int that is not a cached point, is checked first
+        space = configuration_space(m3, 2)
+        cached = space.transitions(1)
+        for bad in (True, 1.0, -1, m3.n):
+            with pytest.raises(InputError):
+                space.transitions(bad)
+        assert space.transitions(np.int64(1)) is cached
+        assert space.transitions(1) is cached
+
 
 def loop_transitions(space, request):
     """Reference: the per-configuration loop over the configurations that
@@ -272,9 +283,9 @@ class TestConfigurationSpaceKernels:
                 assert table.dtype == dtype
                 assert table.flags.c_contiguous
                 assert not table.flags.writeable
-            for table, length in ((uncovered, width), (column, size)):
+            for table, length, dtype in ((uncovered, width, np.intp), (column, size, np.int32)):
                 assert table.shape == (length,)
-                assert table.dtype == np.intp
+                assert table.dtype == dtype
                 assert not table.flags.writeable
             covered = [request in cfg for cfg in space.configs]
             assert np.array_equal(column == -1, covered)
@@ -292,6 +303,19 @@ class TestConfigurationSpaceKernels:
         for request in range(15):
             targets, costs, _, _ = space.transitions(request)
             assert targets.nbytes + costs.nbytes == 16 * 8 * math.comb(14, 8) == 384_384
+
+    def test_cache_bytes_after_verify(self):
+        # verify at (15, 8, 4) caches 10 tables, each with intp targets
+        # and int64 costs, intp uncovered ranks and an int32 rank -> column
+        # map: 4,341,480 bytes, where an intp map made it 4,598,880
+        configuration_space.cache_clear()
+        inst = generate_instance(15, 8, 4, seed=1)
+        assert verify_anchored_properties(inst, "2k-1", 0, 3).status == "pass"
+        tables = configuration_space(inst.metric, inst.k)._transitions.values()
+        assert all(table.column.dtype == np.int32 for table in tables)
+        per_table = 16 * 8 * math.comb(14, 8) + 8 * math.comb(14, 8) + 4 * math.comb(15, 8)
+        assert len(tables) == 10
+        assert sum(a.nbytes for table in tables for a in table) == 10 * per_table == 4_341_480
 
     def test_int64_overflow_is_refused(self):
         # the distance DP adds up to k distances: 2 * 2^62 would wrap
