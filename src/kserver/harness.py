@@ -17,7 +17,8 @@ C1b  for every ending configuration, the extracted cost-realizing
      final relocation priced by one batched subset DP
      (``metric.matching_costs``); the first target's trace is also
      built by ``extract_trace``, and a different first visit raises.
-     Both replays skip repeated anchor cycles.
+     Both replay a plan with the one lazy replay, ``offline._replay``,
+     which skips repeated anchor cycles.
 C2   the anchored work vector equals its value at the start plus the
      matching distance from the start, entry for entry.
 E2   the optimum of the q-fold repeated block is exactly q times the
@@ -51,9 +52,9 @@ consecutive cycle-end work vectors are exactly equal, every later cycle
 repeats the last one (``offline.work_vector_history``).  Every pass over
 the anchor then stops at an exact repetition across a cycle and fills in
 the rest from it: the online run when its configuration repeats, C1b's
-backward pass when every target's rank repeats, its forward replay when
-the plan repeats (its lazy positions then equal the plan's; the argument
-is at the skip in ``offline.first_start_visits``).  No paper lemma is
+backward pass when every target's rank repeats, the replay of a plan
+when the plan repeats (its lazy positions then equal the plan's; the
+argument is at the skip in ``offline._replay``).  No paper lemma is
 assumed: C2 and the repetition equalities stay checks, and an anchor
 that never repeats is folded to its end.  Reports are the same as with every cycle folded.
 """
@@ -337,11 +338,12 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
     the end of some round inside the anchor block.
 
     ``first_start_visits`` backtracks and replays every examined target at
-    once.  The first target's trace is also built by ``extract_trace``,
-    one ``Round`` per replayed round.  Both skip repeated anchor cycles
-    and replay the same backtracked plan, so a different first visit
-    raises: the two replays disagree.  The tests check both skips against
-    traces walked over every round of the anchored sequence."""
+    once.  The first target's trace is also built by ``extract_trace``
+    over every round.  Both replay the same backtracked plan with the one
+    lazy replay, ``offline._replay``, which skips repeated anchor cycles;
+    a different first visit means they disagree, and raises.  The tests
+    check the skip against traces walked over every round of the anchored
+    sequence."""
     space = history[-1].space
     if len(space) <= sample_cap:
         ranks = range(len(space))

@@ -162,6 +162,8 @@ class MetricSpace:
             raise InputError(f"labels must be a list, got {labels!r}")
         if labels is not None and len(labels) != n:
             raise InputError(f"{len(labels)} labels for {n} points")
+        if labels is not None and not all(isinstance(label, str) for label in labels):
+            raise InputError(f"labels must be strings, got {labels!r}")
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
         return cls(rows, tuple(labels) if labels is not None else None)
 
@@ -455,7 +457,7 @@ class Instance:
             if not _is_list(data[field]):
                 raise InputError(f"instance field {field!r} must be a list, got {data[field]!r}")
         metric = MetricSpace.from_matrix(data["dist"], data.get("labels"))
-        if data["n"] != metric.n:
+        if check_integer("n", data["n"], 1) != metric.n:
             raise InputError(f"declared n={data['n']} but matrix has {metric.n} rows")
         return cls.build(metric, data["k"], data["initial"], data["requests"])
 

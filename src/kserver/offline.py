@@ -7,23 +7,24 @@ per-round work vectors and then rescheduled lazily, so the emitted trace
 makes only forced moves except for final-round relocations into the
 target configuration.  There is one backtrack, ``_backtrack``, over the
 configuration space's transition tables and for any number of targets,
-and two replays of its plans: ``extract_trace`` materializes the rounds
-of one target's trace, ``first_start_visits`` replays many targets at
-once and keeps only where each trace first revisits the start.  The
-latter prices every target's final relocation in one batched subset DP
+and one lazy replay of a plan, ``_replay``, with two callers:
+``extract_trace`` materializes the rounds of one target's trace, and
+``first_start_visits`` replays many targets at once and keeps only
+where each trace first revisits the start.  The latter prices every
+target's final relocation in one batched subset DP
 (``metric.matching_costs``, the kernel behind distance vectors), since
 under the triangle inequality the relocation costs exactly a minimum
 matching.  Targets that share a plan share its work, and that work is
 done in Python ints rather than numpy arrays of width one: the backtrack
 walks one rank with scalar reads once every target's rank agrees (a
-one-target walk from its first round), and the batched replay runs one
-plan on Python lists while every plan agrees.  Only the rounds where
-targets differ run on arrays.
+one-target walk from its first round), and the batched replay hands the
+rounds where every plan agrees to ``_replay``, on Python lists.  Only
+the rounds where targets differ run on arrays.
 
 The per-round vectors are a ``History``: one int64 row per stored
 vector, the array the fold returned, never copied.  ``work_vector_history``
 folds an anchor onto a base history, sharing its rows, only until a cycle
-maps the vector to itself, and the backtrack and both replays over such a
+maps the vector to itself, and the backtrack and the replay over such a
 history skip the cycles that repeat exactly.
 
 ``oracle_opt`` is the independent ground truth: it enumerates all k^T
@@ -136,10 +137,7 @@ def extract_trace(
     ``target`` exactly; a plan that misses a request or a cost that
     differs raises ``RuntimeError``.
 
-    On an anchored history the replay skips repeated cycles as
-    ``first_start_visits`` does: once the plan repeats across a cycle of
-    the periodic rows, up to the cycle the backtrack repeated from, the
-    trace repeats that cycle's rounds and cost once per skipped cycle.
+    On an anchored history the replay, ``_replay``, skips repeated cycles.
     """
     final = history[-1]
     space = final.space
@@ -159,50 +157,12 @@ def extract_trace(
         return ExecutionTrace(inst.initial, (), 0)
 
     first, leave, repeated_to = _backtrack(history, requests, [space.index[target]])
-    leave = leave[:, 0].tolist()
-    dist = inst.metric.dist
-    period = history.period
-
-    # replay: plan positions move eagerly, actual positions lag lazily
-    plan_pos = list(matching_assignment(inst.initial, space.configs[first[0]], inst.metric))
-    lazy_pos = list(inst.initial)
-    rounds = []
-    total = 0
-    marked = None  # (plan, rounds, cost) at the previous cycle start
-    t = 0
-    while t < len(requests):
-        if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
-            # lazy positions need no comparison: a repeated cycle's plan
-            # costs w(t+p)[C] - w(t)[C] = 0, so it stays on the start, and
-            # each server has served its start point after one anchor
-            # cycle; a lag at the first mark needs fixed_cycle == 1, which
-            # rules it out (the argument is at first_start_visits' skip)
-            if marked is not None and marked[0] == plan_pos:
-                cycles = (repeated_to - t) // period
-                rounds.extend(rounds[marked[1] :] * cycles)
-                total += (total - marked[2]) * cycles
-                t, repeated_to = repeated_to, None
-                continue
-            marked = (plan_pos.copy(), len(rounds), total)
-        request = requests[t]
-        if request not in plan_pos:
-            raise RuntimeError(
-                f"the plan ending in {target} does not cover request {request} at round {t + 1}"
-            )
-        sid = plan_pos.index(request)
-        moves = []
-        if lazy_pos[sid] != request:
-            cost = dist[lazy_pos[sid]][request]
-            moves.append(Move(lazy_pos[sid], request, cost))
-            total += cost
-            lazy_pos[sid] = request
-        plan_pos[sid] = leave[t]
-        if t == len(requests) - 1:
-            relocation, cost = _final_relocation(lazy_pos, target, inst.metric)
-            moves.extend(relocation)
-            total += cost
-        rounds.append(Round(request, tuple(moves), tuple(sorted(lazy_pos))))
-        t += 1
+    plan = list(matching_assignment(inst.initial, space.configs[first[0]], inst.metric))
+    rounds, lazy, total = _replay(history, inst, plan, leave, repeated_to, len(requests), target)
+    relocation, cost = _final_relocation(lazy, target, inst.metric)
+    last = rounds[-1]
+    rounds[-1] = Round(last.request, last.moves + tuple(relocation), tuple(sorted(lazy)))
+    total += cost
 
     expected = final.value(target)
     if total != expected:
@@ -210,6 +170,75 @@ def extract_trace(
             f"extracted trace ending in {target} costs {total}, work vector says {expected}"
         )
     return ExecutionTrace(inst.initial, tuple(rounds), total)
+
+
+def _replay(
+    history: History, inst: Instance, plan: list[int], leave: np.ndarray,
+    repeated_to: int | None, stop: int, target: Configuration,
+) -> tuple[list[Round], list[int], int]:
+    """Replay one backtracked plan lazily over rounds [0, stop):
+    ``(rounds, lazy, cost)``.
+
+    ``plan`` holds the plan's positions, server by server as the start's,
+    and moves eagerly: it is advanced in place, the server serving round
+    t + 1 moving on to ``leave[t, 0]``.  The actual positions, ``lazy``,
+    lag until a server serves.  Each round becomes a ``Round`` of its
+    serving move (none when the server already stands on the request) and
+    the sorted lazy positions, and ``cost`` sums the moves.  A plan that
+    misses a request raises ``RuntimeError`` naming ``target``.
+
+    On an anchored history, once the plan repeats across a cycle of the
+    periodic rows, up to ``repeated_to``, the cycle the backtrack repeated
+    from, the replay repeats that cycle's rounds, as references to them,
+    and its cost once per skipped cycle.
+    """
+    requests = inst.requests
+    dist = inst.metric.dist
+    period = history.period
+    leave = leave[:stop, 0].tolist()
+    lazy = list(inst.initial)
+    rounds = []
+    cost = 0
+    marked = None  # (plan, rounds, cost) at the previous cycle start
+    t = 0
+    while t < stop:
+        if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
+            # Lazy positions need no comparison; they equal the plan's at
+            # every mark.  The backtrack repeats a cycle only where its
+            # plan costs w(t+p)[C] - w(t)[C] = 0, so every leave point is
+            # the request and C is the start; from the start each anchor
+            # request is covered, so every plan stays on the start across
+            # [base_len, repeated_to), and after the first anchor cycle
+            # each server has served its own start point.  The first mark
+            # is at periodic_from = base_len + (fixed_cycle - 1)*p, so only
+            # fixed_cycle == 1 could mark a lag.  Then w(base_len) is fixed
+            # by every start request, hence w(base_len) = c + D(start, .)
+            # (a strictly decreasing chain of single swaps reaches the
+            # start), and its lazy schedule, made stack-free by serving
+            # with a server already on the request, ends in some X with
+            # c + D(start, X) + D(X, lazy) + sum d(lazy, plan) <= c: no lag
+            if marked is not None and marked[0] == plan:
+                cycles = (repeated_to - t) // period
+                rounds.extend(rounds[marked[1] :] * cycles)
+                cost += (cost - marked[2]) * cycles
+                t, repeated_to = repeated_to, None
+                continue
+            marked = (plan.copy(), len(rounds), cost)
+        request = requests[t]
+        if request not in plan:
+            raise RuntimeError(
+                f"the plan ending in {target} does not cover request {request} at round {t + 1}"
+            )
+        sid = plan.index(request)
+        moves = ()
+        if lazy[sid] != request:
+            moves = (Move(lazy[sid], request, dist[lazy[sid]][request]),)
+            cost += moves[0].cost
+            lazy[sid] = request
+        plan[sid] = leave[t]
+        rounds.append(Round(request, moves, tuple(sorted(lazy))))
+        t += 1
+    return rounds, lazy, cost
 
 
 def _backtrack(
@@ -285,7 +314,7 @@ def _backtrack(
     repeated_to = None
     marked = None  # the rank at the previous cycle start in the periodic rows
     while t > 0:
-        if t >= periodic_from and (t - periodic_from) % period == 0:
+        if history.starts_periodic_cycle(t):
             if rank == marked:
                 cycles = (t - periodic_from) // period
                 leave[periodic_from:t] = np.tile(leave[t : t + period], (cycles, 1))
@@ -324,31 +353,27 @@ def first_start_visits(
     at a time: one ``_backtrack`` over every target, then a forward pass
     that replays all plans lazily.  While every target has the same first
     plan and the same leave points, one plan stands for all of them and is
-    replayed on Python lists, as ``extract_trace`` replays its one plan;
-    at the first round whose leave points differ, found from the leave
-    table itself, its state is copied out to one row per target of
-    (targets, k) position arrays.  As in ``extract_trace``, each plan must
-    cover every request and each trace's cost, final relocation included,
-    must equal its work-vector entry exactly; either failure raises,
-    naming the first such target in the order given.  The relocation
+    replayed by ``_replay``, as ``extract_trace``'s one plan is, and its
+    first visit is read off the rounds; at the first round whose leave
+    points differ, found from the leave table itself, its state is copied
+    out to one row per target of (targets, k) position arrays.  As in
+    ``extract_trace``, each plan must cover every request and each
+    trace's cost, final relocation included, must equal its work-vector
+    entry exactly; either failure raises, naming the first such target in
+    the order given.  The relocation
     costs all come from one batched subset DP, ``matching_costs`` from the
     lazy positions to the targets: by ``_final_relocation``'s lemma that
     is what ``extract_trace`` pays to relocate.
 
-    The forward pass skips repeated cycles as the backward pass does: once
-    the plan repeats across a cycle of the periodic rows, so does it up to
-    the cycle the backward pass repeated from, the lazy positions with it,
-    and each skipped cycle adds the same cost.  Those cycles all lie in the
-    shared rounds, so only the one plan is ever compared or skipped.
+    The repeated cycles ``_replay`` skips all lie in the shared rounds, so
+    only the one plan is ever compared or skipped.
     """
     final = history[-1]
     space = final.space
     requests = inst.requests
-    period = history.period
     cur, leave, repeated_to = _backtrack(history, requests, ranks)
     width = cur.size
 
-    # replay: plan positions move eagerly, actual positions lag lazily;
     # one plan serves every target up to the first round whose plans differ
     plans, which = np.unique(cur, return_inverse=True)
     split = np.flatnonzero((leave != leave[:, :1]).any(axis=1))
@@ -356,48 +381,14 @@ def first_start_visits(
     aligned = [
         list(matching_assignment(inst.initial, space.configs[p], inst.metric)) for p in plans
     ]
-    # rounds [0, shared_to) in Python ints, on the one plan aligned[0]
-    plan, lazy = aligned[0], list(inst.initial)
-    start = set(inst.initial)
-    dist = inst.metric.dist
-    shared_leave = leave[:shared_to, 0].tolist()
-    cost, visit = 0, -1
-    marked = None  # (plan, cost) at the previous cycle start
-    t = 0
-    while t < shared_to:
-        if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
-            # Lazy positions need no comparison; they equal the plan's at
-            # every mark.  The backward pass repeats a cycle only where its
-            # plan costs w(t+p)[C] - w(t)[C] = 0, so every leave point is
-            # the request and C is the start; from the start each anchor
-            # request is covered, so every plan stays on the start across
-            # [base_len, repeated_to), and after the first anchor cycle
-            # each server has served its own start point.  The first mark
-            # is at periodic_from = base_len + (fixed_cycle - 1)*p, so only
-            # fixed_cycle == 1 could mark a lag.  Then w(base_len) is fixed
-            # by every start request, hence w(base_len) = c + D(start, .)
-            # (a strictly decreasing chain of single swaps reaches the
-            # start), and its lazy schedule, made stack-free by serving
-            # with a server already on the request, ends in some X with
-            # c + D(start, X) + D(X, lazy) + sum d(lazy, plan) <= c: no lag
-            if marked is not None and marked[0] == plan:
-                cost += (cost - marked[1]) * ((repeated_to - t) // period)
-                t, repeated_to = repeated_to, None
-                continue
-            marked = (plan.copy(), cost)
-        if visit < 0 and t >= base_len and set(lazy) == start:
-            visit = t
-        request = requests[t]
-        if request not in plan:
-            raise RuntimeError(
-                f"the plan ending in {space.configs[ranks[0]]} "
-                f"does not cover request {request} at round {t + 1}"
-            )
-        sid = plan.index(request)
-        cost += dist[lazy[sid]][request]
-        lazy[sid] = request
-        plan[sid] = shared_leave[t]
-        t += 1
+    # rounds [0, shared_to) in Python ints; aligned[0] is advanced in place
+    rounds, lazy, cost = _replay(
+        history, inst, aligned[0], leave, repeated_to, shared_to, space.configs[ranks[0]]
+    )
+    shared = ExecutionTrace(inst.initial, tuple(rounds), cost)
+    visits = (t for t in range(base_len, shared_to) if shared.config_after(t) == inst.initial)
+    visit = next(visits, -1)
+    t = shared_to
 
     # then one row per target.  No cycle is skipped here: the backward
     # pass repeats cycles only on a shared rank, so every leave row below

@@ -305,8 +305,8 @@ def wfa_decide(vector: WorkVector, config, request: int) -> Round:
     rank = space.index.get(tuple(config))
     if rank is None:
         raise InputError(f"{tuple(config)} is not a configuration of this space")
-    request = space.metric.check_point(request)
     targets, costs, _, column = space.transitions(request)
+    request = int(request)
     col = column[rank]
     if col < 0:  # covered
         return Round(request, (), space.configs[rank])

@@ -115,8 +115,9 @@ class TestRun:
         ({"initial": 5}, "'initial'"),
         ({"requests": 5}, "'requests'"),
         ({"labels": 5}, "labels"),
+        ({"labels": [["a"], ["b"]]}, "labels must be strings"),
     ], ids=["repeated-start", "dist-scalar", "dist-flat", "initial-scalar", "requests-scalar",
-            "labels-scalar"])
+            "labels-scalar", "labels-unhashable"])
     def test_invalid_instance(self, tmp_path, capsys, changes, named):
         doc = {"n": 2, "k": 2, "dist": [[0, 1], [1, 0]], "initial": [0, 1], "requests": []}
         doc.update(changes)

@@ -242,8 +242,8 @@ class TestStartVisits:
         )
         first = first_start_visits(history, anchored, ranks, base_len).tolist()
         monkeypatch.undo()
-        # only the forward replay asks, from t = 0 up to repeated_to,
-        # unless it skips cycles on the way
+        # the forward replay asks from t = 0 up to repeated_to, unless it
+        # skips cycles on the way; the backward walk asks first, never at 0
         forward = asked[asked.index(0):]
         assert repeated_to is not None and forward[-1] < repeated_to
         assert first == loop_first_visits(anchored, base_len, ranks)

@@ -513,6 +513,8 @@ class TestInstanceJson:
             ("initial", 5, "'initial'"),
             ("requests", 5, "'requests'"),
             ("labels", 5, "labels"),
+            ("labels", [["a"], ["b"], ["c"]], "labels must be strings"),
+            ("n", 3.0, "n must be a positive integer"),
         ):
             with pytest.raises(InputError, match=named):
                 Instance.from_dict(corrupt(**{field: value}))

@@ -349,6 +349,11 @@ class TestDecide:
             wfa_decide(w, (0, 5), 2)
         with pytest.raises(InputError):
             wfa_decide(w, (0, 1), 9)
+        # refused once point 1's table is cached, too
+        wfa_decide(w, (0, 2), 1)
+        for request in (True, 1.0, -1):
+            with pytest.raises(InputError):
+                wfa_decide(w, (0, 2), request)
 
     def test_numpy_inputs_give_python_ints(self, m3):
         w = initial_work_vector(m3, (0, 1))
