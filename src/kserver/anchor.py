@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metric import InputError, Instance, check_integer, min_pairwise_distance
+from .metric import InputError, Instance, _check_work_bound, check_integer, min_pairwise_distance
 
 
 @dataclass(frozen=True)
@@ -71,4 +71,6 @@ def compute_anchor(inst: Instance, opt: int, alpha: int, beta: int) -> AnchorSpe
         raise RuntimeError("cycle count fails its ratio guarantee")
     if not (cycles * gap > 2 * k * opt + k * k * gap):
         raise RuntimeError("cycle count fails its return guarantee")
+    # the anchored instance's bound, refused before its requests are built
+    _check_work_bound(inst.metric, k, len(inst.requests) + k * cycles)
     return AnchorSpec(gap, cycles, alpha, beta, inst.initial * cycles)

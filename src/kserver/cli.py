@@ -9,8 +9,8 @@ import sys
 from .harness import (
     CHECK_DESCRIPTIONS,
     REQUEST_MODELS,
+    RatioRow,
     generate_instance,
-    measure_strict_ratio,
     report_to_csv,
     resolve_alpha,
     run_campaign,
@@ -123,7 +123,7 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     alpha = resolve_alpha(args.alpha, inst.k)
     report = verify_anchored_properties(inst, alpha, args.beta, args.q)
-    ratio = measure_strict_ratio(inst)
+    ratio = RatioRow.of(inst, report.values["opt"], report.values["alg"])
     for check in report.checks:
         print(f"{check.check_id}: {check.status}")
     print(f"ratio: {'pass' if ratio.passed else 'fail'} "

@@ -423,7 +423,7 @@ class Instance:
         for _, r in distinct:
             metric.check_point(r)
         reqs = tuple(map(int, reqs))
-        _check_work_bound(metric, k, reqs)
+        _check_work_bound(metric, k, len(reqs))
         return cls(metric, k, start, reqs)
 
     def with_requests(self, requests: Iterable[int]) -> "Instance":
@@ -466,8 +466,8 @@ class Instance:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_work_bound(metric: MetricSpace, k: int, requests: tuple[int, ...]) -> None:
-    t = len(requests)
+def _check_work_bound(metric: MetricSpace, k: int, t: int) -> None:
+    """Refuse a sequence of ``t`` requests whose work values may pass int64."""
     check_int64_bound(f"{t} requests + k={k}", t + k, metric.largest)
 
 

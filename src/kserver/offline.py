@@ -17,9 +17,9 @@ under the triangle inequality the relocation costs exactly a minimum
 matching.  Targets that share a plan share its work, and that work is
 done in Python ints rather than numpy arrays of width one: the backtrack
 walks one rank with scalar reads once every target's rank agrees (a
-one-target walk from its first round), and the batched replay hands the
-rounds where every plan agrees to ``_replay``, on Python lists.  Only
-the rounds where targets differ run on arrays.
+one-target walk from its first round) and keeps those rounds' leave
+points as one list, which the batched replay hands to ``_replay``.
+Only the rounds where targets differ run on arrays, one row per round.
 
 The per-round vectors are a ``History``: one int64 row per stored
 vector, the array the fold returned, never copied.  ``work_vector_history``
@@ -156,9 +156,9 @@ def extract_trace(
             )
         return ExecutionTrace(inst.initial, (), 0)
 
-    first, leave, repeated_to = _backtrack(history, requests, [space.index[target]])
+    first, shared, _, repeated_to = _backtrack(history, requests, [space.index[target]])
     plan = list(matching_assignment(inst.initial, space.configs[first[0]], inst.metric))
-    rounds, lazy, total = _replay(history, inst, plan, leave, repeated_to, len(requests), target)
+    rounds, lazy, total = _replay(history, inst, plan, shared, repeated_to, target)
     relocation, cost = _final_relocation(lazy, target, inst.metric)
     last = rounds[-1]
     rounds[-1] = Round(last.request, last.moves + tuple(relocation), tuple(sorted(lazy)))
@@ -173,15 +173,15 @@ def extract_trace(
 
 
 def _replay(
-    history: History, inst: Instance, plan: list[int], leave: np.ndarray,
-    repeated_to: int | None, stop: int, target: Configuration,
+    history: History, inst: Instance, plan: list[int], leave: list[int],
+    repeated_to: int | None, target: Configuration,
 ) -> tuple[list[Round], list[int], int]:
-    """Replay one backtracked plan lazily over rounds [0, stop):
+    """Replay one backtracked plan lazily over rounds [0, len(leave)):
     ``(rounds, lazy, cost)``.
 
     ``plan`` holds the plan's positions, server by server as the start's,
     and moves eagerly: it is advanced in place, the server serving round
-    t + 1 moving on to ``leave[t, 0]``.  The actual positions, ``lazy``,
+    t + 1 moving on to ``leave[t]``.  The actual positions, ``lazy``,
     lag until a server serves.  Each round becomes a ``Round`` of its
     serving move (none when the server already stands on the request) and
     the sorted lazy positions, and ``cost`` sums the moves.  A plan that
@@ -195,13 +195,12 @@ def _replay(
     requests = inst.requests
     dist = inst.metric.dist
     period = history.period
-    leave = leave[:stop, 0].tolist()
     lazy = list(inst.initial)
     rounds = []
     cost = 0
     marked = None  # (plan, rounds, cost) at the previous cycle start
     t = 0
-    while t < stop:
+    while t < len(leave):
         if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
             # Lazy positions need no comparison; they equal the plan's at
             # every mark.  The backtrack repeats a cycle only where its
@@ -243,32 +242,33 @@ def _replay(
 
 def _backtrack(
     history: History, requests: Sequence[int], ranks: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, int | None]:
+) -> tuple[np.ndarray, list[int], np.ndarray, int | None]:
     """The backward pass behind every extracted trace, for many targets at
-    once: ``(first, leave, repeated_to)``.
+    once: ``(first, shared, split, repeated_to)``.
 
     Walking back from each target rank, every round takes the first
     transition slot whose predecessor value plus move cost gives the
     current value, which is the smallest leave point.  A target that holds
     the request has no column in the request's tables: it is held, keeping
     its rank, and its value must equal its predecessor's.  ``first[i]`` is
-    the plan's configuration before the first request, and ``leave[t, i]``
-    the point the serving server moves on to at round t + 1 (the request
-    itself when it is held, since the plan then stays put).
+    the plan's configuration before the first request, and a round's leave
+    point is the point its serving server moves on to (the request itself
+    when it is held, since the plan then stays put).
 
     The walk is deterministic, so once every target's rank is the same,
     every earlier step is the same for all of them.  So the ranks are
-    walked side by side on arrays only while they differ; from the round
-    they agree down, one rank is walked with scalar reads (its column, its
-    value and the slots in order until one matches), and each leave point
-    is written into its whole ``leave`` row.  A one-target walk is scalar
-    from its first round.  ``first`` and ``leave`` still hold one column
-    per target.
+    walked side by side on arrays only while they differ, and ``split``
+    holds one row of leave points, one per target, for each of those last
+    rounds.  From the round they agree down, one rank is walked with
+    scalar reads (its column, its value and the slots in order until one
+    matches), and ``shared[t]`` is every target's leave point at round
+    t + 1; past them, round t + 1 reads ``split[t - len(shared)]``.  A
+    one-target walk is scalar from its first round and has no split row.
 
     On a history whose anchor reached a fixed point, once the rank repeats
     across a cycle of the periodic rows, each cycle below it down to
     ``history.periodic_from`` is the same map and leaves the same points:
-    those rows of ``leave`` are tiled, and ``repeated_to`` is the cycle
+    those entries of ``shared`` are tiled, and ``repeated_to`` is the cycle
     start the tiling repeated down from (None if none was).  Only a shared
     rank can repeat.  Between two cycle starts of the periodic rows the
     vectors are equal, so a plan that leaves rank C at one and comes back
@@ -284,7 +284,7 @@ def _backtrack(
     cur = np.array(ranks, dtype=np.intp)
     width = cur.size
     rows = np.arange(width)
-    leave = np.empty((len(requests), width), dtype=slots.dtype)
+    split = []  # from the last round down
     t = len(requests)
     while t > 0 and (cur != cur[0]).any():
         request = requests[t - 1]
@@ -294,22 +294,24 @@ def _backtrack(
         held = col < 0  # covered: the plan keeps its configuration
         if held.all():  # always at k = n, whose tables have no column
             found = before[cur] == after[cur]
-            leave[t - 1] = request
+            split.append(np.full(width, request))
         else:
             # a held target keeps its rank at zero cost in every slot
             prev = np.where(held, cur, targets[:, col])
             match = before[prev] + np.where(held, 0, costs[:, col]) == after[cur]
             slot = match.argmax(axis=0)
             found = match[slot, rows]
-            leave[t - 1] = np.where(held, request, slots[slot, cur])
+            split.append(np.where(held, request, slots[slot, cur]))
             cur = prev[slot, rows]
         if not found.all():
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         t -= 1
+    split = np.array(split[::-1], dtype=slots.dtype).reshape(-1, width)
     if t == 0:  # the plans may differ from the first request on
-        return cur, leave, None
+        return cur, [], split, None
 
     # every earlier step is shared: walk one rank for all
+    shared = [0] * t
     rank = int(cur[0])
     repeated_to = None
     marked = None  # the rank at the previous cycle start in the periodic rows
@@ -317,7 +319,7 @@ def _backtrack(
         if history.starts_periodic_cycle(t):
             if rank == marked:
                 cycles = (t - periodic_from) // period
-                leave[periodic_from:t] = np.tile(leave[t : t + period], (cycles, 1))
+                shared[periodic_from:t] = shared[t : t + period] * cycles
                 repeated_to, t, marked = t, periodic_from, None
                 continue
             marked = rank
@@ -328,19 +330,19 @@ def _backtrack(
         value = after[rank]
         if col < 0:  # covered
             found = before[rank] == value
-            leave[t - 1] = request
+            shared[t - 1] = request
         else:
             found = False
             for j in range(space.k):
                 prev = targets[j, col]
                 if before[prev] + costs[j, col] == value:
-                    leave[t - 1] = slots[j, rank]
+                    shared[t - 1] = space.configs[rank][j]
                     found, rank = True, int(prev)
                     break
         if not found:
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         t -= 1
-    return np.full(width, rank, dtype=np.intp), leave, repeated_to
+    return np.full(width, rank, dtype=np.intp), shared, split, repeated_to
 
 
 def first_start_visits(
@@ -351,19 +353,18 @@ def first_start_visits(
 
     Gives, for all targets at once, the traces ``extract_trace`` builds one
     at a time: one ``_backtrack`` over every target, then a forward pass
-    that replays all plans lazily.  While every target has the same first
-    plan and the same leave points, one plan stands for all of them and is
-    replayed by ``_replay``, as ``extract_trace``'s one plan is, and its
-    first visit is read off the rounds; at the first round whose leave
-    points differ, found from the leave table itself, its state is copied
-    out to one row per target of (targets, k) position arrays.  As in
-    ``extract_trace``, each plan must cover every request and each
-    trace's cost, final relocation included, must equal its work-vector
-    entry exactly; either failure raises, naming the first such target in
-    the order given.  The relocation
-    costs all come from one batched subset DP, ``matching_costs`` from the
-    lazy positions to the targets: by ``_final_relocation``'s lemma that
-    is what ``extract_trace`` pays to relocate.
+    that replays all plans lazily.  Over the rounds where every target
+    shares its first plan and its leave points, ``shared``, one plan stands
+    for all of them and is replayed by ``_replay``, as ``extract_trace``'s
+    one plan is, and its first visit is read off the rounds.  From round
+    ``len(shared)`` on, its state is copied out to one row per target of
+    (targets, k) position arrays, advanced by the rows of ``split``.  As in
+    ``extract_trace``, each plan must cover every request and each trace's
+    cost, final relocation included, must equal its work-vector entry
+    exactly; either failure raises, naming the first such target in the
+    order given.  The relocation costs all come from one batched subset DP,
+    ``matching_costs`` from the lazy positions to the targets: by
+    ``_final_relocation``'s lemma that is what ``extract_trace`` pays.
 
     The repeated cycles ``_replay`` skips all lie in the shared rounds, so
     only the one plan is ever compared or skipped.
@@ -371,28 +372,26 @@ def first_start_visits(
     final = history[-1]
     space = final.space
     requests = inst.requests
-    cur, leave, repeated_to = _backtrack(history, requests, ranks)
+    cur, shared, split, repeated_to = _backtrack(history, requests, ranks)
     width = cur.size
 
-    # one plan serves every target up to the first round whose plans differ
+    # one plan serves every target over the shared rounds, if there are any
     plans, which = np.unique(cur, return_inverse=True)
-    split = np.flatnonzero((leave != leave[:, :1]).any(axis=1))
-    shared_to = 0 if plans.size > 1 else int(split[0]) if split.size else len(requests)
+    shared_to = len(shared)
     aligned = [
         list(matching_assignment(inst.initial, space.configs[p], inst.metric)) for p in plans
     ]
     # rounds [0, shared_to) in Python ints; aligned[0] is advanced in place
     rounds, lazy, cost = _replay(
-        history, inst, aligned[0], leave, repeated_to, shared_to, space.configs[ranks[0]]
+        history, inst, aligned[0], shared, repeated_to, space.configs[ranks[0]]
     )
-    shared = ExecutionTrace(inst.initial, tuple(rounds), cost)
-    visits = (t for t in range(base_len, shared_to) if shared.config_after(t) == inst.initial)
+    replayed = ExecutionTrace(inst.initial, tuple(rounds), cost)
+    visits = (t for t in range(base_len, shared_to) if replayed.config_after(t) == inst.initial)
     visit = next(visits, -1)
     t = shared_to
 
     # then one row per target.  No cycle is skipped here: the backward
-    # pass repeats cycles only on a shared rank, so every leave row below
-    # repeated_to + p is shared, and shared_to > repeated_to
+    # pass repeats cycles only on a shared rank, so shared_to > repeated_to
     rows = np.arange(width)
     plan_pos = np.array(aligned, dtype=np.intp)[which]
     lazy_pos = np.array([lazy], dtype=np.intp).repeat(width, axis=0)
@@ -418,7 +417,7 @@ def first_start_visits(
             )
         cost += matrix[lazy_pos[rows, sid], request]
         lazy_pos[rows, sid] = request
-        plan_pos[rows, sid] = leave[t]
+        plan_pos[rows, sid] = split[t - shared_to]
         t += 1
 
     total = cost + matching_costs(matrix, lazy_pos.T, space.slots[:, ranks])

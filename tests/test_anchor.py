@@ -72,6 +72,16 @@ class TestComputeAnchor:
             with pytest.raises(InputError):
                 compute_anchor(m3_instance, bad, alpha=3, beta=0)
 
+    def test_oversized_anchor_refused_before_it_is_built(self):
+        # a far point of 10^12 at start gap 1 asks for 6*10^12 + 1 cycles,
+        # whose anchored values pass int64: the anchored instance's own
+        # refusal, made before a request of it is built
+        far = 10**12
+        metric = MetricSpace.from_matrix([[0, 1, far], [1, 0, far], [far, far, 0]])
+        inst = Instance.build(metric, 2, (0, 1), (2,))
+        with pytest.raises(InputError, match=r"12000000000003 requests \+ k=2 .* int64 bound"):
+            compute_anchor(inst, far, alpha=3, beta=0)
+
     def test_json_layout(self, m3_instance):
         anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         doc = anchor.to_json()

@@ -150,6 +150,19 @@ class TestVerify:
         bad.write_text("{this is not json")
         assert main(["verify", str(bad)]) == EXIT_INPUT_ERROR
 
+    def test_oversized_anchor_is_an_input_error(self, tmp_path, capsys):
+        # the anchor this instance needs would pass int64; it is refused
+        # before its requests are built, not with a MemoryError
+        far = 10**12
+        doc = {"n": 3, "k": 2, "dist": [[0, 1, far], [1, 0, far], [far, far, 0]],
+               "initial": [0, 1], "requests": [2]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "int64 bound" in err
+        assert "Traceback" not in err
+
     def test_inconclusive_exit_code(self, m3_file, monkeypatch):
         import kserver.cli as cli
 

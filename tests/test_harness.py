@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from kserver import (
     InputError,
     Instance,
     MetricSpace,
+    RatioRow,
     final_work_vector,
     generate_instance,
+    instance_to_json,
     measure_strict_ratio,
     opt_cost,
     report_to_csv,
@@ -26,6 +29,7 @@ from kserver.anchor import compute_anchor
 from kserver.harness import (
     C1B_SAMPLE_CAP,
     CSV_COLUMNS,
+    REQUEST_MODELS,
     CheckResult,
     _beta_schedule,
     _check_start_visits,
@@ -234,7 +238,7 @@ class TestStartVisits:
         anchored = inst.with_requests(inst.requests + inst.initial * cycles)
         history = work_vector_history(anchored, base)
         ranks = range(len(history.space))
-        repeated_to = _backtrack(history, anchored.requests, ranks)[2]
+        repeated_to = _backtrack(history, anchored.requests, ranks)[3]
         asked = []
         starts = History.starts_periodic_cycle
         monkeypatch.setattr(
@@ -416,12 +420,14 @@ class TestFixedPointCompression:
 
 def single_walks(history, requests, ranks):
     """``_backtrack`` over all ranks at once against one walk per rank:
-    the first plans, every leave column, and the first plans returned."""
-    first, leave, _ = _backtrack(history, requests, ranks)
+    the first plans, every target's leave points (the shared ones, then
+    its column of the split rows), and the first plans returned."""
+    first, shared, split, _ = _backtrack(history, requests, ranks)
     for column, rank in enumerate(ranks):
-        alone_first, alone_leave, _ = _backtrack(history, requests, [rank])
+        alone_first, alone_shared, alone_split, _ = _backtrack(history, requests, [rank])
         assert first[column] == alone_first[0], rank
-        assert np.array_equal(leave[:, column], alone_leave[:, 0]), rank
+        assert alone_split.shape == (0, 1), rank
+        assert shared + split[:, column].tolist() == alone_shared, rank
     return first.tolist()
 
 
@@ -431,7 +437,7 @@ def walked_ranks(space, requests, target, leave):
     the leave point after it (the same point when the request is held)."""
     config = space.configs[target]
     walked = [target]
-    for request, point in zip(reversed(requests), reversed(leave.tolist())):
+    for request, point in zip(reversed(requests), reversed(leave)):
         config = tuple(sorted(request if p == point else p for p in config))
         walked.append(space.index[config])
     return walked[::-1]
@@ -475,13 +481,15 @@ class TestMergedBackward:
             ranks = range(len(space))
             asked = []
             monkeypatch.setattr(History, "values", lambda h, t: asked.append(t) or values(h, t))
-            first, leave, repeated_to = _backtrack(history, requests, ranks)
+            first, shared, split, repeated_to = _backtrack(history, requests, ranks)
             monkeypatch.undo()
             walked = np.array([
-                walked_ranks(space, requests, rank, leave[:, rank]) for rank in ranks
+                walked_ranks(space, requests, rank, shared + split[:, rank].tolist())
+                for rank in ranks
             ])
             rounds, period, periodic_from = len(requests), history.period, history.periodic_from
             merged = max(t for t in range(rounds + 1) if (walked[:, t] == walked[0, t]).all())
+            assert len(shared) == merged and split.shape == (rounds - merged, len(ranks))
             starts = range(periodic_from, rounds + 1, period)
             # the array walk passes a cycle start, and the next lies below the merge
             above = [t for t in starts if t > merged]
@@ -529,7 +537,7 @@ class TestSharedReplay:
             history = work_vector_history(anchored, base)
             for rank in (0, len(history.space) // 2, len(history.space) - 1):
                 want = loop_first_visits(anchored, base_len, [rank])
-                repeated_to = _backtrack(history, anchored.requests, [rank])[2]
+                repeated_to = _backtrack(history, anchored.requests, [rank])[3]
                 for ranks in ([rank], [rank] * 3):
                     asked = []
                     monkeypatch.setattr(
@@ -560,15 +568,14 @@ class TestSharedReplay:
             requests, period = anchored.requests, history.period
             size = len(history.space)
             for ranks in (range(size), [size - 1, 0, size // 2]):
-                first, leave, repeated_to = _backtrack(history, requests, ranks)
+                first, shared, _, repeated_to = _backtrack(history, requests, ranks)
                 if repeated_to is None:
                     continue
                 repeats += 1
-                shared = leave[: repeated_to + period]
                 assert (first == first[0]).all()
-                assert (shared == shared[:, :1]).all()
+                assert repeated_to + period <= len(shared)
                 periodic = range(history.periodic_from, repeated_to + period)
-                assert all((leave[t] == requests[t]).all() for t in periodic)
+                assert all(shared[t] == requests[t] for t in periodic)
         assert repeats > 0
 
 
@@ -603,6 +610,53 @@ def test_verify_work_counts(monkeypatch):
     calls["update"] = 0
     measure_strict_ratio(inst)
     assert calls == {"update": 50, "extract": 1}
+
+
+def test_closed_form_repeat_builds_no_q_fold_trace():
+    # when C2 and R1 pass, the repeated block's cost is q times block 1's
+    # and nothing is compared: q = 10^5 holds no 10^5 copies of its rounds
+    inst = generate_instance(6, 3, 8, seed=1)
+    q = 10**5
+    verify_anchored_properties(inst, "2k-1", 0, 1)  # the space and its tables
+    tracemalloc.start()
+    try:
+        report = verify_anchored_properties(inst, "2k-1", 0, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass" and report.check("E3").witness is None
+    values = report.values
+    assert values["alg_chi"] == q * values["alg_rho_sigma"]
+    assert values["opt_chi"] == q * values["opt_rho_sigma"]
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("model", REQUEST_MODELS)
+@pytest.mark.parametrize("weights", [(1, 9), (1, 1)])
+def test_ratio_row_of_the_report_equals_its_own_fold(model, weights):
+    # online decisions on the base do not depend on the anchor after it
+    shapes = ((4, 2, 0), (5, 2, 9), (6, 3, 12), (7, 4, 6), (8, 3, 15))
+    for (n, k, rho_len), seed in itertools.product(shapes, range(1, 5)):
+        inst = generate_instance(n, k, rho_len, seed, request_model=model, weight_range=weights)
+        values = verify_anchored_properties(inst, "2k-1", 0, 2).values
+        row = RatioRow.of(inst, values["opt"], values["alg"])
+        assert row == measure_strict_ratio(inst), (n, k, rho_len, seed)
+
+
+def test_verify_and_campaign_read_the_ratio_row_off_the_report(monkeypatch, tmp_path):
+    import kserver.cli as cli
+    import kserver.harness as harness
+
+    def refold(inst):
+        raise AssertionError("the ratio row folds the base sequence again")
+
+    monkeypatch.setattr(harness, "measure_strict_ratio", refold)
+    monkeypatch.setattr(cli, "measure_strict_ratio", refold, raising=False)
+    report = run_campaign(dict(DEFAULT_CAMPAIGN, seeds=[1, 4]))
+    assert report.status == "pass" and all(row.ratio.passed for row in report.rows)
+    path = tmp_path / "instance.json"
+    path.write_text(instance_to_json(generate_instance(6, 3, 8, seed=1)))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_OK
 
 
 def test_verify_matching_count(monkeypatch):

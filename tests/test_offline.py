@@ -327,12 +327,16 @@ def wrong_plan_case(monkeypatch):
     backtrack = offline._backtrack
 
     def wrong(history, requests, ranks):
-        first, leave, repeated_to = backtrack(history, requests, ranks)
-        column = list(ranks).index(rank)
-        assert leave[WRONG_PLAN["round"], column] != WRONG_PLAN["point"]
-        leave = leave.copy()
-        leave[WRONG_PLAN["round"], column] = WRONG_PLAN["point"]
-        return first, leave, repeated_to
+        first, shared, split, repeated_to = backtrack(history, requests, ranks)
+        t = WRONG_PLAN["round"]
+        if len(ranks) == 1:  # one target: every leave point is shared
+            assert shared[t] != WRONG_PLAN["point"]
+            shared[t] = WRONG_PLAN["point"]
+        else:  # the plans differ from round 1 on: no leave point is shared
+            column = list(ranks).index(rank)
+            assert not shared and split[t, column] != WRONG_PLAN["point"]
+            split[t, column] = WRONG_PLAN["point"]
+        return first, shared, split, repeated_to
 
     monkeypatch.setattr(offline, "_backtrack", wrong)
     return inst, history
@@ -364,20 +368,36 @@ def verify_mid_case():
     return inst, anchored, history
 
 
-def test_corrupted_shared_round_is_caught(monkeypatch):
-    # at base round 11 every target's plan leaves the same point; one
-    # column changed there must widen the forward replay before that round
+def test_leave_points_of_verify_mid():
+    # every target shares the leave points of rounds 1..1392; only the 6
+    # rounds after the merge take one row per target, 2,970 bytes in all
     inst, anchored, history = verify_mid_case()
-    ranks = range(len(history.space))
-    column, t = 7, 10
+    _, shared, split, _ = offline._backtrack(history, anchored.requests, range(495))
+    assert len(shared) == 1392 and split.shape == (6, 495) and split.nbytes == 2970
+    _, shared, split, _ = offline._backtrack(history, anchored.requests, [7])
+    assert len(shared) == 1398 and split.shape == (0, 1)
+
+
+@pytest.mark.parametrize("where", ["shared", "split"])
+def test_corrupted_leave_point_is_caught(monkeypatch, where):
+    # one leave point changed: at base round 11, which every target shares,
+    # so the one replayed plan fails for all and the first target given is
+    # named; or in one target's column of the first round after the merge,
+    # so that target alone fails and is named
+    inst, anchored, history = verify_mid_case()
+    column = 7
+    ranks = list(range(len(history.space)))
+    if where == "shared":
+        ranks.insert(0, ranks.pop(column))
     backtrack = offline._backtrack
 
     def corrupted(history, requests, ranks):
-        first, leave, repeated_to = backtrack(history, requests, ranks)
-        assert (leave[t] == leave[t, 0]).all()
-        leave = leave.copy()
-        leave[t, column] = (leave[t, column] + 1) % inst.n
-        return first, leave, repeated_to
+        first, shared, split, repeated_to = backtrack(history, requests, ranks)
+        if where == "shared":
+            shared[10] = (shared[10] + 1) % inst.n
+        else:
+            split[0, column] = (split[0, column] + 1) % inst.n
+        return first, shared, split, repeated_to
 
     monkeypatch.setattr(offline, "_backtrack", corrupted)
     assert history.space.configs[column] == (0, 1, 2, 10)
@@ -395,13 +415,13 @@ def uncovered_plan_case(monkeypatch, instance, target):
     backtrack = offline._backtrack
 
     def uncovered(history, requests, ranks):
-        first, leave, repeated_to = backtrack(history, requests, ranks)
+        first, shared, split, repeated_to = backtrack(history, requests, ranks)
         first = first.copy()
         if target is None:
             first[:] = lacking
         else:
             first[list(ranks).index(space.index[target])] = lacking
-        return first, leave, repeated_to
+        return first, shared, split, repeated_to
 
     monkeypatch.setattr(offline, "_backtrack", uncovered)
     return history
