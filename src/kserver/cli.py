@@ -25,6 +25,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 EXIT_IO_ERROR = 4
+EXIT_CODES = {"pass": EXIT_OK, "fail": EXIT_CHECK_FAILURE, "inconclusive": EXIT_INCONCLUSIVE}
 
 _CHECK_TABLE = "verification checks:\n" + "\n".join(
     f"  {cid:<4} {text}" for cid, text in CHECK_DESCRIPTIONS.items()
@@ -132,11 +133,7 @@ def _cmd_verify(args) -> int:
         with open(args.report_out, "w", encoding="utf-8") as handle:
             json.dump(report.to_json(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if report.status == "fail" or not ratio.passed:
-        return EXIT_CHECK_FAILURE
-    if report.status == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_CODES[report.status if ratio.passed else "fail"]
 
 
 def _cmd_campaign(args) -> int:
@@ -145,11 +142,7 @@ def _cmd_campaign(args) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(report_to_csv(report))
     print(f"{len(report.rows)} instances, status {report.status}")
-    if report.status == "fail":
-        return EXIT_CHECK_FAILURE
-    if report.status == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_CODES[report.status]
 
 
 _HANDLERS = {

@@ -63,7 +63,7 @@ that never repeats is folded to its end.  Reports are the same as with every cyc
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +75,7 @@ from .metric import (
     MIN_POINTS,
     InputError,
     Instance,
+    check_fields,
     check_int64_bound,
     check_integer,
     check_seed,
@@ -112,6 +113,8 @@ CHECK_DESCRIPTIONS = {
 }
 
 C1B_SAMPLE_CAP = 512
+# R1's allowance escalation stops at this many times the start's smallest gap
+BETA_CAP_GAPS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -211,24 +214,23 @@ def verify_anchored_properties(
     alpha: int,
     beta_initial: int = 0,
     q: int = 3,
-    *,
-    beta_cap: int | None = None,
-    sample_cap: int = C1B_SAMPLE_CAP,
 ) -> PropertyReport:
     """Run all nine checks on one instance; see the module docstring.
 
     The allowance escalation only reacts to R1: the other checks hold (or
     not) for any sufficient anchor, while R1 can legitimately need a larger
-    allowance than the one assumed.
+    allowance than the one assumed.  It stops at ``BETA_CAP_GAPS`` times
+    the start's smallest gap; C1b samples ``C1B_SAMPLE_CAP`` targets of a
+    larger space.  The anchored instance is not checked again: the base
+    was, and the anchor is start points whose int64 bound
+    ``compute_anchor`` checks before building them.
     """
     alpha = resolve_alpha(alpha, inst.k)
     check_integer("beta", beta_initial, 0)
     check_integer("q", q, 1)
     if inst.k < 2:
         raise InputError("anchored verification needs k >= 2")
-    gap = min_pairwise_distance(inst.initial, inst.metric)
-    if beta_cap is None:
-        beta_cap = (1 << 20) * gap
+    beta_cap = BETA_CAP_GAPS * min_pairwise_distance(inst.initial, inst.metric)
 
     start = inst.initial
     base_len = len(inst.requests)
@@ -239,7 +241,7 @@ def verify_anchored_properties(
     # an attempt does only what R1 needs
     for beta_used in _beta_schedule(beta_initial, beta_cap):
         anchor = compute_anchor(inst, opt_base, alpha, beta_used)
-        anchored = inst.with_requests(inst.requests + anchor.requests)
+        anchored = replace(inst, requests=inst.requests + anchor.requests)
         history = work_vector_history(anchored, base)
         trace_anchored = extend_wfa(ExecutionTrace(start, (), 0), history, anchored.requests)
         end_config = trace_anchored.config_after(len(anchored.requests))
@@ -280,7 +282,7 @@ def verify_anchored_properties(
         },
     )
 
-    c1b = _check_start_visits(history, anchored, base_len, sample_cap)
+    c1b = _check_start_visits(history, anchored, base_len, C1B_SAMPLE_CAP)
 
     # C2 and R1 decide blocks 2..q once.  When both pass, block 1 ends on
     # the start with its first vector plus at_start, so every later block
@@ -411,6 +413,12 @@ def _headroom(request_model: str) -> int:
     return 1 if request_model in ("roundrobin_k_plus_1", "greedy_adversary") else 0
 
 
+def _check_request_model(model) -> str:
+    if model not in REQUEST_MODELS:
+        raise InputError(f"unknown request model {model!r}, expected one of {REQUEST_MODELS}")
+    return model
+
+
 def generate_instance(
     n: int,
     k: int,
@@ -428,16 +436,15 @@ def generate_instance(
     the current online configuration (ties to the smallest identifier),
     simulating the online algorithm while generating.
     """
-    if request_model not in REQUEST_MODELS:
-        raise InputError(f"unknown request model {request_model!r}, expected one of {REQUEST_MODELS}")
+    _check_request_model(request_model)
     check_integer("request count", rho_len, 0)
     check_integer("server count", k, 1)
-    if k > n:
-        raise InputError(f"k exceeds n (k={k}, n={n})")
     stream = SplitMix64(check_seed(seed))
     metric_seed = stream.next_u64()
     request_seed = stream.next_u64()
     metric = random_metric(n, metric_seed, weight_range)
+    if k > n:
+        raise InputError(f"k exceeds n (k={k}, n={n})")
     initial = tuple(range(k))
 
     if request_model == "uniform":
@@ -499,15 +506,10 @@ def _check_range(config: dict, key: str, allow_empty: bool = False) -> tuple[int
 
 def validate_campaign_config(config: dict) -> dict:
     """Normalize and sanity-check a campaign description."""
-    if not isinstance(config, dict):
-        raise InputError(f"campaign config must be an object, got {type(config).__name__}")
-    required = {"seeds", "n", "k", "rho_len", "request_model", "alpha", "beta", "q"}
-    missing = required - config.keys()
-    if missing:
-        raise InputError(f"missing campaign fields: {sorted(missing)}")
-    unknown = config.keys() - required
-    if unknown:
-        raise InputError(f"unknown campaign fields: {sorted(unknown)}")
+    check_fields(
+        config, "campaign", "config",
+        {"seeds", "n", "k", "rho_len", "request_model", "alpha", "beta", "q"},
+    )
     seeds = _check_range(config, "seeds", allow_empty=True)
     if seeds[0] <= seeds[1]:  # an empty range draws no seed
         for seed in seeds:
@@ -515,9 +517,7 @@ def validate_campaign_config(config: dict) -> dict:
     n_range = _check_range(config, "n")
     k_range = _check_range(config, "k")
     rho_range = _check_range(config, "rho_len")
-    model = config["request_model"]
-    if model not in REQUEST_MODELS:
-        raise InputError(f"unknown request model {model!r}, expected one of {REQUEST_MODELS}")
+    model = _check_request_model(config["request_model"])
     if n_range[0] < MIN_POINTS or n_range[1] > MAX_POINTS:
         raise InputError(f"campaign n range {list(n_range)} outside [{MIN_POINTS}, {MAX_POINTS}]")
     if k_range[0] < 2:

@@ -50,6 +50,23 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_fields(data, kind: str, document: str, required: set, optional=()) -> None:
+    """Refuse ``data`` unless it is an object holding every ``required``
+    field and no field outside ``required`` and ``optional``.
+
+    ``kind`` names the fields in the message and ``kind document`` the
+    object, e.g. "missing campaign fields" of a "campaign config".
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"{kind} {document} must be an object, got {type(data).__name__}")
+    missing = required - data.keys()
+    if missing:
+        raise InputError(f"missing {kind} fields: {sorted(missing)}")
+    unknown = data.keys() - {*required, *optional}
+    if unknown:
+        raise InputError(f"unknown {kind} fields: {sorted(unknown)}")
+
+
 def check_int64_bound(count: str, factor: int, largest: int) -> None:
     """Refuse when ``factor`` times the largest distance exceeds int64.
 
@@ -172,9 +189,6 @@ class MetricSpace:
         arr = np.asarray(self.dist, dtype=np.int64)
         arr.setflags(write=False)
         return arr
-
-    def distance(self, x: int, y: int) -> int:
-        return self.dist[x][y]
 
     @cached_property
     def largest(self) -> int:
@@ -362,7 +376,7 @@ def random_metric(
     """
     from .rng import SplitMix64
 
-    if not MIN_POINTS <= n <= MAX_POINTS:
+    if not MIN_POINTS <= check_integer("point count", n, 1) <= MAX_POINTS:
         raise InputError(f"point count {n} outside supported range [{MIN_POINTS}, {MAX_POINTS}]")
     if (
         not _is_list(weight_range)
@@ -407,22 +421,16 @@ class Instance:
         initial: Iterable[int],
         requests: Iterable[int],
     ) -> "Instance":
+        """Check every input: k in [1, n], k distinct initial points, each
+        request a point (once, in order, naming the first bad one; numpy
+        integers become ``int``), and the int64 bound of the work values."""
         check_integer("server count", k, 1)
         if k > metric.n:
             raise InputError(f"k exceeds n (k={k}, n={metric.n})")
         start = canonical_configuration(initial, metric.n)
         if len(start) != k:
             raise InputError(f"initial configuration has {len(start)} points, expected k={k}")
-        reqs = tuple(requests)
-        # each distinct (type, value) once, in first-occurrence order, so
-        # the first bad request is named; the type keeps True, 1.0, 1 apart
-        try:
-            distinct = dict.fromkeys(zip(map(type, reqs), reqs))
-        except TypeError:  # an unhashable request, refused in sequence order
-            distinct = zip(map(type, reqs), reqs)
-        for _, r in distinct:
-            metric.check_point(r)
-        reqs = tuple(map(int, reqs))
+        reqs = tuple(map(metric.check_point, requests))
         _check_work_bound(metric, k, len(reqs))
         return cls(metric, k, start, reqs)
 
@@ -443,16 +451,8 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
-        if not isinstance(data, dict):
-            raise InputError(f"instance document must be an object, got {type(data).__name__}")
         required = {"n", "k", "dist", "initial", "requests"}
-        allowed = required | {"labels"}
-        missing = required - data.keys()
-        if missing:
-            raise InputError(f"missing instance fields: {sorted(missing)}")
-        unknown = data.keys() - allowed
-        if unknown:
-            raise InputError(f"unknown instance fields: {sorted(unknown)}")
+        check_fields(data, "instance", "document", required, {"labels"})
         for field in ("initial", "requests"):
             if not _is_list(data[field]):
                 raise InputError(f"instance field {field!r} must be a list, got {data[field]!r}")

@@ -292,17 +292,13 @@ def _backtrack(
         before, after = history.values(t - 1), history.values(t)
         col = column[cur]
         held = col < 0  # covered: the plan keeps its configuration
-        if held.all():  # always at k = n, whose tables have no column
-            found = before[cur] == after[cur]
-            split.append(np.full(width, request))
-        else:
-            # a held target keeps its rank at zero cost in every slot
-            prev = np.where(held, cur, targets[:, col])
-            match = before[prev] + np.where(held, 0, costs[:, col]) == after[cur]
-            slot = match.argmax(axis=0)
-            found = match[slot, rows]
-            split.append(np.where(held, request, slots[slot, cur]))
-            cur = prev[slot, rows]
+        # a held target keeps its rank at zero cost in every slot
+        prev = np.where(held, cur, targets[:, col])
+        match = before[prev] + np.where(held, 0, costs[:, col]) == after[cur]
+        slot = match.argmax(axis=0)
+        found = match[slot, rows]
+        split.append(np.where(held, request, slots[slot, cur]))
+        cur = prev[slot, rows]
         if not found.all():
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         t -= 1

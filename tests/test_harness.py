@@ -120,12 +120,33 @@ class TestVerify:
         with pytest.raises(InputError):
             verify_anchored_properties(inst, alpha=1)
 
-    def test_c1b_sampling_path(self):
+    def test_c1b_sampling_path(self, monkeypatch):
+        import kserver.harness as harness
+
         # C(8,3) = 56 targets; a small cap forces the seeded sample branch
+        monkeypatch.setattr(harness, "C1B_SAMPLE_CAP", 10)
         inst = generate_instance(8, 3, 6, seed=4)
-        report = verify_anchored_properties(inst, alpha=5, sample_cap=10)
+        report = verify_anchored_properties(inst, alpha=5)
         assert report.check("C1b").status == "pass"
         assert report.check("C1b").lhs == 10  # examined targets
+
+    def test_builds_no_instance(self, monkeypatch):
+        # the anchored instance is the checked base plus the anchor's start
+        # points, whose int64 bound compute_anchor refused before building
+        # them, so verify checks no request a second time
+        inst = generate_instance(12, 4, 50, seed=114)
+        calls = []
+        build = Instance.build.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(Instance, "build", classmethod(counting))
+        report = verify_anchored_properties(inst, "2k-1")
+        assert report.status == "pass"
+        assert report.values["opt_rho_sigma"] > report.values["opt"]
+        assert calls == []
 
     def test_escalation_reaches_cap_and_reports_inconclusive(self, m3_instance, monkeypatch):
         import kserver.harness as harness
@@ -142,10 +163,11 @@ class TestVerify:
             return trace
 
         monkeypatch.setattr(harness, "extend_wfa", stubborn_wfa)
+        monkeypatch.setattr(harness, "BETA_CAP_GAPS", 4)  # the start's gap is 1: cap 4
         cycles = [compute_anchor(m3_instance, 2, 3, b).cycles for b in (0, 1, 2, 4)]
         assert cycles == [13, 14, 15, 17]
         calls = count_work(monkeypatch)
-        report = verify_anchored_properties(m3_instance, alpha=3, beta_initial=0, beta_cap=4)
+        report = verify_anchored_properties(m3_instance, alpha=3, beta_initial=0)
         assert report.check("R1").status == "inconclusive"
         assert report.beta_used == 4  # 0, 1, 2, 4 all attempted
         # every attempt folds its anchor onto the one base history, up to
@@ -154,7 +176,7 @@ class TestVerify:
         # forged run never ends at the start) run once, on the last anchor
         assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 1}
         assert calls["update"] == 51
-        direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4, beta_cap=4)
+        direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4)
         assert report.checks == direct.checks
         assert report.values == direct.values
         assert report.cycles == direct.cycles
@@ -375,6 +397,7 @@ class TestFixedPointCompression:
 
         monkeypatch.setattr(harness, "work_vector_history", spy)
         if forced:
+            monkeypatch.setattr(harness, "BETA_CAP_GAPS", 0)  # no escalation
             anchor = harness.compute_anchor
             monkeypatch.setattr(harness, "compute_anchor", lambda inst, *args: dataclasses.replace(
                 anchor(inst, *args), cycles=1, requests=inst.initial,
@@ -384,7 +407,7 @@ class TestFixedPointCompression:
         for model, weights, seed in COMPRESSION_CASES + [("uniform", (2**50, 2**51), 3)]:
             inst = compression_instance(model, weights, seed)
             folds.clear()
-            report = verify_anchored_properties(inst, "2k-1", 0, q, beta_cap=0 if forced else None)
+            report = verify_anchored_properties(inst, "2k-1", 0, q)
             anchored = inst.with_requests(inst.requests + inst.initial * report.cycles)
             repeated = anchored.with_requests(anchored.requests * q)
             run_anchored, run_repeated = run_wfa(anchored), run_wfa(repeated)
@@ -780,6 +803,11 @@ class TestGenerateInstance:
     def test_k_exceeds_n(self):
         with pytest.raises(InputError, match="k exceeds n"):
             generate_instance(4, 5, 3, seed=1)
+
+    @pytest.mark.parametrize("n", [4.0, "4", None, True])
+    def test_point_count_must_be_an_integer(self, n):
+        with pytest.raises(InputError, match=rf"point count must be a positive integer, got {n!r}$"):
+            generate_instance(n, 2, 3, 1)
 
     def test_unknown_model(self):
         with pytest.raises(InputError):

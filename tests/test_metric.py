@@ -205,7 +205,8 @@ class TestMatchingRoutes:
             x, y = tuple(range(7)), tuple(range(7, 14))
             assert configuration_distance(x, y, metric) == brute_force_distance(x, y, metric)
             assigned = matching_assignment(x, y, metric)
-            assert sum(map(metric.distance, x, assigned)) == configuration_distance(x, y, metric)
+            cost = sum(metric.dist[a][b] for a, b in zip(x, assigned))
+            assert cost == configuration_distance(x, y, metric)
 
 
 class TestMatchingCostsKernel:
@@ -365,6 +366,9 @@ class TestRandomMetric:
             random_metric(1, seed=0)
         with pytest.raises(InputError):
             random_metric(17, seed=0)
+        for n in (4.0, "4", True):
+            with pytest.raises(InputError, match=rf"point count must be a positive integer, got {n!r}$"):
+                random_metric(n, seed=0)
         with pytest.raises(InputError):
             random_metric(4, seed=0, weight_range=(0, 5))
         with pytest.raises(InputError):
@@ -429,9 +433,8 @@ class TestCanonicalConfiguration:
 
 
 class TestRequestChecks:
-    """``Instance.build`` and ``with_requests`` check each distinct
-    request once, yet refuse exactly what a check of every request in
-    sequence order refuses, naming the same first bad request."""
+    """``Instance.build`` and ``with_requests`` check every request once,
+    in sequence order, and name the first bad one."""
 
     @staticmethod
     def makers(m3, m3_instance):
