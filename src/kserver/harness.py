@@ -263,20 +263,20 @@ def verify_anchored_properties(
     )
 
     minimizers = np.flatnonzero(vector_anchored.values == opt_anchored)
-    unique_start = len(minimizers) == 1 and vector_anchored.space.configs[minimizers[0]] == start
+    space = vector_anchored.space
+    unique_start = len(minimizers) == 1 and space.config(minimizers[0]) == start
     c1a = _bool_check(
-        "C1a", unique_start,
-        [list(vector_anchored.space.configs[i]) for i in minimizers[:4]], [list(start)],
+        "C1a", unique_start, [list(space.config(i)) for i in minimizers[:4]], [list(start)],
     )
 
     # compared as a difference, which stays inside int64 where the sum may not
     at_start = vector_anchored.value(start)
-    distance = vector_anchored.space.distance_vector(start)
+    distance = space.distance_vector(start)
     c2_bad = np.flatnonzero(vector_anchored.values - distance != at_start)
     c2 = _bool_check(
         "C2", c2_bad.size == 0, int(c2_bad.size), 0,
         None if c2_bad.size == 0 else {
-            "config": list(vector_anchored.space.configs[c2_bad[0]]),
+            "config": list(space.config(c2_bad[0])),
             "value": int(vector_anchored.values[c2_bad[0]]),
             "expected": at_start + int(distance[c2_bad[0]]),
         },
@@ -352,19 +352,19 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
         stream = SplitMix64(int(anchored.fingerprint()[:16], 16))
         ranks = stream.sample(len(space), sample_cap)
     first = first_start_visits(history, anchored, ranks, base_len)
-    reference = extract_trace(history, anchored, space.configs[ranks[0]])
+    reference = extract_trace(history, anchored, space.config(ranks[0]))
     visits = (
         t for t in range(base_len, len(anchored.requests))
         if reference.config_after(t) == anchored.initial
     )
     if next(visits, -1) != first[0]:
         raise RuntimeError(
-            f"batched C1b disagrees with extract_trace on {space.configs[ranks[0]]}"
+            f"batched C1b disagrees with extract_trace on {space.config(ranks[0])}"
         )
     missed = np.flatnonzero(first < 0)
     if missed.size:
         examined = int(missed[0]) + 1
-        target = space.configs[ranks[missed[0]]]
+        target = space.config(ranks[missed[0]])
         return CheckResult("C1b", "fail", examined, examined, {"target": list(target)})
     return CheckResult("C1b", "pass", len(ranks), len(ranks))
 

@@ -181,6 +181,9 @@ class MetricSpace:
             raise InputError(f"{len(labels)} labels for {n} points")
         if labels is not None and not all(isinstance(label, str) for label in labels):
             raise InputError(f"labels must be strings, got {labels!r}")
+        if labels is not None and len(set(labels)) != n:
+            repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise InputError(f"duplicate label {repeated!r}")
         rows = tuple(tuple(int(x) for x in row) for row in matrix)
         return cls(rows, tuple(labels) if labels is not None else None)
 
@@ -299,37 +302,11 @@ def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray)
     batched int64 form of the recurrence behind :func:`matching_cost`.
     Sums stay in int64; callers bound k times the largest distance by
     int64.
-
-    Adjacent columns with the same sources and the same target rows
-    0..j-1 have the same layer-j values, so each layer carries one
-    column per run of such columns: the runs are refined as each target
-    row is added, the layer is gathered down to the new run heads, and
-    the last layer is expanded through the run index.  On a space's
-    slots, which are in lexicographic order, the layers of (15, 8) carry
-    8, 36, ..., 3432 runs instead of 6435 columns.  Once every column is
-    its own run the bookkeeping stops.
     """
     k, width = targets.shape
-    # change[i]: column i starts a run, so it differs from column i - 1
-    change = np.zeros(width, dtype=bool)
-    change[:1] = True
-    per_column = sources.shape[1] > 1
-    if per_column:
-        np.any(sources[:, 1:] != sources[:, :-1], axis=0, out=change[1:])
-    runs = np.count_nonzero(change)
-    shared = runs < width  # some run spans several columns
-    layer = {0: np.zeros(runs, dtype=np.int64)}
+    layer = {0: np.zeros(width, dtype=np.int64)}
     for target in targets:
-        if shared:
-            run = np.cumsum(change) - 1
-            change[1:] |= target[1:] != target[:-1]
-            heads = np.flatnonzero(change)
-            parent = run[heads]
-            layer = {used: values[parent] for used, values in layer.items()}
-            shared = heads.size < width
-            step = matrix[sources[:, heads] if per_column else sources, target[heads]]
-        else:
-            step = matrix[sources, target]
+        step = matrix[sources, target]
         grown: dict[int, np.ndarray] = {}
         for used, values in layer.items():
             for a in range(k):
@@ -341,7 +318,7 @@ def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray)
                     np.minimum(best, candidate, out=best)
         layer = grown
     (values,) = layer.values()
-    return values[np.cumsum(change) - 1] if shared else values
+    return values
 
 
 def configuration_distance(
@@ -476,11 +453,21 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def parse_json(text: str, source: str):
-    """The document in ``text``; text that does not parse, or that nests
-    deeper than the parser can recurse, raises ``InputError`` naming
+    """The document in ``text``; text that does not parse, that nests
+    deeper than the parser can recurse, or that repeats a key in one
+    object (which JSON leaves undefined) raises ``InputError`` naming
     ``source``."""
+
+    def unique_keys(pairs):
+        keys = set()
+        for key, _ in pairs:
+            if key in keys:
+                raise InputError(f"{source} has duplicate key {key!r}")
+            keys.add(key)
+        return dict(pairs)
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{source} does not parse as JSON: {exc}") from exc
 

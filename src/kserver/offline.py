@@ -12,7 +12,7 @@ and one lazy replay of a plan, ``_replay``, with two callers:
 ``first_start_visits`` replays many targets at once and keeps only
 where each trace first revisits the start.  The latter prices every
 target's final relocation in one batched subset DP
-(``metric.matching_costs``, the kernel behind distance vectors), since
+(``metric.matching_costs``, a minimum matching per column), since
 under the triangle inequality the relocation costs exactly a minimum
 matching.  Targets that share a plan share its work, and that work is
 done in Python ints rather than numpy arrays of width one: the backtrack
@@ -142,11 +142,11 @@ def extract_trace(
     final = history[-1]
     space = final.space
     if target is None:
-        target = final.argmin_config()
+        rank = int(np.argmin(final.values))
+        target = space.config(rank)
     else:
         target = canonical_configuration(target, inst.metric.n)
-        if target not in space.index:
-            raise InputError(f"{target} is not a configuration of this space")
+        rank = space.rank(target)
     requests = inst.requests
     if not requests:
         if target != inst.initial:
@@ -156,15 +156,15 @@ def extract_trace(
             )
         return ExecutionTrace(inst.initial, (), 0)
 
-    first, shared, _, repeated_to = _backtrack(history, requests, [space.index[target]])
-    plan = list(matching_assignment(inst.initial, space.configs[first[0]], inst.metric))
+    first, shared, _, repeated_to = _backtrack(history, requests, [rank])
+    plan = list(matching_assignment(inst.initial, space.config(first[0]), inst.metric))
     rounds, lazy, total = _replay(history, inst, plan, shared, repeated_to, target)
     relocation, cost = _final_relocation(lazy, target, inst.metric)
     last = rounds[-1]
     rounds[-1] = Round(last.request, last.moves + tuple(relocation), tuple(sorted(lazy)))
     total += cost
 
-    expected = final.value(target)
+    expected = int(final.values[rank])
     if total != expected:
         raise RuntimeError(
             f"extracted trace ending in {target} costs {total}, work vector says {expected}"
@@ -293,8 +293,8 @@ def _backtrack(
         col = column[cur]
         held = col < 0  # covered: the plan keeps its configuration
         # a held target keeps its rank at zero cost in every slot
-        prev = np.where(held, cur, targets[:, col])
-        match = before[prev] + np.where(held, 0, costs[:, col]) == after[cur]
+        prev = np.where(held, cur, targets.take(col, axis=1))
+        match = before[prev] + np.where(held, 0, costs.take(col, axis=1)) == after[cur]
         slot = match.argmax(axis=0)
         found = match[slot, rows]
         split.append(np.where(held, request, slots[slot, cur]))
@@ -332,7 +332,7 @@ def _backtrack(
             for j in range(space.k):
                 prev = targets[j, col]
                 if before[prev] + costs[j, col] == value:
-                    shared[t - 1] = space.configs[rank][j]
+                    shared[t - 1] = int(slots[j, rank])
                     found, rank = True, int(prev)
                     break
         if not found:
@@ -375,11 +375,11 @@ def first_start_visits(
     plans, which = np.unique(cur, return_inverse=True)
     shared_to = len(shared)
     aligned = [
-        list(matching_assignment(inst.initial, space.configs[p], inst.metric)) for p in plans
+        list(matching_assignment(inst.initial, space.config(p), inst.metric)) for p in plans
     ]
     # rounds [0, shared_to) in Python ints; aligned[0] is advanced in place
     rounds, lazy, cost = _replay(
-        history, inst, aligned[0], shared, repeated_to, space.configs[ranks[0]]
+        history, inst, aligned[0], shared, repeated_to, space.config(ranks[0])
     )
     replayed = ExecutionTrace(inst.initial, tuple(rounds), cost)
     visits = (t for t in range(base_len, shared_to) if replayed.config_after(t) == inst.initial)
@@ -408,7 +408,7 @@ def first_start_visits(
         covered = serving[rows, sid]
         if not covered.all():
             raise RuntimeError(
-                f"the plan ending in {space.configs[ranks[int(covered.argmin())]]} "
+                f"the plan ending in {space.config(ranks[int(covered.argmin())])} "
                 f"does not cover request {request} at round {t + 1}"
             )
         cost += matrix[lazy_pos[rows, sid], request]
@@ -422,7 +422,7 @@ def first_start_visits(
     if wrong.size:
         i = wrong[0]
         raise RuntimeError(
-            f"extracted trace ending in {space.configs[ranks[i]]} costs {total[i]}, "
+            f"extracted trace ending in {space.config(ranks[i])} costs {total[i]}, "
             f"work vector says {expected[i]}"
         )
     return first

@@ -8,6 +8,8 @@ handful of integer operations that any implementation can reproduce.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,12 +47,24 @@ class SplitMix64:
         """``count`` distinct indices out of range(population), sorted.
 
         Partial Fisher-Yates on an index table; deterministic per stream
-        state.
+        state.  Draw i swaps entry i with entry ``randint(i, population - 1)``.
+        The states of the ``count`` draws step by the golden increment, so
+        all draws are mixed in one uint64 pass, and the table holds only
+        the entries that have moved.
         """
-        if count > population:
+        if not 0 <= count <= population:
             raise ValueError(f"cannot sample {count} of {population}")
-        table = list(range(population))
-        for i in range(count):
-            j = self.randint(i, population - 1)
-            table[i], table[j] = table[j], table[i]
-        return sorted(table[:count])
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)  # wraps mod 2^64
+        self._state = (self._state + count * _GOLDEN) & MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        swaps = (z % (np.uint64(population) - steps + np.uint64(1))).tolist()
+        table: dict[int, int] = {}
+        for i, offset in enumerate(swaps):
+            j = i + offset
+            table[i], table[j] = table.get(j, j), table.get(i, i)
+        return sorted(table.get(i, i) for i in range(count))

@@ -26,14 +26,16 @@ the request is already covered.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .execution import ExecutionTrace, Move, Round
 from .metric import (
+    INT64_MAX,
     Configuration,
     InputError,
     Instance,
@@ -41,8 +43,10 @@ from .metric import (
     canonical_configuration,
     check_int64_bound,
     matching_cost,  # unused here; the benchmark tracer counts matchings through this name
-    matching_costs,
 )
+
+# a distance vector's mark for configurations not reached yet
+UNREACHED = INT64_MAX
 
 
 class Transitions(NamedTuple):
@@ -71,54 +75,94 @@ class ConfigurationSpace:
 
     Tables are slot-major: ``slots[j]`` holds the j-th smallest point of
     every configuration, a C-contiguous ``(k, |configs|)`` uint8 table.
-    Each configuration also has a bitmask, and a table of 2^n entries maps
-    a bitmask back to its rank.  Two request-independent intp tables, the
-    slot points and each mask with slot j cleared, are built once per
-    space, so a transition table takes the columns that miss the request,
-    one OR with its bit, one gather through the rank table and one gather
-    of its distance row, with no index cast.  Cached per-request transition
-    tables (target rank and move cost for every slot of every configuration
-    that misses the request) make a work-vector update one copy, one gather
-    plus a minimum across the k slots, and one write into the uncovered
-    entries.  Targets stay intp, since uint16 or int32 indices are cast on
-    every gather (an update at (16, 6) takes about twice as long), and
-    costs stay int64, since narrower costs are cast on every addition; only
-    the rank -> column map, which no update gathers through, is int32.
-    Cached distance vectors from fixed origins serve initial vectors and
-    collapse checks.
+    It is built in a few whole-array passes, with no Python object per
+    configuration: with point p on bit n - 1 - p, lexicographic order is
+    decreasing mask order, and the highest set bit is the smallest point,
+    so the masks of popcount k are taken in decreasing order and their
+    highest bits peeled k times.  Each configuration also has a bitmask,
+    and a table of 2^n entries maps a bitmask back to its rank:
+    ``rank(config)`` and ``config(rank)`` look up one configuration, and
+    ``configs`` lists them all for callers that enumerate.
+
+    Two request-independent intp tables, the slot points and each mask
+    with slot j cleared, are built once per space, so a transition table
+    takes the columns that miss the request, one OR with its bit, one
+    gather through the rank table and one gather of its distance row,
+    with no index cast.  Cached per-request transition tables (target rank
+    and move cost for every slot of every configuration that misses the
+    request) make a work-vector update one copy, one gather plus a minimum
+    across the k slots, and one write into the uncovered entries.  Targets
+    stay intp, since uint16 or int32 indices are cast on every gather (an
+    update at (16, 6) takes about twice as long), and costs stay int64,
+    since narrower costs are cast on every addition; only the rank ->
+    column map, which no update gathers through, is int32.  Cached
+    distance vectors from fixed origins serve initial vectors and collapse
+    checks.
     """
 
     def __init__(self, metric: MetricSpace, k: int):
-        if not 1 <= k <= metric.n:
-            raise InputError(f"k={k} out of range for n={metric.n}")
+        n = metric.n
+        if not 1 <= k <= n:
+            raise InputError(f"k={k} out of range for n={n}")
         # distance vectors add up to k distances in int64
         check_int64_bound(f"k={k}", k, metric.largest)
         self.metric = metric
         self.k = k
-        self.configs: list[Configuration] = list(
-            itertools.combinations(range(metric.n), k)
-        )
-        self.index: dict[Configuration, int] = {
-            cfg: i for i, cfg in enumerate(self.configs)
-        }
-        self.slots = (
-            np.fromiter(itertools.chain.from_iterable(self.configs), np.uint8, len(self.configs) * k)
-            .reshape(-1, k).T.copy()
-        )
+        # popcount and highest set bit of every n-bit mask, by doubling
+        popcount = np.zeros(1 << n, dtype=np.uint8)
+        highest = np.zeros(1 << n, dtype=np.uint8)
+        for b in range(n):
+            popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
+            highest[1 << b : 2 << b] = b
+        reversed_masks = np.flatnonzero(popcount == k)[::-1]
+        self.slots = np.empty((k, reversed_masks.size), dtype=np.uint8)
+        for j in range(k):
+            high = highest[reversed_masks]
+            np.subtract(n - 1, high, out=self.slots[j])
+            reversed_masks = reversed_masks ^ np.left_shift(1, high, dtype=np.intp)
         # intp copies index natively; uint8 and int32 indices are cast on every use
         self._points = self.slots.astype(np.intp)
         bits = 1 << self._points
         self._masks = bits.sum(axis=0)
         self._without = self._masks ^ bits  # each mask with slot j's point cleared
-        self._rank_of_mask = np.full(1 << metric.n, -1, dtype=np.int32)
-        self._rank_of_mask[self._masks] = np.arange(len(self.configs), dtype=np.int32)
+        self._rank_of_mask = np.full(1 << n, -1, dtype=np.int32)
+        self._rank_of_mask[self._masks] = np.arange(self._masks.size, dtype=np.int32)
         for table in (self.slots, self._points, self._masks, self._without, self._rank_of_mask):
             table.setflags(write=False)
         self._transitions: dict[int, Transitions] = {}
         self._distance_vectors: dict[Configuration, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return self.slots.shape[1]
+
+    def rank(self, config) -> int:
+        """The rank of ``config``, a sorted tuple of k distinct points;
+        anything else raises ``InputError``."""
+        key = tuple(config)
+        n = self.metric.n
+        mask = 0
+        last = -1
+        try:
+            for p in map(operator.index, key):
+                if not last < p < n:
+                    break
+                mask |= 1 << p
+                last = p
+            else:
+                if len(key) == self.k:
+                    return int(self._rank_of_mask[mask])
+        except TypeError:  # not an integer point
+            pass
+        raise InputError(f"{key} is not a configuration of this space")
+
+    def config(self, rank: int) -> Configuration:
+        """The configuration of ``rank``, as a tuple of Python ints."""
+        return tuple(self._points[:, rank].tolist())
+
+    @cached_property
+    def configs(self) -> list[Configuration]:
+        """Every configuration in rank order, built on first use."""
+        return list(map(tuple, self.slots.T.tolist()))
 
     def transitions(self, request: int) -> Transitions:
         """The request's transition tables over the configurations that
@@ -133,7 +177,7 @@ class ConfigurationSpace:
             return cached
         bit = 1 << request  # a Python int: under numpy 2, 1 << np.uint8(9) is 0
         uncovered = np.flatnonzero((self._masks & bit) == 0)
-        column = np.full(len(self.configs), -1, dtype=np.int32)
+        column = np.full(len(self), -1, dtype=np.int32)
         column[uncovered] = np.arange(uncovered.size, dtype=np.int32)
         # take, not [:, uncovered]: that is F-ordered, and strides every minimum
         targets = self._without.take(uncovered, axis=1)
@@ -149,20 +193,30 @@ class ConfigurationSpace:
     def distance_vector(self, origin: Configuration) -> np.ndarray:
         """Matching distance from ``origin`` to every configuration.
 
-        ``matching_costs`` with the origin broadcast to every column: a DP
-        over subsets of the origin's points, where slots 0..j-1 of every
-        configuration are matched to each subset of j origin points at
-        least cost, and slot j then takes each unused origin point in turn.
-        k * 2^(k-1) vector steps give the exact minimum over bijections,
-        and the space's int64 bound covers their sums.  Configurations in
-        rank order share leading slots, so each step runs over one column
-        per shared prefix rather than one per configuration.
+        Starting from 0 at the origin and ``UNREACHED`` elsewhere, one
+        work-vector update per origin point p, over p's transition tables,
+        lets p's server stay or move once.  That reaches every
+        configuration X, at least at the cost of the bijections that keep
+        each origin point of X in place and send the rest of the origin to
+        the rest of X.  On a metric one of those is a minimum matching
+        (the pinning lemma at ``offline._final_relocation``), and every
+        value is some bijection's cost, so the result is exact.  An
+        unreached entry is never added to, and after the i-th origin point
+        a reached one is at most i times the largest distance, which the
+        space's int64 bound covers: no sum wraps.  The tables are the ones
+        an anchor over the origin folds with, so ``verify`` builds none
+        for its start's vector.
         """
         cached = self._distance_vectors.get(origin)
         if cached is not None:
             return cached
-        sources = np.array(origin, dtype=np.intp)[:, None]
-        values = matching_costs(self.metric.matrix, sources, self.slots)
+        values = np.full(len(self), UNREACHED, dtype=np.int64)
+        values[self.rank(origin)] = 0
+        for p in origin:
+            targets, costs, uncovered, _ = self.transitions(p)
+            moved = values[targets]
+            np.add(moved, costs, out=moved, where=moved != UNREACHED)
+            values[uncovered] = moved.min(axis=0)
         values.setflags(write=False)
         self._distance_vectors[origin] = values
         return values
@@ -190,15 +244,7 @@ class WorkVector:
     values: np.ndarray
 
     def value(self, config) -> int:
-        key = tuple(config)
-        idx = self.space.index.get(key)
-        if idx is None:
-            raise InputError(f"{key} is not a configuration of this space")
-        return int(self.values[idx])
-
-    def argmin_config(self) -> Configuration:
-        """Minimizing configuration, smallest rank on ties."""
-        return self.space.configs[int(np.argmin(self.values))]
+        return int(self.values[self.space.rank(config)])
 
     def to_pairs(self) -> list[tuple[Configuration, int]]:
         return [(cfg, int(v)) for cfg, v in zip(self.space.configs, self.values)]
@@ -302,17 +348,18 @@ def wfa_decide(vector: WorkVector, config, request: int) -> Round:
     when a constant is added to every entry.
     """
     space = vector.space
-    rank = space.index.get(tuple(config))
-    if rank is None:
-        raise InputError(f"{tuple(config)} is not a configuration of this space")
+    config = tuple(config)
+    rank = space.rank(config)
     targets, costs, _, column = space.transitions(request)
     request = int(request)
+    points = [int(p) for p in config]
     col = column[rank]
     if col < 0:  # covered
-        return Round(request, (), space.configs[rank])
+        return Round(request, (), tuple(points))
     slot = int(np.argmin(vector.values[targets[:, col]] + costs[:, col]))
-    move = Move(int(space.slots[slot, rank]), request, int(costs[slot, col]))
-    return Round(request, (move,), space.configs[targets[slot, col]])
+    mover = points[slot]
+    points[slot] = request
+    return Round(request, (Move(mover, request, int(costs[slot, col])),), tuple(sorted(points)))
 
 
 def run_wfa(inst: Instance) -> ExecutionTrace:

@@ -98,7 +98,8 @@ class TestRun:
     @pytest.mark.parametrize("content, named", [
         (b"\xff\xfe{}", "is not UTF-8 text"),
         (b"[" * 100_000, "does not parse as JSON"),
-    ], ids=["utf16-bom", "deep-nesting"])
+        (b'{"k": 2, "k": 2}', "has duplicate key 'k'"),
+    ], ids=["utf16-bom", "deep-nesting", "duplicate-key"])
     def test_unreadable_file(self, tmp_path, capsys, command, content, named):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -116,8 +117,9 @@ class TestRun:
         ({"requests": 5}, "'requests'"),
         ({"labels": 5}, "labels"),
         ({"labels": [["a"], ["b"]]}, "labels must be strings"),
+        ({"labels": ["a", "a"]}, "duplicate label 'a'"),
     ], ids=["repeated-start", "dist-scalar", "dist-flat", "initial-scalar", "requests-scalar",
-            "labels-scalar", "labels-unhashable"])
+            "labels-scalar", "labels-unhashable", "labels-repeated"])
     def test_invalid_instance(self, tmp_path, capsys, changes, named):
         doc = {"n": 2, "k": 2, "dist": [[0, 1], [1, 0]], "initial": [0, 1], "requests": []}
         doc.update(changes)

@@ -462,7 +462,7 @@ def walked_ranks(space, requests, target, leave):
     walked = [target]
     for request, point in zip(reversed(requests), reversed(leave)):
         config = tuple(sorted(request if p == point else p for p in config))
-        walked.append(space.index[config])
+        walked.append(space.rank(config))
     return walked[::-1]
 
 

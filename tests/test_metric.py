@@ -241,7 +241,7 @@ class TestMatchingCostsKernel:
     @staticmethod
     def shared_columns(rng, n, k):
         """Inputs whose adjacent columns share sources and leading target
-        rows, so that the kernel carries one column per run of them."""
+        rows: repeated columns, a space's slots, widths 1 and 2."""
         origin = [[p] for p in rng.sample(range(n), k)]
 
         def blocks(count, size):
@@ -281,7 +281,7 @@ class TestMatchingCostsKernel:
         metric = random_metric(n, seed=rng.randrange(2**32), weight_range=weights)
         sources, targets = self.random_columns(rng, n, k, 24)
         self.check_columns(metric, sources, targets)
-        # one origin broadcast to every column, as distance vectors use it
+        # one origin broadcast to every column
         origin = [[p] for p in rng.sample(range(n), k)]
         self.check_columns(metric, origin, targets)
         for sources, targets in self.shared_columns(rng, n, k):

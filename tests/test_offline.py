@@ -43,7 +43,7 @@ def loop_extract_trace(history, inst, target):
     each server of the plan's configuration one swapped tuple at a time
     (the smallest leave point first), then replay the plan lazily."""
     requests = inst.requests
-    index = history[-1].space.index
+    rank = history[-1].space.rank
     dist = inst.metric.dist
     if not requests:
         return ExecutionTrace(inst.initial, (), 0)
@@ -53,16 +53,16 @@ def loop_extract_trace(history, inst, target):
     leave = [None] * (len(requests) + 1)
     for t in range(len(requests), 0, -1):
         request, here = requests[t - 1], plan[t]
-        want = int(history.values(t)[index[here]])
+        want = int(history.values(t)[rank(here)])
         prev_values = history.values(t - 1)
         if request in here:
             # only the stay-put term survives for covered requests
-            if int(prev_values[index[here]]) == want:
+            if int(prev_values[rank(here)]) == want:
                 plan[t - 1], leave[t] = here, request
         else:
             for j, z in enumerate(here):
                 swapped = tuple(sorted(here[:j] + here[j + 1 :] + (request,)))
-                if int(prev_values[index[swapped]]) + dist[request][z] == want:
+                if int(prev_values[rank(swapped)]) + dist[request][z] == want:
                     plan[t - 1], leave[t] = swapped, z
                     break
         assert plan[t - 1] is not None, f"no predecessor at round {t}"
@@ -322,7 +322,7 @@ WRONG_COST = r"extracted trace ending in \(2, 3\) costs 17, work vector says 11"
 def wrong_plan_case(monkeypatch):
     inst = generate_instance(4, 2, 4, WRONG_PLAN["seed"])
     history = work_vector_history(inst)
-    rank = history.space.index[WRONG_PLAN["target"]]
+    rank = history.space.rank(WRONG_PLAN["target"])
     assert int(history[-1].values[rank]) == 11
     backtrack = offline._backtrack
 
@@ -420,7 +420,7 @@ def uncovered_plan_case(monkeypatch, instance, target):
         if target is None:
             first[:] = lacking
         else:
-            first[list(ranks).index(space.index[target])] = lacking
+            first[list(ranks).index(space.rank(target))] = lacking
         return first, shared, split, repeated_to
 
     monkeypatch.setattr(offline, "_backtrack", uncovered)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from kserver import (
 )
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
+from kserver.metric import INT64_MAX
 from kserver.offline import (
     extract_trace,
     first_start_visits,
@@ -168,7 +170,7 @@ def loop_transitions(space, request):
         cfg = space.configs[i]
         for j, z in enumerate(cfg):
             swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
-            targets[c, j] = space.index[swapped]
+            targets[c, j] = space.rank(swapped)
             costs[c, j] = dist[request][z]
     return uncovered, targets, costs
 
@@ -184,7 +186,7 @@ def loop_update(vector, request):
         for j, z in enumerate(cfg):
             swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
             if len(set(swapped)) == len(swapped):
-                scores.append(int(vector.values[space.index[swapped]]) + dist[request][z])
+                scores.append(int(vector.values[space.rank(swapped)]) + dist[request][z])
         out.append(min(scores))
     return out
 
@@ -199,7 +201,7 @@ def loop_decide(vector, config, request):
     best_score = best = None
     for j, x in enumerate(cfg):
         swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
-        score = int(vector.values[vector.space.index[swapped]]) + dist[x][request]
+        score = int(vector.values[vector.space.rank(swapped)]) + dist[x][request]
         if best_score is None or score < best_score:
             best_score, best = score, Round(request, (Move(x, request, dist[x][request]),), swapped)
     return best
@@ -316,6 +318,73 @@ class TestConfigurationSpaceKernels:
         per_table = 16 * 8 * math.comb(14, 8) + 8 * math.comb(14, 8) + 4 * math.comb(15, 8)
         assert len(tables) == 10
         assert sum(a.nbytes for table in tables for a in table) == 10 * per_table == 4_341_480
+
+    def test_slots_follow_combinations(self):
+        # the numpy build against itertools, for every 1 <= k <= n <= 16,
+        # and rank/config as inverses of that order
+        for n in range(1, 17):
+            metric = MetricSpace(((0,),)) if n == 1 else random_metric(n, seed=n)
+            for k in range(1, n + 1):
+                space = ConfigurationSpace(metric, k)
+                ref = list(itertools.combinations(range(n), k))
+                assert len(space) == len(ref)
+                assert space.slots.tobytes() == np.array(ref, dtype=np.uint8).T.tobytes()
+                assert space.configs == ref
+                for rank in {0, len(ref) // 2, len(ref) - 1}:
+                    assert space.config(rank) == ref[rank]
+                    assert all(type(p) is int for p in space.config(rank))
+                if n <= 12:
+                    assert [space.rank(cfg) for cfg in ref] == list(range(len(ref)))
+
+    def test_rank_refuses_what_is_not_a_configuration(self):
+        space = ConfigurationSpace(random_metric(6, seed=6), 3)
+        assert space.rank((0, 2, 5)) == space.rank([np.uint8(0), np.int64(2), 5])
+        for bad in ((0, 2), (0, 2, 5, 6), (2, 0, 5), (0, 0, 5), (-1, 2, 5), (0, 2, 6),
+                    (0, 2, 5.0), (0, 2, "5")):
+            with pytest.raises(InputError, match="is not a configuration of this space"):
+                space.rank(bad)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_distance_vector_at_the_int64_bound(self, n):
+        # k * largest = 2^63 - 1 exactly (7 divides it); entries in the
+        # upper half of [0, largest] satisfy the triangle inequality, and
+        # an origin's disjoint configurations sit at exactly INT64_MAX
+        k = 7
+        largest = INT64_MAX // k
+        assert k * largest == INT64_MAX
+        rng = random.Random(n)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = largest - rng.randrange(largest // 2)
+        matrix[0][n - 1] = matrix[n - 1][0] = largest
+        uniform = MetricSpace.from_matrix(
+            [[0 if i == j else largest for j in range(n)] for i in range(n)]
+        )
+        space = ConfigurationSpace(uniform, k)
+        for origin in (tuple(range(k)), tuple(range(n - k, n)), (0, 2, 4, 6, 8, 10, 12)):
+            missing = [len(set(cfg) - set(origin)) for cfg in space.configs]
+            assert space.distance_vector(origin).tolist() == [largest * m for m in missing]
+            assert space.distance_vector(origin).max() == INT64_MAX
+        if n == 14:  # the scalar reference takes about a second per origin
+            space = ConfigurationSpace(MetricSpace.from_matrix(matrix), k)
+            origin = tuple(range(k))
+            assert np.array_equal(space.distance_vector(origin), loop_distance_vector(space, origin))
+
+    @pytest.mark.parametrize("shape, seed", [((12, 4, 50), 114), ((16, 6, 4), 2), ((15, 8, 4), 1)])
+    def test_verify_builds_only_what_it_reads(self, shape, seed):
+        # one transition table per distinct request of the anchored
+        # sequence (the base requests and the start points the anchor
+        # cycles over): the start's distance vector reads the anchor's own
+        # tables.  No configuration list or rank dict is built either
+        configuration_space.cache_clear()
+        inst = generate_instance(*shape, seed)
+        assert verify_anchored_properties(inst, "2k-1", 0, 3).status == "pass"
+        space = configuration_space(inst.metric, inst.k)
+        assert set(space._transitions) == set(inst.requests) | set(inst.initial)
+        assert "configs" not in vars(space) and not hasattr(space, "index")
+        caches = [value for value in vars(space).values() if isinstance(value, dict)]
+        assert all(not isinstance(v, int) for cache in caches for v in cache.values())
 
     def test_int64_overflow_is_refused(self):
         # the distance DP adds up to k distances: 2 * 2^62 would wrap
