@@ -18,7 +18,7 @@ C1b  for every ending configuration, the extracted cost-realizing
      (``metric.matching_costs``); the first target's trace is also
      built by ``extract_trace``, and a different first visit raises.
      Both replay a plan with the one lazy replay, ``offline._replay``,
-     which skips repeated anchor cycles.
+     which skips the anchor rounds in which the plan holds the start.
 C2   the anchored work vector equals its value at the start plus the
      matching distance from the start, entry for entry.
 E2   the optimum of the q-fold repeated block is exactly q times the
@@ -50,14 +50,14 @@ the escalation, and T1 takes the base run as the anchored run's first
 Anchors are folded only to their fixed point.  The anchor is m cycles
 over the start points, and updates are deterministic, so once two
 consecutive cycle-end work vectors are exactly equal, every later cycle
-repeats the last one (``offline.work_vector_history``).  Every pass over
-the anchor then stops at an exact repetition across a cycle and fills in
-the rest from it: the online run when its configuration repeats, C1b's
-backward pass when every target's rank repeats, the replay of a plan
-when the plan repeats (its lazy positions then equal the plan's; the
-argument is at the skip in ``offline._replay``).  No paper lemma is
-assumed: C2 and the repetition equalities stay checks, and an anchor
-that never repeats is folded to its end.  Reports are the same as with every cycle folded.
+repeats the last one (``offline.work_vector_history``).  The online run
+stops at an exact repetition across a cycle and fills in the rest from
+it.  C1b's passes skip the anchor rounds in which the plan stands on the
+start: the start holds every anchor request, so its entry never changes
+there and the plan stays at zero cost (``offline._backtrack``).  No
+paper lemma is assumed: C2 and the repetition equalities stay checks,
+and an anchor that never repeats is folded to its end.  Reports are the
+same as with every cycle folded.
 """
 
 from __future__ import annotations
@@ -341,10 +341,10 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
     ``first_start_visits`` backtracks and replays every examined target at
     once.  The first target's trace is also built by ``extract_trace``
     over every round.  Both replay the same backtracked plan with the one
-    lazy replay, ``offline._replay``, which skips repeated anchor cycles;
-    a different first visit means they disagree, and raises.  The tests
-    check the skip against traces walked over every round of the anchored
-    sequence."""
+    lazy replay, ``offline._replay``, which skips the anchor rounds in
+    which the plan holds the start; a different first visit means they
+    disagree, and raises.  The tests check the skip against traces walked
+    over every round of the anchored sequence."""
     space = history[-1].space
     if len(space) <= sample_cap:
         ranks = range(len(space))

@@ -197,11 +197,8 @@ class MetricSpace:
     def largest(self) -> int:
         return max(map(max, self.dist))
 
-    def check_point(self, p: int) -> int:
-        return _check_point(p, self.n)
 
-
-def _check_point(p, n: int | None = None) -> int:
+def check_point(p, n: int | None = None) -> int:
     """``p`` as an ``int`` if it is an integer (not a bool), and in
     [0, n) when ``n`` is given; otherwise :class:`InputError`."""
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
@@ -213,12 +210,13 @@ def _check_point(p, n: int | None = None) -> int:
 
 def canonical_configuration(points: Iterable[int], n: int | None = None) -> Configuration:
     """Sorted tuple of distinct point identifiers; the canonical encoding."""
-    pts = [_check_point(p) for p in points]
+    pts = [check_point(p) for p in points]
     if len(set(pts)) != len(pts):
         raise InputError(f"configuration has repeated points: {pts}")
     if n is not None:
         for p in pts:
-            _check_point(p, n)
+            if not 0 <= p < n:
+                check_point(p, n)  # raises, naming the point
     if not pts:
         raise InputError("configuration is empty")
     return tuple(sorted(pts))
@@ -407,7 +405,8 @@ class Instance:
         start = canonical_configuration(initial, metric.n)
         if len(start) != k:
             raise InputError(f"initial configuration has {len(start)} points, expected k={k}")
-        reqs = tuple(map(metric.check_point, requests))
+        n = metric.n
+        reqs = tuple([check_point(p, n) for p in requests])
         _check_work_bound(metric, k, len(reqs))
         return cls(metric, k, start, reqs)
 

@@ -24,8 +24,10 @@ Only the rounds where targets differ run on arrays, one row per round.
 The per-round vectors are a ``History``: one int64 row per stored
 vector, the array the fold returned, never copied.  ``work_vector_history``
 folds an anchor onto a base history, sharing its rows, only until a cycle
-maps the vector to itself, and the backtrack and the replay over such a
-history skip the cycles that repeat exactly.
+maps the vector to itself.  The anchor's requests are all start points,
+so once the backtrack finds its plan on the start inside the anchor, the
+plan holds the start at zero cost back to the anchor's first round: the
+backtrack and the replay skip those rounds.
 
 ``oracle_opt`` is the independent ground truth: it enumerates all k^T
 assignments of servers to requests, simulates each lazy execution
@@ -137,7 +139,8 @@ def extract_trace(
     ``target`` exactly; a plan that misses a request or a cost that
     differs raises ``RuntimeError``.
 
-    On an anchored history the replay, ``_replay``, skips repeated cycles.
+    On an anchored history the backtrack and the replay skip the anchor
+    rounds in which the plan stands on the start.
     """
     final = history[-1]
     space = final.space
@@ -156,9 +159,9 @@ def extract_trace(
             )
         return ExecutionTrace(inst.initial, (), 0)
 
-    first, shared, _, repeated_to = _backtrack(history, requests, [rank])
+    first, shared, _, held_to = _backtrack(history, inst, [rank])
     plan = list(matching_assignment(inst.initial, space.config(first[0]), inst.metric))
-    rounds, lazy, total = _replay(history, inst, plan, shared, repeated_to, target)
+    rounds, lazy, total = _replay(history, inst, plan, shared, held_to, target)
     relocation, cost = _final_relocation(lazy, target, inst.metric)
     last = rounds[-1]
     rounds[-1] = Round(last.request, last.moves + tuple(relocation), tuple(sorted(lazy)))
@@ -174,7 +177,7 @@ def extract_trace(
 
 def _replay(
     history: History, inst: Instance, plan: list[int], leave: list[int],
-    repeated_to: int | None, target: Configuration,
+    held_to: int, target: Configuration,
 ) -> tuple[list[Round], list[int], int]:
     """Replay one backtracked plan lazily over rounds [0, len(leave)):
     ``(rounds, lazy, cost)``.
@@ -187,42 +190,25 @@ def _replay(
     the sorted lazy positions, and ``cost`` sums the moves.  A plan that
     misses a request raises ``RuntimeError`` naming ``target``.
 
-    On an anchored history, once the plan repeats across a cycle of the
-    periodic rows, up to ``repeated_to``, the cycle the backtrack repeated
-    from, the replay repeats that cycle's rounds, as references to them,
-    and its cost once per skipped cycle.
+    The plan stands on the start over the anchor rounds [base_len,
+    ``held_to``) (see ``_backtrack``).  Each server serves its own start
+    point during the first anchor cycle, so the lazy servers catch up, and
+    the later rounds up to ``held_to`` are empty moves on the start,
+    appended as references to one cycle of such rounds.
     """
     requests = inst.requests
     dist = inst.metric.dist
-    period = history.period
+    caught_up = history.base_len + inst.k
     lazy = list(inst.initial)
     rounds = []
     cost = 0
-    marked = None  # (plan, rounds, cost) at the previous cycle start
     t = 0
     while t < len(leave):
-        if repeated_to is not None and t <= repeated_to and history.starts_periodic_cycle(t):
-            # Lazy positions need no comparison; they equal the plan's at
-            # every mark.  The backtrack repeats a cycle only where its
-            # plan costs w(t+p)[C] - w(t)[C] = 0, so every leave point is
-            # the request and C is the start; from the start each anchor
-            # request is covered, so every plan stays on the start across
-            # [base_len, repeated_to), and after the first anchor cycle
-            # each server has served its own start point.  The first mark
-            # is at periodic_from = base_len + (fixed_cycle - 1)*p, so only
-            # fixed_cycle == 1 could mark a lag.  Then w(base_len) is fixed
-            # by every start request, hence w(base_len) = c + D(start, .)
-            # (a strictly decreasing chain of single swaps reaches the
-            # start), and its lazy schedule, made stack-free by serving
-            # with a server already on the request, ends in some X with
-            # c + D(start, X) + D(X, lazy) + sum d(lazy, plan) <= c: no lag
-            if marked is not None and marked[0] == plan:
-                cycles = (repeated_to - t) // period
-                rounds.extend(rounds[marked[1] :] * cycles)
-                cost += (cost - marked[2]) * cycles
-                t, repeated_to = repeated_to, None
-                continue
-            marked = (plan.copy(), len(rounds), cost)
+        if t == caught_up and t < held_to and lazy == plan:
+            cycle = [Round(request, (), inst.initial) for request in inst.initial]
+            rounds.extend(itertools.islice(itertools.cycle(cycle), held_to - t))
+            t = held_to
+            continue
         request = requests[t]
         if request not in plan:
             raise RuntimeError(
@@ -241,10 +227,10 @@ def _replay(
 
 
 def _backtrack(
-    history: History, requests: Sequence[int], ranks: Sequence[int]
-) -> tuple[np.ndarray, list[int], np.ndarray, int | None]:
+    history: History, inst: Instance, ranks: Sequence[int]
+) -> tuple[np.ndarray, list[int], np.ndarray, int]:
     """The backward pass behind every extracted trace, for many targets at
-    once: ``(first, shared, split, repeated_to)``.
+    once: ``(first, shared, split, held_to)``.
 
     Walking back from each target rank, every round takes the first
     transition slot whose predecessor value plus move cost gives the
@@ -265,22 +251,16 @@ def _backtrack(
     t + 1; past them, round t + 1 reads ``split[t - len(shared)]``.  A
     one-target walk is scalar from its first round and has no split row.
 
-    On a history whose anchor reached a fixed point, once the rank repeats
-    across a cycle of the periodic rows, each cycle below it down to
-    ``history.periodic_from`` is the same map and leaves the same points:
-    those entries of ``shared`` are tiled, and ``repeated_to`` is the cycle
-    start the tiling repeated down from (None if none was).  Only a shared
-    rank can repeat.  Between two cycle starts of the periodic rows the
-    vectors are equal, so a plan that leaves rank C at one and comes back
-    to it at the next costs w(t+p)[C] - w(t)[C] = 0; distances between
-    distinct points are positive, so every move is the empty one, C holds
-    every request of the cycle, and C is the start.  Ranks that differ
-    never all repeat, and the array walk takes no mark.
+    The start holds every anchor request, so its entry is copied from
+    round ``history.base_len`` on.  Once the shared rank is the start at
+    some round t > base_len, every step down to base_len holds it: those
+    leave points are the requests, and ``held_to`` is that t (0 if there
+    is none).  The jump is taken only if every stored row from base_len on
+    has the same start entry; otherwise the rounds are walked one by one.
     """
     space = history.space
     slots = space.slots
-    period = history.period
-    periodic_from = history.periodic_from
+    requests = inst.requests
     cur = np.array(ranks, dtype=np.intp)
     width = cur.size
     rows = np.arange(width)
@@ -304,21 +284,20 @@ def _backtrack(
         t -= 1
     split = np.array(split[::-1], dtype=slots.dtype).reshape(-1, width)
     if t == 0:  # the plans may differ from the first request on
-        return cur, [], split, None
+        return cur, [], split, 0
 
     # every earlier step is shared: walk one rank for all
     shared = [0] * t
     rank = int(cur[0])
-    repeated_to = None
-    marked = None  # the rank at the previous cycle start in the periodic rows
+    base_len = history.base_len
+    start = space.rank(inst.initial)
+    steady = t > base_len and len({row[start] for row in history.rows[base_len:]}) == 1
+    held_to = 0
     while t > 0:
-        if history.starts_periodic_cycle(t):
-            if rank == marked:
-                cycles = (t - periodic_from) // period
-                shared[periodic_from:t] = shared[t : t + period] * cycles
-                repeated_to, t, marked = t, periodic_from, None
-                continue
-            marked = rank
+        if steady and rank == start and t > base_len:
+            shared[base_len:t] = requests[base_len:t]
+            held_to, t = t, base_len
+            continue
         request = requests[t - 1]
         targets, costs, _, column = space.transitions(request)
         before, after = history.values(t - 1), history.values(t)
@@ -338,7 +317,7 @@ def _backtrack(
         if not found:
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         t -= 1
-    return np.full(width, rank, dtype=np.intp), shared, split, repeated_to
+    return np.full(width, rank, dtype=np.intp), shared, split, held_to
 
 
 def first_start_visits(
@@ -362,13 +341,13 @@ def first_start_visits(
     ``matching_costs`` from the lazy positions to the targets: by
     ``_final_relocation``'s lemma that is what ``extract_trace`` pays.
 
-    The repeated cycles ``_replay`` skips all lie in the shared rounds, so
-    only the one plan is ever compared or skipped.
+    The anchor rounds ``_replay`` skips all lie in the shared rounds, so
+    only the one plan ever skips.
     """
     final = history[-1]
     space = final.space
     requests = inst.requests
-    cur, shared, split, repeated_to = _backtrack(history, requests, ranks)
+    cur, shared, split, held_to = _backtrack(history, inst, ranks)
     width = cur.size
 
     # one plan serves every target over the shared rounds, if there are any
@@ -379,15 +358,15 @@ def first_start_visits(
     ]
     # rounds [0, shared_to) in Python ints; aligned[0] is advanced in place
     rounds, lazy, cost = _replay(
-        history, inst, aligned[0], shared, repeated_to, space.config(ranks[0])
+        history, inst, aligned[0], shared, held_to, space.config(ranks[0])
     )
     replayed = ExecutionTrace(inst.initial, tuple(rounds), cost)
     visits = (t for t in range(base_len, shared_to) if replayed.config_after(t) == inst.initial)
     visit = next(visits, -1)
     t = shared_to
 
-    # then one row per target.  No cycle is skipped here: the backward
-    # pass repeats cycles only on a shared rank, so shared_to > repeated_to
+    # then one row per target.  No round is skipped here: the backward
+    # pass jumps only on the shared rank, so held_to <= shared_to
     rows = np.arange(width)
     plan_pos = np.array(aligned, dtype=np.intp)[which]
     lazy_pos = np.array([lazy], dtype=np.intp).repeat(width, axis=0)

@@ -42,6 +42,7 @@ from .metric import (
     MetricSpace,
     canonical_configuration,
     check_int64_bound,
+    check_point,
     matching_cost,  # unused here; the benchmark tracer counts matchings through this name
 )
 
@@ -171,7 +172,7 @@ class ConfigurationSpace:
         # like 1, and a cached key is a point of the space
         cached = self._transitions.get(request) if type(request) is int else None
         if cached is None:
-            request = self.metric.check_point(request)
+            request = check_point(request, self.metric.n)
             cached = self._transitions.get(request)
         if cached is not None:
             return cached

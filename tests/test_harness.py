@@ -249,10 +249,10 @@ class TestStartVisits:
     def test_forward_skip_then_visits_inside_the_anchor(
         self, model, weights, seed, rho_len, monkeypatch
     ):
-        """Anchors on which the forward replay skips repeated cycles, while
-        targets first revisit the start inside the anchor, past its first
-        round: every target's first visit against the reference extraction
-        on the full fold."""
+        """Anchors on which the forward replay skips the held anchor rounds,
+        while targets first revisit the start inside the anchor, past its
+        first round: every target's first visit against the reference
+        extraction on the full fold."""
         inst = generate_instance(4, 2, rho_len, seed, request_model=model, weight_range=weights)
         base_len = len(inst.requests)
         base = work_vector_history(inst)
@@ -260,18 +260,14 @@ class TestStartVisits:
         anchored = inst.with_requests(inst.requests + inst.initial * cycles)
         history = work_vector_history(anchored, base)
         ranks = range(len(history.space))
-        repeated_to = _backtrack(history, anchored.requests, ranks)[3]
-        asked = []
-        starts = History.starts_periodic_cycle
-        monkeypatch.setattr(
-            History, "starts_periodic_cycle", lambda h, t: asked.append(t) or starts(h, t)
-        )
+        _, shared, _, held_to = _backtrack(history, anchored, ranks)
+        assert shared[base_len:held_to] == list(anchored.requests[base_len:held_to])
+        read = spy_leave_reads(monkeypatch)
         first = first_start_visits(history, anchored, ranks, base_len).tolist()
         monkeypatch.undo()
-        # the forward replay asks from t = 0 up to repeated_to, unless it
-        # skips cycles on the way; the backward walk asks first, never at 0
-        forward = asked[asked.index(0):]
-        assert repeated_to is not None and forward[-1] < repeated_to
+        # the replay reads every leave point but those of [base_len + k, held_to)
+        assert held_to > base_len + inst.k
+        assert read == [*range(base_len + inst.k), *range(held_to, len(shared))]
         assert first == loop_first_visits(anchored, base_len, ranks)
         assert max(first) > base_len
 
@@ -319,6 +315,32 @@ def loop_first_visits(anchored, base_len, ranks):
     return want
 
 
+class ReadLog(list):
+    """A list that records each index read through ``[]``."""
+
+    def __init__(self, items, read):
+        super().__init__(items)
+        self.read = read
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def spy_leave_reads(monkeypatch):
+    """From here on, record which leave points ``_replay`` reads, in order."""
+    import kserver.offline as offline
+
+    read = []
+    replay = offline._replay
+
+    def spied(history, inst, plan, leave, held_to, target):
+        return replay(history, inst, plan, ReadLog(leave, read), held_to, target)
+
+    monkeypatch.setattr(offline, "_replay", spied)
+    return read
+
+
 def full_fold(inst):
     """Every work vector of ``inst``'s sequence, folded one request at a
     time with nothing skipped: the reference for the compressed passes."""
@@ -349,8 +371,8 @@ COMPRESSION_CASES = list(itertools.product(
 
 
 class TestFixedPointCompression:
-    """Every pass that skips repeated anchor cycles against a full fold of
-    all of them: the history, the online run, C1b and E2/E3."""
+    """Every pass that skips anchor rounds against a full fold of all of
+    them: the history, the online run, C1b and E2/E3."""
 
     @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
     def test_anchor_passes_equal_the_full_fold(self, model, weights, seed):
@@ -441,13 +463,13 @@ class TestFixedPointCompression:
         assert (folded > 0) == (forced and q > 1)
 
 
-def single_walks(history, requests, ranks):
+def single_walks(history, served, ranks):
     """``_backtrack`` over all ranks at once against one walk per rank:
     the first plans, every target's leave points (the shared ones, then
     its column of the split rows), and the first plans returned."""
-    first, shared, split, _ = _backtrack(history, requests, ranks)
+    first, shared, split, _ = _backtrack(history, served, ranks)
     for column, rank in enumerate(ranks):
-        alone_first, alone_shared, alone_split, _ = _backtrack(history, requests, [rank])
+        alone_first, alone_shared, alone_split, _ = _backtrack(history, served, [rank])
         assert first[column] == alone_first[0], rank
         assert alone_split.shape == (0, 1), rank
         assert shared + split[:, column].tolist() == alone_shared, rank
@@ -478,21 +500,21 @@ class TestMergedBackward:
         for m in (1, 2, cycles):
             anchored = inst.with_requests(inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
-            single_walks(history, anchored.requests, range(len(history.space)))
+            single_walks(history, anchored, range(len(history.space)))
 
     def test_verify_mid_walks_merge(self):
         _, anchored, history = verify_mid_case()
-        first = single_walks(history, anchored.requests, range(len(history.space)))
+        first = single_walks(history, anchored, range(len(history.space)))
         assert len(set(first)) == 1  # all 495 plans share their first steps
 
     def test_merge_between_cycle_starts(self, monkeypatch):
         """Anchors whose ranks still differ at a cycle start of the periodic
         rows and agree before the next one: the array walk passes that
-        start, and the scalar walk takes its first mark below the merge and
-        tiles where its rank first repeats.  The rounds it reads are spied
-        on; the ranks each target passes through are read back from its
-        leave points; and every target's walk, trace and first visit is
-        compared with one walk per rank and with the reference."""
+        start, and the scalar walk jumps to the base from the first round
+        below the merge where it stands on the start.  The rounds it reads
+        are spied on; the ranks each target passes through are read back
+        from its leave points; and every target's walk, trace and first
+        visit is compared with one walk per rank and with the reference."""
         values = History.values
         for model, weights, seed in COMPRESSION_CASES:
             inst = compression_instance(model, weights, seed)
@@ -504,7 +526,7 @@ class TestMergedBackward:
             ranks = range(len(space))
             asked = []
             monkeypatch.setattr(History, "values", lambda h, t: asked.append(t) or values(h, t))
-            first, shared, split, repeated_to = _backtrack(history, requests, ranks)
+            first, shared, split, held_to = _backtrack(history, anchored, ranks)
             monkeypatch.undo()
             walked = np.array([
                 walked_ranks(space, requests, rank, shared + split[:, rank].tolist())
@@ -517,18 +539,20 @@ class TestMergedBackward:
             # the array walk passes a cycle start, and the next lies below the merge
             above = [t for t in starts if t > merged]
             assert above and min(above) - period >= periodic_from, (model, weights, seed)
-            below = [t for t in reversed(starts) if t + period <= merged]
-            repeat = next(t for t in below if walked[0, t] == walked[0, t + period])
-            assert repeated_to == repeat, (model, weights, seed)
-            # the tiled rounds between periodic_from and repeated_to are not read
-            assert set(asked) == set(range(periodic_from + 1)) | set(range(repeat, rounds + 1))
-            assert first.tolist() == single_walks(history, requests, ranks)
+            base_len = len(inst.requests)
+            start = space.rank(inst.initial)
+            held = max(t for t in range(base_len + 1, merged + 1) if walked[0, t] == start)
+            assert held_to == held, (model, weights, seed)
+            assert (walked[:, base_len : held + 1] == start).all()
+            assert shared[base_len:held_to] == list(requests[base_len:held_to])
+            # the rows strictly inside (base_len, held_to) are not read
+            assert set(asked) == set(range(base_len + 1)) | set(range(held_to, rounds + 1))
+            assert first.tolist() == single_walks(history, anchored, ranks)
             reference = work_vector_history(anchored)
             for config in space.configs[:: max(1, len(space) // 4)]:
                 assert extract_trace(history, anchored, config) == loop_extract_trace(
                     reference, anchored, config
                 )
-            base_len = len(inst.requests)
             assert first_start_visits(history, anchored, ranks, base_len).tolist() == (
                 loop_first_visits(anchored, base_len, ranks)
             )
@@ -537,7 +561,7 @@ class TestMergedBackward:
         # distinct first plans: the columns stay apart down to round 1
         inst = generate_instance(4, 2, 4, WRONG_PLAN["seed"])
         history = work_vector_history(inst)
-        first = single_walks(history, inst.requests, range(len(history.space)))
+        first = single_walks(history, inst, range(len(history.space)))
         assert first == [2, 2, 2, 0, 1, 1]
 
 
@@ -548,9 +572,8 @@ class TestSharedReplay:
     def test_one_plan_to_the_last_round(self, monkeypatch):
         """One target, or one target repeated, shares its plan and its leave
         points up to the last round, so the whole forward replay runs on
-        Python lists: it must still skip the repeated cycles and find the
-        reference's first visit."""
-        starts = History.starts_periodic_cycle
+        Python lists: it must still skip the held anchor rounds and find
+        the reference's first visit."""
         for model, weights, seed in COMPRESSION_CASES:
             inst = compression_instance(model, weights, seed)
             base_len = len(inst.requests)
@@ -560,46 +583,77 @@ class TestSharedReplay:
             history = work_vector_history(anchored, base)
             for rank in (0, len(history.space) // 2, len(history.space) - 1):
                 want = loop_first_visits(anchored, base_len, [rank])
-                repeated_to = _backtrack(history, anchored.requests, [rank])[3]
+                _, shared, _, held_to = _backtrack(history, anchored, [rank])
+                assert shared[base_len:held_to] == list(anchored.requests[base_len:held_to])
+                assert held_to > base_len + inst.k
                 for ranks in ([rank], [rank] * 3):
-                    asked = []
-                    monkeypatch.setattr(
-                        History, "starts_periodic_cycle",
-                        lambda h, t: asked.append(t) or starts(h, t),
-                    )
+                    read = spy_leave_reads(monkeypatch)
                     first = first_start_visits(history, anchored, ranks, base_len).tolist()
                     monkeypatch.undo()
                     assert first == want * len(ranks), (model, weights, seed, ranks)
-                    # the replay skipped cycles, so it stopped asking below repeated_to
-                    assert repeated_to is not None and asked[-1] < repeated_to
+                    # no leave point of [base_len + k, held_to) is read
+                    rounds = len(anchored.requests)
+                    assert read == [*range(base_len + inst.k), *range(held_to, rounds)]
 
     @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
     def test_skipped_cycles_lie_in_the_shared_rounds(self, model, weights, seed):
-        """The array replay has no skip, since it never meets a cycle it
-        could skip: a cycle repeats only on the start, where every leave
-        point is the request, so every target shares its plan and its
-        leave points up to repeated_to + p, past the last skip's landing.
-        A skip across the first round whose leave points differ cannot
-        happen; this checks the premise on every anchor length."""
+        """The array replay has no skip, since it never meets a held round
+        it could skip: the backward pass jumps only on the shared rank, so
+        every target shares its plan and its leave points up to held_to,
+        the skip's landing, and those of the anchor before it are the
+        requests.  A skip across the first round whose leave points differ
+        cannot happen; this checks the premise on every anchor length."""
         inst = compression_instance(model, weights, seed)
         base = work_vector_history(inst)
         cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
-        repeats = 0
+        base_len = len(inst.requests)
+        skips = 0
         for m in (1, 2, cycles):
             anchored = inst.with_requests(inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
-            requests, period = anchored.requests, history.period
+            requests = anchored.requests
             size = len(history.space)
             for ranks in (range(size), [size - 1, 0, size // 2]):
-                first, shared, _, repeated_to = _backtrack(history, requests, ranks)
-                if repeated_to is None:
+                first, shared, _, held_to = _backtrack(history, anchored, ranks)
+                if held_to == 0:
                     continue
-                repeats += 1
+                skips += 1
                 assert (first == first[0]).all()
-                assert repeated_to + period <= len(shared)
-                periodic = range(history.periodic_from, repeated_to + period)
-                assert all(shared[t] == requests[t] for t in periodic)
-        assert repeats > 0
+                assert base_len < held_to <= len(shared)
+                assert shared[base_len:held_to] == list(requests[base_len:held_to])
+        assert skips > 0
+
+    def test_anchors_without_a_fixed_point_skip_too(self, monkeypatch):
+        """One- and two-cycle anchors end before their fixed point, and
+        their walks still jump from the start: some backward pass jumps,
+        some replay skips, reading no leave point it skips, and every
+        trace and first visit equals the reference on the full fold."""
+        jumps = skips = 0
+        for model, weights, seed in COMPRESSION_CASES:
+            inst = compression_instance(model, weights, seed)
+            base_len = len(inst.requests)
+            base = work_vector_history(inst)
+            for m in (1, 2):
+                anchored = inst.with_requests(inst.requests + inst.initial * m)
+                history = work_vector_history(anchored, base)
+                if history.fixed_cycle is not None:
+                    continue
+                space = history.space
+                reference = work_vector_history(anchored)
+                for rank, config in enumerate(space.configs):
+                    held_to = _backtrack(history, anchored, [rank])[3]
+                    jumps += held_to > base_len
+                    skips += held_to > base_len + inst.k
+                    read = spy_leave_reads(monkeypatch)
+                    got = extract_trace(history, anchored, config)
+                    monkeypatch.undo()
+                    assert got == loop_extract_trace(reference, anchored, config)
+                    assert not any(base_len + inst.k <= t < held_to for t in read)
+                ranks = range(len(space))
+                assert first_start_visits(history, anchored, ranks, base_len).tolist() == (
+                    loop_first_visits(anchored, base_len, ranks)
+                )
+        assert jumps > 0 and skips > 0
 
 
 def test_verify_work_counts(monkeypatch):

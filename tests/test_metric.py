@@ -26,7 +26,7 @@ from kserver import (
     random_metric,
     validate_metric,
 )
-from kserver.metric import matching_costs
+from kserver.metric import check_point, matching_costs
 
 M3_MATRIX = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
 
@@ -422,7 +422,7 @@ class TestCanonicalConfiguration:
     @pytest.mark.parametrize("bad", [True, 1.5, "1", None, 3, -1, np.int64(7)])
     def test_point_messages_match_check_point(self, m3, bad):
         with pytest.raises(InputError) as refused:
-            m3.check_point(bad)
+            check_point(bad, m3.n)
         with pytest.raises(InputError) as in_config:
             canonical_configuration((0, bad), n=3)
         assert str(in_config.value) == str(refused.value)
@@ -458,6 +458,20 @@ class TestRequestChecks:
             with pytest.raises(InputError) as refused:
                 make(requests)
             assert str(refused.value) == message
+
+    def test_one_check_call_per_point(self, m3, monkeypatch):
+        # each start point and each request is checked by one call, and a
+        # configuration checked against n calls once per point too
+        import kserver.metric as metric
+
+        calls = []
+        check = metric.check_point
+        monkeypatch.setattr(metric, "check_point", lambda *args: calls.append(args) or check(*args))
+        Instance.build(m3, 2, (1, 0), [2, 0, np.int64(1), 2])
+        assert [len(args) for args in calls] == [1, 1, 2, 2, 2, 2]
+        calls.clear()
+        assert canonical_configuration((2, 0, 1), n=3) == (0, 1, 2)
+        assert len(calls) == 3
 
     def test_numpy_requests_become_ints(self, m3, m3_instance):
         requests = [np.int64(2), 2, np.uint8(0), np.int64(2), 1]

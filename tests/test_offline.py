@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -21,6 +22,7 @@ from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
 from kserver.metric import matching_assignment, matching_cost, random_metric
 from kserver.rng import SplitMix64
+from kserver.workfunction import History
 from kserver.offline import (
     _final_relocation,
     extract_trace,
@@ -326,8 +328,8 @@ def wrong_plan_case(monkeypatch):
     assert int(history[-1].values[rank]) == 11
     backtrack = offline._backtrack
 
-    def wrong(history, requests, ranks):
-        first, shared, split, repeated_to = backtrack(history, requests, ranks)
+    def wrong(history, served, ranks):
+        first, shared, split, held_to = backtrack(history, served, ranks)
         t = WRONG_PLAN["round"]
         if len(ranks) == 1:  # one target: every leave point is shared
             assert shared[t] != WRONG_PLAN["point"]
@@ -336,7 +338,7 @@ def wrong_plan_case(monkeypatch):
             column = list(ranks).index(rank)
             assert not shared and split[t, column] != WRONG_PLAN["point"]
             split[t, column] = WRONG_PLAN["point"]
-        return first, shared, split, repeated_to
+        return first, shared, split, held_to
 
     monkeypatch.setattr(offline, "_backtrack", wrong)
     return inst, history
@@ -372,10 +374,43 @@ def test_leave_points_of_verify_mid():
     # every target shares the leave points of rounds 1..1392; only the 6
     # rounds after the merge take one row per target, 2,970 bytes in all
     inst, anchored, history = verify_mid_case()
-    _, shared, split, _ = offline._backtrack(history, anchored.requests, range(495))
+    _, shared, split, _ = offline._backtrack(history, anchored, range(495))
     assert len(shared) == 1392 and split.shape == (6, 495) and split.nbytes == 2970
-    _, shared, split, _ = offline._backtrack(history, anchored.requests, [7])
+    _, shared, split, _ = offline._backtrack(history, anchored, [7])
     assert len(shared) == 1398 and split.shape == (0, 1)
+
+
+def test_backtrack_rows_read_on_verify_mid(monkeypatch):
+    # the 495 ranks merge at round 1392 onto the start, so the walk jumps
+    # from there to the base: it reads the base rows and the 7 rows after
+    # the merge, none of the anchor's first 1342 rounds
+    inst, anchored, history = verify_mid_case()
+    values = History.values
+    asked = []
+    monkeypatch.setattr(History, "values", lambda h, t: asked.append(t) or values(h, t))
+    _, shared, _, held_to = offline._backtrack(history, anchored, range(495))
+    monkeypatch.undo()
+    assert held_to == len(shared) == 1392
+    assert set(asked) == set(range(51)) | set(range(1392, 1399))
+    assert len(set(asked)) == 58
+
+
+def test_changed_start_entry_is_caught():
+    # one stored anchor row whose start entry is off by one: the jump's
+    # premise fails, the held rounds are walked one by one, and the held
+    # step into that row finds no predecessor
+    inst, anchored, history = verify_mid_case()
+    start = history.space.rank(inst.initial)
+    rows = list(history.rows)
+    changed = rows[55].copy()
+    changed[start] += 1
+    rows[55] = changed
+    broken = dataclasses.replace(history, rows=tuple(rows))
+    assert offline._backtrack(history, anchored, [start])[3] == 1398
+    with pytest.raises(RuntimeError, match=r"backtracking found no predecessor at round 56$"):
+        extract_trace(broken, anchored, inst.initial)
+    with pytest.raises(RuntimeError, match="backtracking found no predecessor"):
+        first_start_visits(broken, anchored, range(len(history.space)), len(inst.requests))
 
 
 @pytest.mark.parametrize("where", ["shared", "split"])
@@ -391,13 +426,13 @@ def test_corrupted_leave_point_is_caught(monkeypatch, where):
         ranks.insert(0, ranks.pop(column))
     backtrack = offline._backtrack
 
-    def corrupted(history, requests, ranks):
-        first, shared, split, repeated_to = backtrack(history, requests, ranks)
+    def corrupted(history, served, ranks):
+        first, shared, split, held_to = backtrack(history, served, ranks)
         if where == "shared":
             shared[10] = (shared[10] + 1) % inst.n
         else:
             split[0, column] = (split[0, column] + 1) % inst.n
-        return first, shared, split, repeated_to
+        return first, shared, split, held_to
 
     monkeypatch.setattr(offline, "_backtrack", corrupted)
     assert history.space.configs[column] == (0, 1, 2, 10)
@@ -414,14 +449,14 @@ def uncovered_plan_case(monkeypatch, instance, target):
     lacking = next(i for i, c in enumerate(space.configs) if instance.requests[0] not in c)
     backtrack = offline._backtrack
 
-    def uncovered(history, requests, ranks):
-        first, shared, split, repeated_to = backtrack(history, requests, ranks)
+    def uncovered(history, served, ranks):
+        first, shared, split, held_to = backtrack(history, served, ranks)
         first = first.copy()
         if target is None:
             first[:] = lacking
         else:
             first[list(ranks).index(space.rank(target))] = lacking
-        return first, shared, split, repeated_to
+        return first, shared, split, held_to
 
     monkeypatch.setattr(offline, "_backtrack", uncovered)
     return history
@@ -445,8 +480,9 @@ def test_uncovered_request_raises(monkeypatch, instance, target, named):
 
 def test_extract_trace_skips_repeated_cycles(monkeypatch):
     # C1b's reference trace on the verify-mid instance: the replay builds
-    # the rounds up to the first repeated cycle and the tail after the
-    # skip, not all 1398, and equals the loop on the full fold
+    # the rounds up to the anchor's first cycle, one cycle of empty moves
+    # on the start and the tail after the plan leaves it, not all 1398,
+    # and equals the loop on the full fold
     inst, anchored, history = verify_mid_case()
     target = history.space.configs[0]
     built = []
