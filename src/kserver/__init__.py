@@ -5,14 +5,17 @@ offline optimum with cost-realizing trace extraction, an independent
 brute-force oracle, stabilizing anchor sequences, and a harness that
 mechanically verifies the anchored-sequence properties (P1 through T1)
 and the strict competitive ratio on concrete instances.
+
+The package defines only what the command line and its own modules
+call, plus the oracle and ``measure_strict_ratio`` for callers outside
+it; the tests keep their reference loops and trace validity check.
 """
 
 from .anchor import AnchorSpec, compute_anchor
-from .execution import ExecutionTrace, Move, Round, trace_violations
+from .execution import ExecutionTrace, Move, Round
 from .harness import (
     CHECK_DESCRIPTIONS,
     CHECK_IDS,
-    DEFAULT_CAMPAIGN,
     CampaignRow,
     CheckResult,
     ExperimentReport,
@@ -34,8 +37,6 @@ from .metric import (
     MetricSpace,
     MetricValidation,
     canonical_configuration,
-    configuration_distance,
-    instance_from_json,
     instance_to_json,
     matching_assignment,
     matching_cost,
@@ -47,7 +48,6 @@ from .offline import (
     OracleGuardExceeded,
     extract_trace,
     opt_cost,
-    opt_cost_to,
     opt_trace,
     oracle_opt,
     oracle_schedule_costs,
@@ -65,7 +65,6 @@ from .workfunction import (
     run_wfa,
     update_work_vector,
     wfa_decide,
-    work_vector_to_json,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metric import InputError, Instance, _check_work_bound, check_integer, min_pairwise_distance
+from .metric import InputError, Instance, check_integer, check_work_bound, min_pairwise_distance
 
 
 @dataclass(frozen=True)
@@ -27,18 +27,7 @@ class AnchorSpec:
 
     min_gap: int
     cycles: int
-    alpha: int
-    beta: int
     requests: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "ell": self.min_gap,
-            "m": self.cycles,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "sigma": list(self.requests),
-        }
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:
@@ -72,5 +61,5 @@ def compute_anchor(inst: Instance, opt: int, alpha: int, beta: int) -> AnchorSpe
     if not (cycles * gap > 2 * k * opt + k * k * gap):
         raise RuntimeError("cycle count fails its return guarantee")
     # the anchored instance's bound, refused before its requests are built
-    _check_work_bound(inst.metric, k, len(inst.requests) + k * cycles)
-    return AnchorSpec(gap, cycles, alpha, beta, inst.initial * cycles)
+    check_work_bound(inst.metric, k, len(inst.requests) + k * cycles)
+    return AnchorSpec(gap, cycles, inst.initial * cycles)

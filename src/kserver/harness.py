@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,7 +85,6 @@ from .offline import (
     extract_trace,
     first_start_visits,
     opt_cost,
-    opt_cost_to,
     work_vector_history,
 )
 from .rng import SplitMix64
@@ -251,7 +249,7 @@ def verify_anchored_properties(
     r1 = CheckResult("R1", r1_status, list(end_config), list(start))
 
     alg_base = sum(move.cost for rnd in trace_anchored.rounds[:base_len] for move in rnd.moves)
-    return_cost = opt_cost_to(vector_base, start)
+    return_cost = vector_base.value(start)
     p1 = _bool_check("P1", return_cost <= 2 * opt_base, return_cost, 2 * opt_base)
     t1 = _bool_check("T1", alg_base <= 2 * alpha * opt_base, alg_base, 2 * alpha * opt_base)
 
@@ -373,12 +371,8 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
 class RatioRow:
     """One strict-ratio measurement: online cost against (4k-2) times optimum."""
 
-    n: int
-    k: int
-    rho_len: int
     opt: int
     alg: int
-    ratio: Fraction | None
     bound: int
     passed: bool
 
@@ -390,8 +384,7 @@ class RatioRow:
         online cost."""
         bound = 4 * inst.k - 2
         passed = alg <= bound * opt if opt > 0 else alg == 0
-        ratio = Fraction(alg, opt) if opt > 0 else None
-        return cls(inst.n, inst.k, len(inst.requests), opt, alg, ratio, bound, passed)
+        return cls(opt, alg, bound, passed)
 
 
 def measure_strict_ratio(inst: Instance) -> RatioRow:
@@ -472,17 +465,6 @@ def generate_instance(
     return Instance.build(metric, k, initial, requests)
 
 
-DEFAULT_CAMPAIGN = {
-    "seeds": [1, 20],
-    "n": [4, 8],
-    "k": [2, 3],
-    "rho_len": [0, 12],
-    "request_model": "uniform",
-    "alpha": "2k-1",
-    "beta": 0,
-    "q": 3,
-}
-
 CSV_COLUMNS = (
     "instance_id", "seed", "n", "k", "rho_len", "m", "ell", "beta_used",
     "opt", "alg", "opt_rho_sigma", "alg_rho_sigma",
@@ -555,7 +537,6 @@ class CampaignRow:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config: dict
     rows: tuple[CampaignRow, ...]
 
     @property
@@ -566,21 +547,6 @@ class ExperimentReport:
         if "inconclusive" in statuses:
             return "inconclusive"
         return "pass"
-
-    def to_json(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "status": self.status,
-            "rows": [
-                {
-                    "instance_id": row.instance_id,
-                    "seed": row.seed,
-                    "ratio_pass": row.ratio.passed,
-                    "report": row.report.to_json(),
-                }
-                for row in self.rows
-            ],
-        }
 
 
 def run_campaign(config: dict) -> ExperimentReport:
@@ -605,7 +571,7 @@ def run_campaign(config: dict) -> ExperimentReport:
         report = verify_anchored_properties(inst, alpha, cfg["beta"], cfg["q"])
         ratio = RatioRow.of(inst, report.values["opt"], report.values["alg"])
         rows.append(CampaignRow(instance_id, seed, inst, report, ratio))
-    return ExperimentReport(cfg, tuple(rows))
+    return ExperimentReport(tuple(rows))
 
 
 def report_to_csv(report: ExperimentReport) -> str:

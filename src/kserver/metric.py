@@ -81,6 +81,11 @@ def check_int64_bound(count: str, factor: int, largest: int) -> None:
         )
 
 
+def check_work_bound(metric: MetricSpace, k: int, t: int) -> None:
+    """Refuse a sequence of ``t`` requests whose work values may pass int64."""
+    check_int64_bound(f"{t} requests + k={k}", t + k, metric.largest)
+
+
 @dataclass(frozen=True)
 class AxiomViolation:
     """One failed metric axiom with a witnessing index tuple."""
@@ -208,15 +213,15 @@ def check_point(p, n: int | None = None) -> int:
     return int(p)
 
 
-def canonical_configuration(points: Iterable[int], n: int | None = None) -> Configuration:
-    """Sorted tuple of distinct point identifiers; the canonical encoding."""
+def canonical_configuration(points: Iterable[int], n: int) -> Configuration:
+    """Sorted tuple of distinct point identifiers in [0, n); the canonical
+    encoding."""
     pts = [check_point(p) for p in points]
     if len(set(pts)) != len(pts):
         raise InputError(f"configuration has repeated points: {pts}")
-    if n is not None:
-        for p in pts:
-            if not 0 <= p < n:
-                check_point(p, n)  # raises, naming the point
+    for p in pts:
+        if not 0 <= p < n:
+            check_point(p, n)  # raises, naming the point
     if not pts:
         raise InputError("configuration is empty")
     return tuple(sorted(pts))
@@ -319,17 +324,6 @@ def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray)
     return values
 
 
-def configuration_distance(
-    x: Iterable[int], y: Iterable[int], metric: MetricSpace
-) -> int:
-    """Weight of a minimum-weight matching between two k-configurations."""
-    cx = canonical_configuration(x, metric.n)
-    cy = canonical_configuration(y, metric.n)
-    if len(cx) != len(cy):
-        raise InputError(f"configuration sizes differ: {len(cx)} vs {len(cy)}")
-    return matching_cost(cx, cy, metric)
-
-
 def min_pairwise_distance(config: Iterable[int], metric: MetricSpace) -> int:
     """Smallest distance between two distinct points of a configuration."""
     pts = canonical_configuration(config, metric.n)
@@ -407,11 +401,8 @@ class Instance:
             raise InputError(f"initial configuration has {len(start)} points, expected k={k}")
         n = metric.n
         reqs = tuple([check_point(p, n) for p in requests])
-        _check_work_bound(metric, k, len(reqs))
+        check_work_bound(metric, k, len(reqs))
         return cls(metric, k, start, reqs)
-
-    def with_requests(self, requests: Iterable[int]) -> "Instance":
-        return Instance.build(self.metric, self.k, self.initial, requests)
 
     def to_dict(self) -> dict:
         out = {
@@ -442,11 +433,6 @@ class Instance:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_work_bound(metric: MetricSpace, k: int, t: int) -> None:
-    """Refuse a sequence of ``t`` requests whose work values may pass int64."""
-    check_int64_bound(f"{t} requests + k={k}", t + k, metric.largest)
-
-
 def instance_to_json(inst: Instance) -> str:
     return json.dumps(inst.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -469,7 +455,3 @@ def parse_json(text: str, source: str):
         return json.loads(text, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{source} does not parse as JSON: {exc}") from exc
-
-
-def instance_from_json(text: str) -> Instance:
-    return Instance.from_dict(parse_json(text, "instance document"))

@@ -72,11 +72,6 @@ def opt_cost(vector: WorkVector) -> int:
     return int(vector.values.min())
 
 
-def opt_cost_to(vector: WorkVector, config) -> int:
-    """Optimal cost of the served prefix ending exactly in ``config``."""
-    return vector.value(config)
-
-
 def work_vector_history(
     inst: Instance, base: History | None = None, first: WorkVector | None = None
 ) -> History:
@@ -98,7 +93,7 @@ def work_vector_history(
         vectors = itertools.accumulate(requests, update_work_vector, initial=first)
         rows = tuple(vector.values for vector in vectors)
         length = len(requests)
-        return History(first.space, rows, length, length, 0, None)
+        return History(first.space, rows, length, length, None)
 
     base_len = base.length
     cycle = inst.initial
@@ -119,7 +114,7 @@ def work_vector_history(
             break
     return replace(
         base, rows=base.rows + tuple(tail), length=len(requests), base_len=base_len,
-        period=len(cycle), fixed_cycle=fixed_cycle,
+        fixed_cycle=fixed_cycle,
     )
 
 

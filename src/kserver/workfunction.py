@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +82,8 @@ class ConfigurationSpace:
     so the masks of popcount k are taken in decreasing order and their
     highest bits peeled k times.  Each configuration also has a bitmask,
     and a table of 2^n entries maps a bitmask back to its rank:
-    ``rank(config)`` and ``config(rank)`` look up one configuration, and
-    ``configs`` lists them all for callers that enumerate.
+    ``rank(config)`` and ``config(rank)`` look up one configuration.  Rank
+    order is the order of ``itertools.combinations(range(n), k)``.
 
     Two request-independent intp tables, the slot points and each mask
     with slot j cleared, are built once per space, so a transition table
@@ -159,11 +159,6 @@ class ConfigurationSpace:
     def config(self, rank: int) -> Configuration:
         """The configuration of ``rank``, as a tuple of Python ints."""
         return tuple(self._points[:, rank].tolist())
-
-    @cached_property
-    def configs(self) -> list[Configuration]:
-        """Every configuration in rank order, built on first use."""
-        return list(map(tuple, self.slots.T.tolist()))
 
     def transitions(self, request: int) -> Transitions:
         """The request's transition tables over the configurations that
@@ -247,9 +242,6 @@ class WorkVector:
     def value(self, config) -> int:
         return int(self.values[self.space.rank(config)])
 
-    def to_pairs(self) -> list[tuple[Configuration, int]]:
-        return [(cfg, int(v)) for cfg, v in zip(self.space.configs, self.values)]
-
 
 @dataclass(frozen=True, eq=False)
 class History:
@@ -258,11 +250,11 @@ class History:
     per stored vector, shared with the vectors themselves and with any
     history that extends this one rather than copied.
 
-    A sequence of ``base_len`` requests followed by whole cycles of
-    ``period`` requests (an anchor) may be folded only until one cycle maps
-    the vector to itself, at cycle ``fixed_cycle``: updates are
-    deterministic, so from row ``periodic_from`` on the vectors repeat with
-    that period, and later rows are read from the last stored cycle.
+    A sequence of ``base_len`` requests followed by whole cycles over the
+    k start points (an anchor) may be folded only until one cycle maps the
+    vector to itself, at cycle ``fixed_cycle``: updates are deterministic,
+    so from row ``periodic_from`` on the vectors repeat with period k, and
+    later rows are read from the last stored cycle.
     Otherwise every row is stored and ``fixed_cycle`` is None.  ``len``,
     indexing and iteration keep the nominal meaning: ``len(history)`` is
     T + 1, and ``history[t]`` is the vector after t of the T requests.
@@ -274,25 +266,24 @@ class History:
     rows: tuple[np.ndarray, ...]
     length: int
     base_len: int
-    period: int
     fixed_cycle: int | None
 
     @property
     def periodic_from(self) -> int:
         if self.fixed_cycle is None:
             return len(self.rows)
-        return self.base_len + (self.fixed_cycle - 1) * self.period
+        return self.base_len + (self.fixed_cycle - 1) * self.space.k
 
     def starts_periodic_cycle(self, t: int) -> bool:
         """Whether a cycle starts after t requests inside the periodic rows,
         where every cycle is served from the same vectors."""
         p = self.periodic_from
-        return t >= p and (t - p) % self.period == 0
+        return t >= p and (t - p) % self.space.k == 0
 
     def values(self, t: int) -> np.ndarray:
         """Entries of the vector after t requests, 0 <= t <= T."""
         p = self.periodic_from
-        return self.rows[t if t < p else p + (t - p) % self.period]
+        return self.rows[t if t < p else p + (t - p) % self.space.k]
 
     def __len__(self) -> int:
         return self.length + 1
@@ -392,7 +383,7 @@ def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
     for i, (request, vector) in enumerate(zip(requests, vectors)):
         if periodic and vectors.starts_periodic_cycle(i):
             if mark is not None and mark[0] == config:
-                period = vectors.period
+                period = vectors.space.k
                 repeats = (len(requests) - i) // period
                 rounds += rounds[-period:] * repeats
                 total += (total - mark[1]) * repeats
@@ -403,8 +394,3 @@ def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
         rounds.append(rnd)
         config = rnd.config
     return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total)
-
-
-def work_vector_to_json(vector: WorkVector) -> list:
-    """Rank-ordered (configuration, value) pairs for goldens and debugging."""
-    return [[list(cfg), value] for cfg, value in vector.to_pairs()]

@@ -20,7 +20,7 @@ from kserver import (
 )
 from kserver.offline import oracle_work_vector
 from kserver.rng import SplitMix64
-from test_workfunction import d_equivalence, shifted
+from test_workfunction import d_equivalence, shifted, vector_pairs
 
 UNIFORM_CAMPAIGN = {
     "seeds": [1, 100], "n": [4, 8], "k": [2, 3], "rho_len": [0, 12],
@@ -80,7 +80,7 @@ def test_oracle_equivalence():
         inst = generate_instance(n, k, length, seed)
         vector = final_work_vector(inst)
         oracle = oracle_work_vector(inst)
-        for cfg, value in vector.to_pairs():
+        for cfg, value in vector_pairs(vector):
             assert value == oracle[cfg], (n, k, length, seed, cfg)
         checked += 1
 
@@ -93,7 +93,7 @@ def test_oracle_equivalence():
         inst = generate_instance(n, k, length, seed)
         vector = final_work_vector(inst)
         oracle = oracle_work_vector(inst)
-        for cfg, value in vector.to_pairs():
+        for cfg, value in vector_pairs(vector):
             assert value == oracle[cfg], (n, k, length, seed, cfg)
         checked += 1
     assert checked == len(grid) + 1000
@@ -165,7 +165,7 @@ def test_robustness_invariants():
         space = vector.space
         for _ in range(200):
             request = stream.randint(0, n - 1)
-            config = space.configs[stream.randint(0, len(space) - 1)]
+            config = space.config(stream.randint(0, len(space) - 1))
             offset = offsets[pairs % 3]
             for d in offsets:
                 assert wfa_decide(vector, config, request) == wfa_decide(

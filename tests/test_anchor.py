@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kserver import (
@@ -16,7 +18,7 @@ from kserver import (
 class TestComputeAnchor:
     def test_zero_opt_gives_k_squared_plus_one(self, m3_instance):
         # all requests covered by the start, so the optimum is zero
-        inst = m3_instance.with_requests((0, 1, 0))
+        inst = dataclasses.replace(m3_instance, requests=(0, 1, 0))
         assert opt_cost(final_work_vector(inst)) == 0
         anchor = compute_anchor(inst, 0, alpha=3, beta=0)
         assert anchor.cycles == 5
@@ -34,6 +36,10 @@ class TestComputeAnchor:
         assert opt_cost(final_work_vector(inst)) == 10
         assert compute_anchor(inst, 10, alpha=3, beta=5).cycles == 66
 
+    def test_layout(self, m3_instance):
+        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
+        assert anchor == AnchorSpec(1, 13, (0, 1) * 13)
+
     def test_round_robin_structure(self, m3_instance):
         anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
         cycle = m3_instance.initial
@@ -45,15 +51,16 @@ class TestComputeAnchor:
         for seed in (2, 9, 31):
             inst = generate_instance(6, 3, 8, seed)
             opt = opt_cost(final_work_vector(inst))
-            anchor = compute_anchor(inst, opt, alpha=5, beta=4)
+            alpha, beta = 5, 4
+            anchor = compute_anchor(inst, opt, alpha, beta)
             gap = min_pairwise_distance(inst.initial, inst.metric)
             k = inst.k
-            assert anchor.cycles * gap > 2 * anchor.alpha * opt + anchor.beta
+            assert anchor.cycles * gap > 2 * alpha * opt + beta
             assert anchor.cycles * gap > 2 * k * opt + k * k * gap
 
     def test_anchor_costs_nothing_from_start(self, m3_instance):
         anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
-        on_anchor_alone = m3_instance.with_requests(anchor.requests)
+        on_anchor_alone = dataclasses.replace(m3_instance, requests=anchor.requests)
         assert run_wfa(on_anchor_alone).total_cost == 0
 
     def test_k1_rejected(self, m3):
@@ -82,14 +89,8 @@ class TestComputeAnchor:
         with pytest.raises(InputError, match=r"12000000000003 requests \+ k=2 .* int64 bound"):
             compute_anchor(inst, far, alpha=3, beta=0)
 
-    def test_json_layout(self, m3_instance):
-        anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
-        doc = anchor.to_json()
-        assert doc["m"] == 13 and doc["ell"] == 1
-        assert doc["sigma"] == list(anchor.requests)
-
 
 def test_anchor_spec_is_value_object():
-    a = AnchorSpec(1, 3, 2, 0, (0, 1) * 3)
-    b = AnchorSpec(1, 3, 2, 0, (0, 1) * 3)
+    a = AnchorSpec(1, 3, (0, 1) * 3)
+    b = AnchorSpec(1, 3, (0, 1) * 3)
     assert a == b

@@ -1,14 +1,12 @@
 import dataclasses
 import itertools
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kserver import (
     CHECK_IDS,
-    DEFAULT_CAMPAIGN,
     InputError,
     Instance,
     MetricSpace,
@@ -51,6 +49,18 @@ from kserver.workfunction import (
     update_work_vector,
 )
 from test_offline import WRONG_PLAN, loop_extract_trace, verify_mid_case
+from test_workfunction import all_configs
+
+DEFAULT_CAMPAIGN = {
+    "seeds": [1, 20],
+    "n": [4, 8],
+    "k": [2, 3],
+    "rho_len": [0, 12],
+    "request_model": "uniform",
+    "alpha": "2k-1",
+    "beta": 0,
+    "q": 3,
+}
 
 
 def count_work(monkeypatch):
@@ -93,7 +103,7 @@ class TestVerify:
         assert report.values["opt"] == 2 and report.values["alg"] == 2
 
     def test_empty_rho_degenerate_equalities(self, m3_instance):
-        report = verify_anchored_properties(m3_instance.with_requests(()), alpha=3)
+        report = verify_anchored_properties(dataclasses.replace(m3_instance, requests=()), alpha=3)
         assert report.status == "pass"
         e1 = report.check("E1")
         assert e1.lhs == [0, 0] and e1.rhs == [0, 0]
@@ -199,7 +209,7 @@ def per_target_start_visits(history, anchored, base_len, sample_cap):
         ranks = stream.sample(len(space), sample_cap)
     start = anchored.initial
     for examined, rank in enumerate(ranks, start=1):
-        target = space.configs[rank]
+        target = space.config(rank)
         trace = loop_extract_trace(history, anchored, target)
         if not any(
             trace.config_after(t) == start for t in range(base_len, len(anchored.requests))
@@ -223,7 +233,7 @@ class TestStartVisits:
             full = compute_anchor(inst, opt_cost(base[-1]), 5, 0).cycles
             # one and two cycles are too short an anchor for most seeds
             for cycles in (1, 2, full):
-                anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+                anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
                 history = work_vector_history(anchored, base)
                 reference = work_vector_history(anchored)
                 for cap in (10, C1B_SAMPLE_CAP):
@@ -257,7 +267,7 @@ class TestStartVisits:
         base_len = len(inst.requests)
         base = work_vector_history(inst)
         cycles = compute_anchor(inst, opt_cost(base[-1]), 5, 0).cycles
-        anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+        anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
         history = work_vector_history(anchored, base)
         ranks = range(len(history.space))
         _, shared, _, held_to = _backtrack(history, anchored, ranks)
@@ -279,7 +289,7 @@ class TestStartVisits:
         inst = generate_instance(n, k, rho_len, seed)
         base = work_vector_history(inst)
         cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
-        anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+        anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
         history = work_vector_history(anchored, base)
         ranks = range(len(history.space))
         want = loop_first_visits(anchored, rho_len, ranks)
@@ -289,13 +299,13 @@ class TestStartVisits:
         stacked = (
             set(trace.config_after(t)) < start
             for rank, visit in zip(ranks, want)
-            for trace in [loop_extract_trace(reference, anchored, history.space.configs[rank])]
+            for trace in [loop_extract_trace(reference, anchored, history.space.config(rank))]
             for t in range(rho_len, visit)
         )
         assert any(stacked)
 
     def test_empty_base_visits_at_round_zero(self, m3_instance):
-        anchored = m3_instance.with_requests((0, 1))
+        anchored = dataclasses.replace(m3_instance, requests=(0, 1))
         history = work_vector_history(anchored)
         assert _check_start_visits(history, anchored, 0, C1B_SAMPLE_CAP) == per_target_start_visits(
             history, anchored, 0, C1B_SAMPLE_CAP
@@ -309,7 +319,7 @@ def loop_first_visits(anchored, base_len, ranks):
     start, rounds = anchored.initial, len(anchored.requests)
     want = []
     for rank in ranks:
-        trace = loop_extract_trace(reference, anchored, reference.space.configs[rank])
+        trace = loop_extract_trace(reference, anchored, reference.space.config(rank))
         visits = (t for t in range(base_len, rounds) if trace.config_after(t) == start)
         want.append(next(visits, -1))
     return want
@@ -382,7 +392,7 @@ class TestFixedPointCompression:
         cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
         # one and two cycles end before most fixed points
         for m in (1, 2, cycles):
-            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
             reference = full_fold(anchored)
             assert len(history) == len(reference)
@@ -430,8 +440,9 @@ class TestFixedPointCompression:
             inst = compression_instance(model, weights, seed)
             folds.clear()
             report = verify_anchored_properties(inst, "2k-1", 0, q)
-            anchored = inst.with_requests(inst.requests + inst.initial * report.cycles)
-            repeated = anchored.with_requests(anchored.requests * q)
+            requests = inst.requests + inst.initial * report.cycles
+            anchored = dataclasses.replace(inst, requests=requests)
+            repeated = dataclasses.replace(anchored, requests=anchored.requests * q)
             run_anchored, run_repeated = run_wfa(anchored), run_wfa(repeated)
             opt_anchored = int(full_fold(anchored)[-1].min())
             opt_repeated = int(full_fold(repeated)[-1].min())
@@ -480,7 +491,7 @@ def walked_ranks(space, requests, target, leave):
     """The rank of one target's plan after each round, read back from its
     leave points: before round t the plan held the request where it holds
     the leave point after it (the same point when the request is held)."""
-    config = space.configs[target]
+    config = space.config(target)
     walked = [target]
     for request, point in zip(reversed(requests), reversed(leave)):
         config = tuple(sorted(request if p == point else p for p in config))
@@ -498,7 +509,7 @@ class TestMergedBackward:
         base = work_vector_history(inst)
         cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
         for m in (1, 2, cycles):
-            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
             single_walks(history, anchored, range(len(history.space)))
 
@@ -520,7 +531,7 @@ class TestMergedBackward:
             inst = compression_instance(model, weights, seed)
             base = work_vector_history(inst)
             cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
-            anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
             history = work_vector_history(anchored, base)
             space, requests = history.space, anchored.requests
             ranks = range(len(space))
@@ -532,7 +543,7 @@ class TestMergedBackward:
                 walked_ranks(space, requests, rank, shared + split[:, rank].tolist())
                 for rank in ranks
             ])
-            rounds, period, periodic_from = len(requests), history.period, history.periodic_from
+            rounds, period, periodic_from = len(requests), inst.k, history.periodic_from
             merged = max(t for t in range(rounds + 1) if (walked[:, t] == walked[0, t]).all())
             assert len(shared) == merged and split.shape == (rounds - merged, len(ranks))
             starts = range(periodic_from, rounds + 1, period)
@@ -549,7 +560,7 @@ class TestMergedBackward:
             assert set(asked) == set(range(base_len + 1)) | set(range(held_to, rounds + 1))
             assert first.tolist() == single_walks(history, anchored, ranks)
             reference = work_vector_history(anchored)
-            for config in space.configs[:: max(1, len(space) // 4)]:
+            for config in all_configs(space)[:: max(1, len(space) // 4)]:
                 assert extract_trace(history, anchored, config) == loop_extract_trace(
                     reference, anchored, config
                 )
@@ -579,7 +590,7 @@ class TestSharedReplay:
             base_len = len(inst.requests)
             base = work_vector_history(inst)
             cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
-            anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
             history = work_vector_history(anchored, base)
             for rank in (0, len(history.space) // 2, len(history.space) - 1):
                 want = loop_first_visits(anchored, base_len, [rank])
@@ -609,7 +620,7 @@ class TestSharedReplay:
         base_len = len(inst.requests)
         skips = 0
         for m in (1, 2, cycles):
-            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
             requests = anchored.requests
             size = len(history.space)
@@ -634,13 +645,13 @@ class TestSharedReplay:
             base_len = len(inst.requests)
             base = work_vector_history(inst)
             for m in (1, 2):
-                anchored = inst.with_requests(inst.requests + inst.initial * m)
+                anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
                 history = work_vector_history(anchored, base)
                 if history.fixed_cycle is not None:
                     continue
                 space = history.space
                 reference = work_vector_history(anchored)
-                for rank, config in enumerate(space.configs):
+                for rank, config in enumerate(all_configs(space)):
                     held_to = _backtrack(history, anchored, [rank])[3]
                     jumps += held_to > base_len
                     skips += held_to > base_len + inst.k
@@ -680,8 +691,8 @@ def test_verify_work_counts(monkeypatch):
     assert calls == {"update": 50 + 4 * 4, "extract": 1}
     assert calls["update"] == 66
     # the shifted blocks end where the full fold of all three blocks does
-    block = inst.with_requests(inst.requests + inst.initial * report.cycles)
-    reference = full_fold(block.with_requests(block.requests * 3))
+    block = dataclasses.replace(inst, requests=inst.requests + inst.initial * report.cycles)
+    reference = full_fold(dataclasses.replace(block, requests=block.requests * 3))
     assert report.values["opt_chi"] == int(reference[-1].min())
     # the ratio row folds the base once, its online run read off the fold
     calls["update"] = 0
@@ -806,13 +817,12 @@ class TestResolveAlpha:
 
 class TestStrictRatio:
     def test_empty_sequence(self, m3_instance):
-        row = measure_strict_ratio(m3_instance.with_requests(()))
-        assert (row.opt, row.alg, row.passed, row.ratio) == (0, 0, True, None)
+        row = measure_strict_ratio(dataclasses.replace(m3_instance, requests=()))
+        assert (row.opt, row.alg, row.passed) == (0, 0, True)
 
     def test_m3(self, m3_instance):
         row = measure_strict_ratio(m3_instance)
         assert (row.opt, row.alg, row.bound, row.passed) == (2, 2, 6, True)
-        assert row.ratio == Fraction(1, 1)
 
     def test_uniform_round_robin(self, uniform3):
         inst = Instance.build(uniform3, 2, (0, 1), [(2 + i) % 3 for i in range(20)])
@@ -914,6 +924,19 @@ class TestCampaign:
         for line in lines[1:]:
             assert len(line.split(",")) == len(CSV_COLUMNS)
 
+    def test_report_rows(self):
+        config = dict(DEFAULT_CAMPAIGN, seeds=[1, 2], n=[3, 5])
+        report = run_campaign(config)
+        assert report.status == "pass"
+        assert len(report.rows) == 2
+        assert report.rows[0].ratio.passed is True
+        # the CSV's opt, alg and ratio_pass columns are the rows' ratio rows
+        lines = report_to_csv(report).splitlines()[1:]
+        for row, line in zip(report.rows, lines, strict=True):
+            record = dict(zip(CSV_COLUMNS, line.split(","), strict=True))
+            assert (record["opt"], record["alg"]) == (str(row.ratio.opt), str(row.ratio.alg))
+            assert record["ratio_pass"] == ("pass" if row.ratio.passed else "fail")
+
     def test_config_validation(self):
         good = dict(DEFAULT_CAMPAIGN)
         assert validate_campaign_config(good)["request_model"] == "uniform"
@@ -942,9 +965,3 @@ class TestCampaign:
         with pytest.raises(InputError):
             validate_campaign_config(config)
 
-    def test_report_json(self):
-        config = dict(DEFAULT_CAMPAIGN, seeds=[1, 2], n=[3, 5])
-        doc = run_campaign(config).to_json()
-        assert doc["status"] == "pass"
-        assert len(doc["rows"]) == 2
-        assert doc["rows"][0]["ratio_pass"] is True

@@ -17,8 +17,6 @@ from kserver import (
     Instance,
     MetricSpace,
     canonical_configuration,
-    configuration_distance,
-    instance_from_json,
     instance_to_json,
     matching_assignment,
     matching_cost,
@@ -26,7 +24,7 @@ from kserver import (
     random_metric,
     validate_metric,
 )
-from kserver.metric import check_point, matching_costs
+from kserver.metric import check_point, matching_costs, parse_json
 
 M3_MATRIX = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
 
@@ -90,26 +88,20 @@ class TestValidateMetric:
 class TestConfigurationDistance:
     def test_identity(self, m3):
         for cfg in itertools.combinations(range(3), 2):
-            assert configuration_distance(cfg, cfg, m3) == 0
+            assert matching_cost(cfg, cfg, m3) == 0
 
     def test_m3_values(self, m3):
-        assert configuration_distance((0, 1), (0, 2), m3) == 2
-        assert configuration_distance((0, 1), (1, 2), m3) == 3
-        assert configuration_distance((0, 1), (0, 2), m3) == brute_force_distance((0, 1), (0, 2), m3)
-        assert configuration_distance((0, 1), (1, 2), m3) == brute_force_distance((0, 1), (1, 2), m3)
+        assert matching_cost((0, 1), (0, 2), m3) == 2
+        assert matching_cost((0, 1), (1, 2), m3) == 3
+        assert matching_cost((0, 1), (0, 2), m3) == brute_force_distance((0, 1), (0, 2), m3)
+        assert matching_cost((0, 1), (1, 2), m3) == brute_force_distance((0, 1), (1, 2), m3)
 
     def test_symmetry(self, m3):
         for x, y in itertools.product(itertools.combinations(range(3), 2), repeat=2):
-            assert configuration_distance(x, y, m3) == configuration_distance(y, x, m3)
+            assert matching_cost(x, y, m3) == matching_cost(y, x, m3)
 
     def test_errors(self, m3):
-        with pytest.raises(InputError):
-            configuration_distance((0,), (0, 1), m3)
-        with pytest.raises(InputError):
-            configuration_distance((0, 3), (0, 1), m3)
-        with pytest.raises(InputError):
-            configuration_distance((0, 0), (0, 1), m3)
-        # the matching routines refuse unequal sides themselves
+        # the matching routines refuse unequal sides
         with pytest.raises(InputError, match="matching sides differ"):
             matching_cost((0,), (0, 1), m3)
         with pytest.raises(InputError, match="matching sides differ"):
@@ -121,7 +113,7 @@ class TestConfigurationDistance:
         metric = random_metric(n, seed=seed)
         configs = list(itertools.combinations(range(n), k))
         dmat = {
-            (x, y): configuration_distance(x, y, metric)
+            (x, y): matching_cost(x, y, metric)
             for x in configs
             for y in configs
         }
@@ -137,7 +129,7 @@ class TestConfigurationDistance:
         configs = list(itertools.combinations(range(8), 4))
         for x in configs:
             for y in configs:
-                assert configuration_distance(x, y, metric) == brute_force_distance(x, y, metric)
+                assert matching_cost(x, y, metric) == brute_force_distance(x, y, metric)
 
 
 class TestMatchingRoutes:
@@ -203,10 +195,10 @@ class TestMatchingRoutes:
                     matrix[i][j] = matrix[j][i] = base + rng.randint(1, 15)
             metric = MetricSpace.from_matrix(matrix)
             x, y = tuple(range(7)), tuple(range(7, 14))
-            assert configuration_distance(x, y, metric) == brute_force_distance(x, y, metric)
+            assert matching_cost(x, y, metric) == brute_force_distance(x, y, metric)
             assigned = matching_assignment(x, y, metric)
             cost = sum(metric.dist[a][b] for a, b in zip(x, assigned))
-            assert cost == configuration_distance(x, y, metric)
+            assert cost == matching_cost(x, y, metric)
 
 
 class TestMatchingCostsKernel:
@@ -402,22 +394,22 @@ def test_configuration_distance_triangle_random(seed):
     stride = seed % 7 + 1
     picked = [configs[(i * stride) % len(configs)] for i in range(3)]
     x, y, z = picked
-    assert configuration_distance(x, z, metric) <= (
-        configuration_distance(x, y, metric) + configuration_distance(y, z, metric)
+    assert matching_cost(x, z, metric) <= (
+        matching_cost(x, y, metric) + matching_cost(y, z, metric)
     )
 
 
 class TestCanonicalConfiguration:
     def test_sorts(self):
-        assert canonical_configuration((2, 0, 1)) == (0, 1, 2)
+        assert canonical_configuration((2, 0, 1), 3) == (0, 1, 2)
 
     def test_rejects_repeats_and_range(self):
         with pytest.raises(InputError):
-            canonical_configuration((0, 0))
+            canonical_configuration((0, 0), 3)
         with pytest.raises(InputError):
             canonical_configuration((0, 5), n=3)
         with pytest.raises(InputError):
-            canonical_configuration(())
+            canonical_configuration((), 3)
 
     @pytest.mark.parametrize("bad", [True, 1.5, "1", None, 3, -1, np.int64(7)])
     def test_point_messages_match_check_point(self, m3, bad):
@@ -433,12 +425,8 @@ class TestCanonicalConfiguration:
 
 
 class TestRequestChecks:
-    """``Instance.build`` and ``with_requests`` check every request once,
-    in sequence order, and name the first bad one."""
-
-    @staticmethod
-    def makers(m3, m3_instance):
-        return (lambda reqs: Instance.build(m3, 2, (0, 1), reqs), m3_instance.with_requests)
+    """``Instance.build`` checks every request once, in sequence order, and
+    names the first bad one."""
 
     @pytest.mark.parametrize(
         "requests,message",
@@ -453,11 +441,10 @@ class TestRequestChecks:
             ([0, [1], 7], "point identifier must be an integer, got [1]"),
         ],
     )
-    def test_refuses_and_names_the_first_bad_request(self, m3, m3_instance, requests, message):
-        for make in self.makers(m3, m3_instance):
-            with pytest.raises(InputError) as refused:
-                make(requests)
-            assert str(refused.value) == message
+    def test_refuses_and_names_the_first_bad_request(self, m3, requests, message):
+        with pytest.raises(InputError) as refused:
+            Instance.build(m3, 2, (0, 1), requests)
+        assert str(refused.value) == message
 
     def test_one_check_call_per_point(self, m3, monkeypatch):
         # each start point and each request is checked by one call, and a
@@ -473,25 +460,25 @@ class TestRequestChecks:
         assert canonical_configuration((2, 0, 1), n=3) == (0, 1, 2)
         assert len(calls) == 3
 
-    def test_numpy_requests_become_ints(self, m3, m3_instance):
+    def test_numpy_requests_become_ints(self, m3):
         requests = [np.int64(2), 2, np.uint8(0), np.int64(2), 1]
-        for make in self.makers(m3, m3_instance):
-            inst = make(requests)
-            assert inst.requests == (2, 2, 0, 2, 1)
-            assert all(type(r) is int for r in inst.requests)
+        inst = Instance.build(m3, 2, (0, 1), requests)
+        assert inst.requests == (2, 2, 0, 2, 1)
+        assert all(type(r) is int for r in inst.requests)
 
 
 class TestInstanceJson:
     def test_round_trip(self, m3_instance):
         text = instance_to_json(m3_instance)
-        again = instance_from_json(text)
+        again = Instance.from_dict(parse_json(text, "instance document"))
         assert again == m3_instance
         assert again.fingerprint() == m3_instance.fingerprint()
 
     def test_labels_survive(self, m3):
         labelled = MetricSpace.from_matrix(M3_MATRIX, labels=("a", "b", "c"))
         inst = Instance.build(labelled, 2, (0, 1), (2,))
-        assert instance_from_json(instance_to_json(inst)).metric.labels == ("a", "b", "c")
+        again = Instance.from_dict(parse_json(instance_to_json(inst), "instance document"))
+        assert again.metric.labels == ("a", "b", "c")
 
     def test_k_exceeds_n(self, m3):
         with pytest.raises(InputError, match="k exceeds n"):
@@ -520,9 +507,9 @@ class TestInstanceJson:
         with pytest.raises(InputError):
             Instance.from_dict(corrupt(labels=["only-one"]))
         with pytest.raises(InputError):
-            instance_from_json("{not json")
+            parse_json("{not json", "instance document")
         with pytest.raises(InputError, match="does not parse"):
-            instance_from_json("[" * 100_000)  # deeper than the parser recurses
+            parse_json("[" * 100_000, "instance document")  # deeper than the parser recurses
         # structurally wrong fields, each refused by name
         for field, value, named in (
             ("dist", 5, "distance matrix"),
@@ -539,7 +526,7 @@ class TestInstanceJson:
             MetricSpace.from_matrix(5)
 
     def test_fingerprint_distinguishes(self, m3_instance):
-        other = m3_instance.with_requests((2, 0))
+        other = Instance.build(m3_instance.metric, 2, (0, 1), (2, 0))
         assert other.fingerprint() != m3_instance.fingerprint()
 
 
@@ -557,15 +544,14 @@ def equidistant(n, distance):
 def test_work_values_must_fit_int64(k, count):
     # after t requests every work value is at most (t + k) times the
     # largest distance; one more than the largest distance that keeps
-    # that in int64 is refused, when building and when extending
+    # that in int64 is refused, and so is one more request
     inside = INT64_MAX // (count + k)
     requests = [(k + i) % (k + 1) for i in range(count)]
     inst = Instance.build(equidistant(k + 1, inside), k, range(k), requests)
     with pytest.raises(InputError, match="int64 bound"):
         Instance.build(equidistant(k + 1, inside + 1), k, range(k), requests)
-    assert inst.with_requests(requests) == inst
     with pytest.raises(InputError, match="int64 bound"):
-        inst.with_requests(requests + [k])
+        Instance.build(inst.metric, k, inst.initial, requests + [k])
 
 
 @settings(max_examples=30, deadline=None)
@@ -573,8 +559,9 @@ def test_work_values_must_fit_int64(k, count):
 def test_values_at_the_int64_bound_are_exact(k, count):
     from kserver import final_work_vector
     from kserver.offline import oracle_work_vector
+    from test_workfunction import vector_pairs
 
     inside = INT64_MAX // (count + k)
     requests = [(k + i) % (k + 1) for i in range(count)]
     inst = Instance.build(equidistant(k + 1, inside), k, range(k), requests)
-    assert dict(final_work_vector(inst).to_pairs()) == oracle_work_vector(inst)
+    assert dict(vector_pairs(final_work_vector(inst))) == oracle_work_vector(inst)

@@ -11,10 +11,8 @@ from kserver import (
     generate_instance,
     initial_work_vector,
     opt_cost,
-    opt_cost_to,
     opt_trace,
     oracle_opt,
-    trace_violations,
     update_work_vector,
     work_vector_history,
 )
@@ -30,6 +28,8 @@ from kserver.offline import (
     oracle_schedule_costs,
     oracle_work_vector,
 )
+from test_workfunction import all_configs, vector_pairs
+from trace_checks import trace_violations
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -97,7 +97,7 @@ class TestOptCost:
         assert opt_cost(final_work_vector(m3_instance)) == 2
 
     def test_two_requests(self, m3_instance):
-        inst = m3_instance.with_requests((2, 1))
+        inst = dataclasses.replace(m3_instance, requests=(2, 1))
         assert opt_cost(final_work_vector(inst)) == 3
         assert oracle_opt(inst) == 3
 
@@ -108,28 +108,31 @@ class TestOptCost:
         assert costs == sorted(costs)
 
 
-class TestOptCostTo:
+class TestConstrainedOpt:
+    """The optimum ending in a given configuration is that entry of the
+    work vector, ``vector.value(config)``."""
+
     def test_start_at_zero(self, m3):
-        assert opt_cost_to(initial_work_vector(m3, (0, 1)), (0, 1)) == 0
+        assert initial_work_vector(m3, (0, 1)).value((0, 1)) == 0
 
     def test_m3_values(self, m3_instance):
         w = final_work_vector(m3_instance)
-        assert opt_cost_to(w, (0, 1)) == 4
-        assert opt_cost_to(w, (1, 2)) == 3
+        assert w.value((0, 1)) == 4
+        assert w.value((1, 2)) == 3
         assert oracle_opt(m3_instance, (0, 1)) == 4
         assert oracle_opt(m3_instance, (1, 2)) == 3
 
 
 class TestOptTrace:
     def test_empty_to_start(self, m3_instance):
-        empty = m3_instance.with_requests(())
+        empty = dataclasses.replace(m3_instance, requests=())
         trace = opt_trace(empty)
         assert trace.rounds == () and trace.total_cost == 0
         assert opt_trace(empty, (0, 1)).total_cost == 0
 
     def test_empty_to_other_target_rejected(self, m3_instance):
         with pytest.raises(InputError):
-            opt_trace(m3_instance.with_requests(()), (0, 2))
+            opt_trace(dataclasses.replace(m3_instance, requests=()), (0, 2))
 
     def test_m3_default_target(self, m3_instance):
         trace = opt_trace(m3_instance)
@@ -150,9 +153,9 @@ class TestOptTrace:
             final = history[-1]
             if not inst.requests:
                 continue
-            for target in final.space.configs:
+            for target in all_configs(final.space):
                 trace = opt_trace(inst, target)
-                assert trace.total_cost == opt_cost_to(final, target)
+                assert trace.total_cost == final.value(target)
                 assert trace.config_after(len(inst.requests)) == target
 
     def test_traces_are_x_lazy(self):
@@ -161,12 +164,12 @@ class TestOptTrace:
             if not inst.requests:
                 continue
             final = final_work_vector(inst)
-            for target in final.space.configs:
+            for target in all_configs(final.space):
                 trace = opt_trace(inst, target)
                 assert trace_violations(trace, inst.metric, x_lazy=True) == []
 
     def test_deterministic(self, m3_instance):
-        inst = m3_instance.with_requests((2, 0, 1, 2))
+        inst = dataclasses.replace(m3_instance, requests=(2, 0, 1, 2))
         assert opt_trace(inst) == opt_trace(inst)
 
     def test_default_target_is_smallest_rank_argmin(self, uniform3):
@@ -180,7 +183,7 @@ class TestOptTrace:
 
 class TestOracle:
     def test_empty(self, m3_instance):
-        assert oracle_opt(m3_instance.with_requests(())) == 0
+        assert oracle_opt(dataclasses.replace(m3_instance, requests=())) == 0
 
     def test_single_request(self, m3_instance):
         # two schedules: serve from 0 (cost 3) or from 1 (cost 2)
@@ -194,7 +197,7 @@ class TestOracle:
             oracle_opt(m3_instance, (0,))
 
     def test_guard_refuses_loudly(self, m3_instance):
-        huge = m3_instance.with_requests((0,) * 24)
+        huge = dataclasses.replace(m3_instance, requests=(0,) * 24)
         with pytest.raises(OracleGuardExceeded):
             oracle_opt(huge)
 
@@ -207,7 +210,7 @@ class TestOracle:
             inst = small_instance(seed)
             w = final_work_vector(inst)
             oracle = oracle_work_vector(inst)
-            for cfg, value in w.to_pairs():
+            for cfg, value in vector_pairs(w):
                 assert value == oracle[cfg], (seed, cfg)
 
 
@@ -227,23 +230,23 @@ def test_extract_trace_equals_the_loop(weights):
         cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
         pairs = [(inst, base, base)]
         for m in (1, 2, cycles):
-            anchored = inst.with_requests(inst.requests + inst.initial * m)
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
             fixed += history.fixed_cycle is not None
             pairs.append((anchored, history, work_vector_history(anchored)))
         for served, history, full in pairs:
-            for target in history.space.configs:
+            for target in all_configs(history.space):
                 got = extract_trace(history, served, target)
                 assert got == loop_extract_trace(full, served, target), (model, seed, target)
     assert fixed >= 18  # every m-cycle anchor, at least
 
 
 def test_history_shape(m3_instance):
-    inst = m3_instance.with_requests((2, 0, 1))
+    inst = dataclasses.replace(m3_instance, requests=(2, 0, 1))
     history = work_vector_history(inst)
     assert len(history) == 4
     for t, w in enumerate(history):
-        prefix = final_work_vector(inst.with_requests(inst.requests[:t]))
+        prefix = final_work_vector(dataclasses.replace(inst, requests=inst.requests[:t]))
         assert (w.values == prefix.values).all(), t
 
 
@@ -262,7 +265,7 @@ def test_histories_share_the_vectors(monkeypatch):
     base = work_vector_history(inst)
     assert base.rows[0] is initial_work_vector(inst.metric, inst.initial).values
     assert all(row is vector.values for row, vector in zip(base.rows[1:], returned, strict=True))
-    anchored = inst.with_requests(inst.requests + inst.initial * 40)
+    anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * 40)
     returned.clear()
     history = work_vector_history(anchored, base)
     assert history.fixed_cycle is not None
@@ -278,9 +281,9 @@ def test_k7_uses_assignment_matching():
     inst = generate_instance(9, 7, 3, seed=13)
     history = work_vector_history(inst)
     final = history[-1]
-    target = final.space.configs[0]
+    target = final.space.config(0)
     trace = opt_trace(inst, target)
-    assert trace.total_cost == opt_cost_to(final, target)
+    assert trace.total_cost == final.value(target)
     assert trace_violations(trace, inst.metric, x_lazy=True) == []
 
 
@@ -293,7 +296,7 @@ def test_stacked_positions_handled():
     costs = oracle_schedule_costs(inst)
     assert (1, 2) in costs and (0, 1) in costs
     for target in itertools.combinations(range(3), 2):
-        assert oracle_opt(inst, target) == opt_cost_to(final_work_vector(inst), target)
+        assert oracle_opt(inst, target) == final_work_vector(inst).value(target)
 
 
 @pytest.mark.parametrize("weights", [(1, 1), (1, 9), (1, 1000)])
@@ -364,7 +367,7 @@ def verify_mid_case():
     inst = generate_instance(12, 4, 50, seed=114)
     base = work_vector_history(inst)
     cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
-    anchored = inst.with_requests(inst.requests + inst.initial * cycles)
+    anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
     history = work_vector_history(anchored, base)
     assert len(anchored.requests) == 1398 and history.fixed_cycle == 4
     return inst, anchored, history
@@ -435,7 +438,7 @@ def test_corrupted_leave_point_is_caught(monkeypatch, where):
         return first, shared, split, held_to
 
     monkeypatch.setattr(offline, "_backtrack", corrupted)
-    assert history.space.configs[column] == (0, 1, 2, 10)
+    assert history.space.config(column) == (0, 1, 2, 10)
     with pytest.raises(RuntimeError, match=r"ending in \(0, 1, 2, 10\)"):
         first_start_visits(history, anchored, ranks, len(inst.requests))
 
@@ -446,7 +449,7 @@ def uncovered_plan_case(monkeypatch, instance, target):
     lacks the first request, so no server of it can serve round 1."""
     history = work_vector_history(instance)
     space = history.space
-    lacking = next(i for i, c in enumerate(space.configs) if instance.requests[0] not in c)
+    lacking = next(i for i, c in enumerate(all_configs(space)) if instance.requests[0] not in c)
     backtrack = offline._backtrack
 
     def uncovered(history, served, ranks):
@@ -484,7 +487,7 @@ def test_extract_trace_skips_repeated_cycles(monkeypatch):
     # on the start and the tail after the plan leaves it, not all 1398,
     # and equals the loop on the full fold
     inst, anchored, history = verify_mid_case()
-    target = history.space.configs[0]
+    target = history.space.config(0)
     built = []
 
     def counted(*args):

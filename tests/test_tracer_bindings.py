@@ -42,7 +42,7 @@ def test_count_hooks_read_real_results(tracer):
     from collections import Counter
     from math import comb
 
-    from kserver import compute_anchor, generate_instance, opt_cost
+    from kserver import Instance, compute_anchor, generate_instance, opt_cost
 
     inst = generate_instance(6, 3, 5, seed=2)
     configs = comb(6, 3)
@@ -53,7 +53,7 @@ def test_count_hooks_read_real_results(tracer):
 
     base = offline.work_vector_history(inst)
     anchor = compute_anchor(inst, opt_cost(base[-1]), 5, 0)
-    anchored = inst.with_requests(inst.requests + anchor.requests)
+    anchored = Instance.build(inst.metric, inst.k, inst.initial, inst.requests + anchor.requests)
     history = offline.work_vector_history(anchored, base)
     assert len(history.rows) < len(history)  # the fold stopped at a fixed point
     for result, rounds in ((base, 5), (history, 5 + 3 * anchor.cycles)):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -11,18 +12,15 @@ from kserver import (
     InputError,
     Instance,
     MetricSpace,
-    configuration_distance,
     final_work_vector,
     generate_instance,
     initial_work_vector,
     matching_cost,
     random_metric,
     run_wfa,
-    trace_violations,
     update_work_vector,
     verify_anchored_properties,
     wfa_decide,
-    work_vector_to_json,
 )
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
@@ -43,6 +41,18 @@ from kserver.workfunction import (
     configuration_space,
     extend_wfa,
 )
+from trace_checks import trace_violations
+
+
+def all_configs(space):
+    """Every configuration of ``space`` in rank order, which is the order
+    of ``itertools.combinations`` (``test_slots_follow_combinations``)."""
+    return list(itertools.combinations(range(space.metric.n), space.k))
+
+
+def vector_pairs(vector):
+    """(configuration, value) for every entry of ``vector``, in rank order."""
+    return list(zip(all_configs(vector.space), vector.values.tolist()))
 
 
 def shifted(vector, offset):
@@ -88,7 +98,7 @@ class TestInitialVector:
         metric = random_metric(6, seed=17)
         w = initial_work_vector(metric, (0, 2, 4))
         for cfg in itertools.combinations(range(6), 3):
-            assert w.value(cfg) == configuration_distance((0, 2, 4), cfg, metric)
+            assert w.value(cfg) == matching_cost((0, 2, 4), cfg, metric)
 
 
 class TestUpdate:
@@ -99,21 +109,21 @@ class TestUpdate:
         assert w.value((0, 1)) == 4
         # full-vector agreement with the schedule-enumeration oracle
         oracle = oracle_work_vector(m3_instance)
-        for cfg, value in w.to_pairs():
+        for cfg, value in vector_pairs(w):
             assert value == oracle[cfg]
 
     def test_m3_request_already_in_start(self, m3, m3_instance):
         w0 = initial_work_vector(m3, (0, 1))
         w = update_work_vector(w0, 0)
         assert w.value((1, 2)) == 3 == w0.value((1, 2))
-        oracle = oracle_work_vector(m3_instance.with_requests((0,)))
-        for cfg, value in w.to_pairs():
+        oracle = oracle_work_vector(dataclasses.replace(m3_instance, requests=(0,)))
+        for cfg, value in vector_pairs(w):
             assert value == oracle[cfg]
 
     def test_covered_request_changes_nothing_for_members(self, m3):
         w0 = initial_work_vector(m3, (0, 1))
         w1 = update_work_vector(w0, 1)
-        for cfg, value in w1.to_pairs():
+        for cfg, value in vector_pairs(w1):
             if 1 in cfg:
                 assert value == w0.value(cfg)
 
@@ -163,11 +173,12 @@ def loop_transitions(space, request):
     miss the request, configuration-major (C(n-1, k), k) tables, and the
     ranks of those configurations."""
     dist = space.metric.dist
-    uncovered = [i for i, cfg in enumerate(space.configs) if request not in cfg]
+    configs = all_configs(space)
+    uncovered = [i for i, cfg in enumerate(configs) if request not in cfg]
     targets = np.empty((len(uncovered), space.k), dtype=np.intp)
     costs = np.zeros((len(uncovered), space.k), dtype=np.int64)
     for c, i in enumerate(uncovered):
-        cfg = space.configs[i]
+        cfg = configs[i]
         for j, z in enumerate(cfg):
             swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
             targets[c, j] = space.rank(swapped)
@@ -181,7 +192,7 @@ def loop_update(vector, request):
     that would collapse X; covered configurations are not told apart."""
     space, dist = vector.space, vector.space.metric.dist
     out = []
-    for cfg in space.configs:
+    for cfg in all_configs(space):
         scores = []
         for j, z in enumerate(cfg):
             swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
@@ -215,7 +226,8 @@ def loop_distance_vector(space, origin):
     k from 1 to 8.
     """
     return np.array(
-        [matching_cost(origin, cfg, space.metric) for cfg in space.configs], dtype=np.int64
+        [matching_cost(origin, cfg, space.metric) for cfg in all_configs(space)],
+        dtype=np.int64,
     )
 
 
@@ -250,7 +262,7 @@ class TestConfigurationSpaceKernels:
         size = len(space)
         ranks = {0} if (n, k) == (16, 8) else {0, size // 3, size - 1}
         for rank in sorted(ranks):
-            origin = space.configs[rank]
+            origin = space.config(rank)
             assert np.array_equal(
                 space.distance_vector(origin), loop_distance_vector(space, origin)
             )
@@ -289,10 +301,10 @@ class TestConfigurationSpaceKernels:
                 assert table.shape == (length,)
                 assert table.dtype == dtype
                 assert not table.flags.writeable
-            covered = [request in cfg for cfg in space.configs]
+            covered = [request in cfg for cfg in all_configs(space)]
             assert np.array_equal(column == -1, covered)
             assert np.array_equal(column[uncovered], np.arange(width))
-        vector = space.distance_vector(space.configs[-1])
+        vector = space.distance_vector(space.config(size - 1))
         assert vector.shape == (size,)
         assert vector.dtype == np.int64
         assert not vector.flags.writeable
@@ -329,7 +341,6 @@ class TestConfigurationSpaceKernels:
                 ref = list(itertools.combinations(range(n), k))
                 assert len(space) == len(ref)
                 assert space.slots.tobytes() == np.array(ref, dtype=np.uint8).T.tobytes()
-                assert space.configs == ref
                 for rank in {0, len(ref) // 2, len(ref) - 1}:
                     assert space.config(rank) == ref[rank]
                     assert all(type(p) is int for p in space.config(rank))
@@ -363,7 +374,7 @@ class TestConfigurationSpaceKernels:
         )
         space = ConfigurationSpace(uniform, k)
         for origin in (tuple(range(k)), tuple(range(n - k, n)), (0, 2, 4, 6, 8, 10, 12)):
-            missing = [len(set(cfg) - set(origin)) for cfg in space.configs]
+            missing = [len(set(cfg) - set(origin)) for cfg in all_configs(space)]
             assert space.distance_vector(origin).tolist() == [largest * m for m in missing]
             assert space.distance_vector(origin).max() == INT64_MAX
         if n == 14:  # the scalar reference takes about a second per origin
@@ -376,13 +387,13 @@ class TestConfigurationSpaceKernels:
         # one transition table per distinct request of the anchored
         # sequence (the base requests and the start points the anchor
         # cycles over): the start's distance vector reads the anchor's own
-        # tables.  No configuration list or rank dict is built either
+        # tables.  No rank dict is built either
         configuration_space.cache_clear()
         inst = generate_instance(*shape, seed)
         assert verify_anchored_properties(inst, "2k-1", 0, 3).status == "pass"
         space = configuration_space(inst.metric, inst.k)
         assert set(space._transitions) == set(inst.requests) | set(inst.initial)
-        assert "configs" not in vars(space) and not hasattr(space, "index")
+        assert not hasattr(space, "index")
         caches = [value for value in vars(space).values() if isinstance(value, dict)]
         assert all(not isinstance(v, int) for cache in caches for v in cache.values())
 
@@ -396,7 +407,7 @@ class TestConfigurationSpaceKernels:
         near = (2**63 - 1) // 2
         metric = MetricSpace.from_matrix([[0, near, near], [near, 0, near], [near, near, 0]])
         vector = initial_work_vector(metric, (0, 1))
-        assert vector.to_pairs() == [((0, 1), 0), ((0, 2), near), ((1, 2), near)]
+        assert vector_pairs(vector) == [((0, 1), 0), ((0, 2), near), ((1, 2), near)]
 
 
 class TestDecide:
@@ -441,17 +452,17 @@ class TestDecide:
         # weights (1, 1) tie most scores
         metric = random_metric(n, seed=100 * n + k, weight_range=weights)
         space = ConfigurationSpace(metric, k)
-        vector = initial_work_vector(metric, space.configs[len(space) // 3])
+        vector = initial_work_vector(metric, space.config(len(space) // 3))
         for request in (n - 1, 0, n // 2):
             vector = update_work_vector(vector, request)
-        for config in space.configs:
+        for config in all_configs(space):
             for request in range(n):
                 assert wfa_decide(vector, config, request) == loop_decide(vector, config, request)
 
 
 class TestRunWfa:
     def test_empty_sequence(self, m3_instance):
-        trace = run_wfa(m3_instance.with_requests(()))
+        trace = run_wfa(dataclasses.replace(m3_instance, requests=()))
         assert trace.total_cost == 0
         assert trace.rounds == ()
         assert trace.config_after(0) == (0, 1)
@@ -462,7 +473,7 @@ class TestRunWfa:
         assert trace.rounds[-1].config == (0, 2)
 
     def test_second_request_covered(self, m3_instance):
-        trace = run_wfa(m3_instance.with_requests((2, 0)))
+        trace = run_wfa(dataclasses.replace(m3_instance, requests=(2, 0)))
         assert trace.total_cost == 2
         assert trace.rounds[1].moves == ()
 
@@ -481,8 +492,9 @@ class TestRunWfa:
         for seed, model in ((3, "uniform"), (8, "roundrobin_k_plus_1"), (5, "greedy_adversary")):
             inst = generate_instance(6, 3, 7, seed, request_model=model)
             opt = opt_cost(final_work_vector(inst))
-            anchored = inst.with_requests(inst.requests + compute_anchor(inst, opt, 5, 0).requests)
-            repeated = anchored.with_requests(anchored.requests * q)
+            anchor = compute_anchor(inst, opt, 5, 0)
+            anchored = dataclasses.replace(inst, requests=inst.requests + anchor.requests)
+            repeated = dataclasses.replace(anchored, requests=anchored.requests * q)
             trace, vector = run_wfa(anchored), final_work_vector(anchored)
             for _ in range(q - 1):
                 block = work_vector_history(anchored, work_vector_history(inst, first=vector))
@@ -528,7 +540,7 @@ class TestHistory:
             periodic_from = base_len + (fixed_cycle - 1) * k
 
             def row():
-                return np.array([stream.randint(0, 40) for _ in space.configs], dtype=np.int64)
+                return np.array([stream.randint(0, 40) for _ in range(len(space))], dtype=np.int64)
 
             prefix = [row() for _ in range(periodic_from)]
             cycle = [row() for _ in range(k)]
@@ -536,7 +548,7 @@ class TestHistory:
             listed = (prefix + cycle * (cycles + 1))[: length + 1]
             rows = np.array(listed[: periodic_from + k])
             rows.setflags(write=False)
-            history = History(space, rows, length, base_len, k, fixed_cycle)
+            history = History(space, rows, length, base_len, fixed_cycle)
             assert history.periodic_from == periodic_from
             assert len(history) == length + 1
             for t, vector in enumerate(history):
@@ -555,7 +567,7 @@ class TestHistory:
 
 
     def test_index_error_names_the_index_passed(self, m3_instance):
-        inst = m3_instance.with_requests((2, 0, 1))
+        inst = dataclasses.replace(m3_instance, requests=(2, 0, 1))
         history = work_vector_history(inst)
         first = initial_work_vector(inst.metric, inst.initial)
         assert np.array_equal(history[-4].values, first.values)
@@ -589,7 +601,7 @@ class TestOneOrNoUncoveredColumn:
             assert run_wfa(inst).rounds == tuple(rounds)
             history = work_vector_history(inst)
             visits = []
-            for target in space.configs:
+            for target in all_configs(space):
                 trace = extract_trace(history, inst, target)
                 assert trace.total_cost == oracle_opt(inst, target)
                 on_start = (t for t in range(6) if trace.config_after(t) == inst.initial)
@@ -601,16 +613,13 @@ class TestOneOrNoUncoveredColumn:
 class TestProperties:
     def test_monotone_and_lipschitz_per_round(self):
         inst = generate_instance(5, 3, 6, seed=23)
-        space_configs = None
         w = initial_work_vector(inst.metric, inst.initial)
         assert w.value(inst.initial) == 0
         for request in inst.requests:
             new = update_work_vector(w, request)
             assert np.all(new.values >= w.values)
-            if space_configs is None:
-                space_configs = new.space.configs
-            for x, y in itertools.combinations(space_configs, 2):
-                bound = configuration_distance(x, y, inst.metric)
+            for x, y in itertools.combinations(all_configs(new.space), 2):
+                bound = matching_cost(x, y, inst.metric)
                 assert abs(new.value(x) - new.value(y)) <= bound
             w = new
         assert np.all(w.values >= 0)
@@ -621,7 +630,7 @@ class TestProperties:
             w = initial_work_vector(inst.metric, inst.initial)
             for request in inst.requests:
                 new = update_work_vector(w, request)
-                for cfg, value in new.to_pairs():
+                for cfg, value in vector_pairs(new):
                     if request in cfg:
                         assert value == w.value(cfg)
                 w = new
@@ -631,14 +640,14 @@ class TestProperties:
             inst = small_instance(seed)
             w = final_work_vector(inst)
             oracle = oracle_work_vector(inst)
-            for cfg, value in w.to_pairs():
+            for cfg, value in vector_pairs(w):
                 assert value == oracle[cfg], (seed, cfg)
 
     def test_translation_invariance_of_decisions(self, m3):
         w = initial_work_vector(m3, (0, 1))
         for offset in (1, 1000, 10**9):
             moved = shifted(w, offset)
-            for cfg in w.space.configs:
+            for cfg in all_configs(w.space):
                 for request in range(3):
                     assert wfa_decide(w, cfg, request) == wfa_decide(moved, cfg, request)
 
@@ -654,11 +663,12 @@ class TestProperties:
         # two different served histories with offset-equivalent vectors must
         # yield identical decisions for every configuration and request
         anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
-        anchored = m3_instance.with_requests(m3_instance.requests + anchor.requests)
+        requests = m3_instance.requests + anchor.requests
+        anchored = dataclasses.replace(m3_instance, requests=requests)
         w_long = final_work_vector(anchored)
         w_short = initial_work_vector(m3_instance.metric, m3_instance.initial)
         assert d_equivalence(w_long, w_short) is not None
-        for cfg in w_long.space.configs:
+        for cfg in all_configs(w_long.space):
             for request in range(3):
                 assert wfa_decide(w_long, cfg, request) == wfa_decide(w_short, cfg, request)
 
@@ -694,12 +704,16 @@ class TestDEquivalence:
 
     def test_anchored_offset_is_value_at_start(self, m3_instance):
         anchor = compute_anchor(m3_instance, 2, alpha=3, beta=0)
-        anchored = m3_instance.with_requests(m3_instance.requests + anchor.requests)
+        requests = m3_instance.requests + anchor.requests
+        anchored = dataclasses.replace(m3_instance, requests=requests)
         w_anchored = final_work_vector(anchored)
         w_empty = initial_work_vector(m3_instance.metric, m3_instance.initial)
         assert d_equivalence(w_anchored, w_empty) == w_anchored.value(m3_instance.initial)
 
 
-def test_work_vector_json_rank_order(m3):
+def test_work_vector_rank_order(m3):
+    # entry r of the values belongs to the configuration of rank r
     w = initial_work_vector(m3, (0, 1))
-    assert work_vector_to_json(w) == [[[0, 1], 0], [[0, 2], 2], [[1, 2], 3]]
+    pairs = [(w.space.config(rank), int(w.values[rank])) for rank in range(len(w.space))]
+    assert pairs == [((0, 1), 0), ((0, 2), 2), ((1, 2), 3)]
+    assert all(w.value(config) == value for config, value in pairs)
