@@ -254,7 +254,7 @@ def _backtrack(
     has the same start entry; otherwise the rounds are walked one by one.
     """
     space = history.space
-    slots = space.slots
+    slots, swaps = space.slots, space.swaps
     requests = inst.requests
     cur = np.array(ranks, dtype=np.intp)
     width = cur.size
@@ -263,12 +263,12 @@ def _backtrack(
     t = len(requests)
     while t > 0 and (cur != cur[0]).any():
         request = requests[t - 1]
-        targets, costs, _, column = space.transitions(request)
+        covered, costs, _, column = space.transitions(request)
         before, after = history.values(t - 1), history.values(t)
         col = column[cur]
         held = col < 0  # covered: the plan keeps its configuration
         # a held target keeps its rank at zero cost in every slot
-        prev = np.where(held, cur, targets.take(col, axis=1))
+        prev = np.where(held, cur, covered.take(swaps.take(col, axis=1)))
         match = before[prev] + np.where(held, 0, costs.take(col, axis=1)) == after[cur]
         slot = match.argmax(axis=0)
         found = match[slot, rows]
@@ -294,7 +294,7 @@ def _backtrack(
             held_to, t = t, base_len
             continue
         request = requests[t - 1]
-        targets, costs, _, column = space.transitions(request)
+        covered, costs, _, column = space.transitions(request)
         before, after = history.values(t - 1), history.values(t)
         col = column[rank]
         value = after[rank]
@@ -304,7 +304,7 @@ def _backtrack(
         else:
             found = False
             for j in range(space.k):
-                prev = targets[j, col]
+                prev = covered[swaps[j, col]]
                 if before[prev] + costs[j, col] == value:
                     shared[t - 1] = int(slots[j, rank])
                     found, rank = True, int(prev)
@@ -436,10 +436,10 @@ def _final_relocation(lazy_pos: list[int], target: Configuration, metric):
     return moves, cost_total
 
 
-def opt_trace(inst: Instance, target: Configuration | None = None) -> ExecutionTrace:
-    """Optimal execution trace; defaults to the cheapest final configuration
+def opt_trace(inst: Instance) -> ExecutionTrace:
+    """Optimal execution trace, ending in the cheapest final configuration
     (smallest rank among ties)."""
-    return extract_trace(work_vector_history(inst), inst, target)
+    return extract_trace(work_vector_history(inst), inst)
 
 
 def oracle_schedule_costs(inst: Instance) -> dict[tuple[int, ...], int]:

@@ -13,19 +13,26 @@ Folding in a request r replaces each entry by
 
 where replacements that would collapse the configuration (r already
 elsewhere in X) are skipped; for X containing r the surviving z = r term
-leaves the entry unchanged.  So per-request transition tables cover only
-the C(n-1, k) configurations that miss r, slot-major, ``(k, C(n-1, k))``:
-an update copies the vector and writes one gather plus a minimum across
-the k slots into those entries, and a decision is the same gather at one
-configuration.  The decision rule moves the server x of the current
-configuration minimizing value((X minus x) plus r) + dist(x, r), breaking
-ties toward the smallest point identifier, and makes the empty move when
-the request is already covered.
+leaves the entry unchanged.  So a request's transition tables cover only
+the C(n-1, k) configurations that miss r.  With the other points numbered
+0..n-2 in order, those are the k-subsets of n - 1 points and the ones
+holding r are its (k-1)-subsets plus r, both in rank order, so one swap
+table over that (n-1)-point lattice serves every request: slot j of the
+c-th configuration missing r swaps to the configuration holding r at
+position ``swaps[j, c]``.  An update copies the vector, gathers the
+entries holding r and then gathers those through the swap table, adds
+the move costs and writes the minimum across the k slots into the
+entries that miss r; a decision is the same gather at one configuration.
+The decision rule moves the server x of the current configuration
+minimizing value((X minus x) plus r) + dist(x, r), breaking ties toward
+the smallest point identifier, and makes the empty move when the request
+is already covered.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,21 +58,22 @@ UNREACHED = INT64_MAX
 
 
 class Transitions(NamedTuple):
-    """One request's transition tables, over the configurations that miss
-    it: a configuration holding the request keeps its work value, so it
-    needs no column.  Every array is read-only.
+    """One request's transition tables: a configuration holding the request
+    keeps its work value, so only the configurations that miss it have a
+    column.  Every array is read-only.
 
-    Replacing slot j of configuration ``uncovered[c]`` by the request gives
-    configuration ``targets[j, c]`` at cost ``costs[j, c]``.  ``targets``
-    (intp) and ``costs`` (int64) are C-contiguous ``(k, C(n-1, k))``
-    tables; ``uncovered`` holds the C(n-1, k) ranks in increasing order
-    (intp), and ``column`` maps every rank to its column, or -1 where the
-    configuration holds the request.  The map is int32, half the bytes of
-    intp: it is read one rank at a time, or gathered at a few hundred
-    ranks, so no large gather pays its cast.
+    ``uncovered`` holds the C(n-1, k) ranks of the configurations that miss
+    the request and ``covered`` the C(n-1, k-1) ranks of those that hold
+    it, each in increasing order (intp).  Replacing slot j of configuration
+    ``uncovered[c]`` by the request gives configuration
+    ``covered[space.swaps[j, c]]`` at cost ``costs[j, c]``, a C-contiguous
+    ``(k, C(n-1, k))`` int64 table.  ``column`` maps every rank to its
+    column, or -1 where the configuration holds the request.  The map is
+    int32, half the bytes of intp: it is read one rank at a time, or
+    gathered at a few hundred ranks, so no large gather pays its cast.
     """
 
-    targets: np.ndarray
+    covered: np.ndarray
     costs: np.ndarray
     uncovered: np.ndarray
     column: np.ndarray
@@ -80,25 +88,30 @@ class ConfigurationSpace:
     configuration: with point p on bit n - 1 - p, lexicographic order is
     decreasing mask order, and the highest set bit is the smallest point,
     so the masks of popcount k are taken in decreasing order and their
-    highest bits peeled k times.  Each configuration also has a bitmask,
-    and a table of 2^n entries maps a bitmask back to its rank:
-    ``rank(config)`` and ``config(rank)`` look up one configuration.  Rank
-    order is the order of ``itertools.combinations(range(n), k)``.
+    highest bits peeled k times.  Those masks, and a table of 2^n entries
+    that maps a mask back to its rank, look up one configuration:
+    ``rank(config)`` and ``config(rank)``.  Rank order is the order of
+    ``itertools.combinations(range(n), k)``.
 
-    Two request-independent intp tables, the slot points and each mask
-    with slot j cleared, are built once per space, so a transition table
-    takes the columns that miss the request, one OR with its bit, one
-    gather through the rank table and one gather of its distance row,
-    with no index cast.  Cached per-request transition tables (target rank
-    and move cost for every slot of every configuration that misses the
-    request) make a work-vector update one copy, one gather plus a minimum
-    across the k slots, and one write into the uncovered entries.  Targets
-    stay intp, since uint16 or int32 indices are cast on every gather (an
-    update at (16, 6) takes about twice as long), and costs stay int64,
-    since narrower costs are cast on every addition; only the rank ->
-    column map, which no update gathers through, is int32.  Cached
-    distance vectors from fixed origins serve initial vectors and collapse
-    checks.
+    One request-independent table, ``swaps``, serves every request's
+    swaps.  For a request r, number the other points 0..n-2 in order: the
+    configurations that miss r are the k-subsets of those n - 1 points,
+    the lattice, and the ones that hold r are its (k-1)-subsets plus r,
+    each in rank order.  ``swaps[j, c]`` is the rank among the
+    (k-1)-subsets of the c-th k-subset without its slot-j point, an intp
+    ``(k, C(n-1, k))`` table.  For r = 0 the relabeling is p -> p - 1, the
+    configurations holding point 0 rank first and the others last, so
+    ``swaps`` is request 0's swap table, peeled with ``slots`` and read off
+    the rank table.  A request's tables (see ``Transitions``) are then its
+    covered and uncovered ranks and one gather of its distance row over
+    the other points at the lattice's slot points; the uint8 slot points
+    are cast once per build.  Swaps stay intp, since int32 or uint16
+    indices are cast on every gather: an update at (16, 6) took 0.11-0.14
+    ms with them against 0.064-0.070 ms (timeit, best of 7, shared 2-vCPU
+    x86-64 VM).  Costs stay int64, since narrower costs are cast on every
+    addition; only the rank -> column map, which no update gathers
+    through, is int32.  Cached distance vectors from fixed origins serve
+    initial vectors and collapse checks.
     """
 
     def __init__(self, metric: MetricSpace, k: int):
@@ -115,20 +128,30 @@ class ConfigurationSpace:
         for b in range(n):
             popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
             highest[1 << b : 2 << b] = b
-        reversed_masks = np.flatnonzero(popcount == k)[::-1]
-        self.slots = np.empty((k, reversed_masks.size), dtype=np.uint8)
-        for j in range(k):
-            high = highest[reversed_masks]
-            np.subtract(n - 1, high, out=self.slots[j])
-            reversed_masks = reversed_masks ^ np.left_shift(1, high, dtype=np.intp)
-        # intp copies index natively; uint8 and int32 indices are cast on every use
-        self._points = self.slots.astype(np.intp)
-        bits = 1 << self._points
-        self._masks = bits.sum(axis=0)
-        self._without = self._masks ^ bits  # each mask with slot j's point cleared
+        self._masks = np.flatnonzero(popcount == k)[::-1]  # decreasing: rank order
+        size = self._masks.size
         self._rank_of_mask = np.full(1 << n, -1, dtype=np.int32)
-        self._rank_of_mask[self._masks] = np.arange(self._masks.size, dtype=np.int32)
-        for table in (self.slots, self._points, self._masks, self._without, self._rank_of_mask):
+        self._rank_of_mask[self._masks] = np.arange(size, dtype=np.int32)
+        # the lattice: the configurations missing point 0 rank last and
+        # those holding it first, each in the order of their other points
+        split = size - math.comb(n - 1, k)
+        lattice_masks = self._masks[split:]
+        self.slots = np.empty((k, size), dtype=np.uint8)
+        self.swaps = np.empty((k, lattice_masks.size), dtype=np.intp)
+        rest = self._masks
+        for j in range(k):
+            high = highest[rest]
+            np.subtract(n - 1, high, out=self.slots[j])
+            bit = np.left_shift(1, high, dtype=np.intp)
+            # slot j's point swapped for point 0
+            swapped = (lattice_masks ^ bit[split:]) | 1 << (n - 1)
+            self.swaps[j] = self._rank_of_mask[swapped]
+            rest = rest ^ bit
+        self._lattice = self.slots[:, split:] - 1  # its slot points, uint8
+        # each point's distance row over the other points
+        self._rows = metric.matrix[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        tables = (self._masks, self._rank_of_mask, self.slots, self.swaps, self._lattice, self._rows)
+        for table in tables:
             table.setflags(write=False)
         self._transitions: dict[int, Transitions] = {}
         self._distance_vectors: dict[Configuration, np.ndarray] = {}
@@ -147,7 +170,7 @@ class ConfigurationSpace:
             for p in map(operator.index, key):
                 if not last < p < n:
                     break
-                mask |= 1 << p
+                mask |= 1 << (n - 1 - p)
                 last = p
             else:
                 if len(key) == self.k:
@@ -158,7 +181,7 @@ class ConfigurationSpace:
 
     def config(self, rank: int) -> Configuration:
         """The configuration of ``rank``, as a tuple of Python ints."""
-        return tuple(self._points[:, rank].tolist())
+        return tuple(self.slots[:, rank].tolist())
 
     def transitions(self, request: int) -> Transitions:
         """The request's transition tables over the configurations that
@@ -171,16 +194,15 @@ class ConfigurationSpace:
             cached = self._transitions.get(request)
         if cached is not None:
             return cached
-        bit = 1 << request  # a Python int: under numpy 2, 1 << np.uint8(9) is 0
-        uncovered = np.flatnonzero((self._masks & bit) == 0)
+        # request is a Python int here: under numpy 2, 1 << np.uint8(9) is 0
+        held = self._masks & 1 << (self.metric.n - 1 - request)
+        covered = np.flatnonzero(held)
+        uncovered = np.flatnonzero(held == 0)
         column = np.full(len(self), -1, dtype=np.int32)
         column[uncovered] = np.arange(uncovered.size, dtype=np.int32)
-        # take, not [:, uncovered]: that is F-ordered, and strides every minimum
-        targets = self._without.take(uncovered, axis=1)
-        targets |= bit
-        targets[...] = self._rank_of_mask[targets]
-        costs = self.metric.matrix[request].take(self._points.take(uncovered, axis=1))
-        tables = Transitions(targets, costs, uncovered, column)
+        # lattice point q is the q-th point other than the request
+        costs = self._rows[request].take(self._lattice)
+        tables = Transitions(covered, costs, uncovered, column)
         for table in tables:
             table.setflags(write=False)
         self._transitions[request] = tables
@@ -209,8 +231,8 @@ class ConfigurationSpace:
         values = np.full(len(self), UNREACHED, dtype=np.int64)
         values[self.rank(origin)] = 0
         for p in origin:
-            targets, costs, uncovered, _ = self.transitions(p)
-            moved = values[targets]
+            covered, costs, uncovered, _ = self.transitions(p)
+            moved = values[covered][self.swaps]
             np.add(moved, costs, out=moved, where=moved != UNREACHED)
             values[uncovered] = moved.min(axis=0)
         values.setflags(write=False)
@@ -311,13 +333,14 @@ def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
     Entries of configurations that hold the request are copied; the
     others take the minimum over their transition table's k slots.
     """
-    targets, costs, uncovered, _ = vector.space.transitions(request)
-    moved = vector.values[targets]
+    space = vector.space
+    covered, costs, uncovered, _ = space.transitions(request)
+    moved = vector.values[covered][space.swaps]
     moved += costs
     values = vector.values.copy()
     values[uncovered] = moved.min(axis=0)
     values.setflags(write=False)
-    return WorkVector(vector.space, values)
+    return WorkVector(space, values)
 
 
 def final_work_vector(inst: Instance) -> WorkVector:
@@ -342,13 +365,14 @@ def wfa_decide(vector: WorkVector, config, request: int) -> Round:
     space = vector.space
     config = tuple(config)
     rank = space.rank(config)
-    targets, costs, _, column = space.transitions(request)
+    covered, costs, _, column = space.transitions(request)
     request = int(request)
     points = [int(p) for p in config]
     col = column[rank]
     if col < 0:  # covered
         return Round(request, (), tuple(points))
-    slot = int(np.argmin(vector.values[targets[:, col]] + costs[:, col]))
+    scores = vector.values[covered[space.swaps[:, col]]] + costs[:, col]
+    slot = int(scores.argmin())
     mover = points[slot]
     points[slot] = request
     return Round(request, (Move(mover, request, int(costs[slot, col])),), tuple(sorted(points)))

@@ -128,11 +128,12 @@ class TestOptTrace:
         empty = dataclasses.replace(m3_instance, requests=())
         trace = opt_trace(empty)
         assert trace.rounds == () and trace.total_cost == 0
-        assert opt_trace(empty, (0, 1)).total_cost == 0
+        assert extract_trace(work_vector_history(empty), empty, (0, 1)).total_cost == 0
 
     def test_empty_to_other_target_rejected(self, m3_instance):
-        with pytest.raises(InputError):
-            opt_trace(dataclasses.replace(m3_instance, requests=()), (0, 2))
+        empty = dataclasses.replace(m3_instance, requests=())
+        with pytest.raises(InputError, match="target must be the initial configuration"):
+            extract_trace(work_vector_history(empty), empty, (0, 2))
 
     def test_m3_default_target(self, m3_instance):
         trace = opt_trace(m3_instance)
@@ -141,7 +142,7 @@ class TestOptTrace:
         assert trace.rounds[0].config == (0, 2)
 
     def test_m3_forced_return(self, m3_instance):
-        trace = opt_trace(m3_instance, (0, 1))
+        trace = extract_trace(work_vector_history(m3_instance), m3_instance, (0, 1))
         assert trace.total_cost == 4
         assert trace.rounds[0].moves == (Move(1, 2, 2), Move(2, 1, 2))
         assert trace.rounds[0].config == (0, 1)
@@ -154,7 +155,7 @@ class TestOptTrace:
             if not inst.requests:
                 continue
             for target in all_configs(final.space):
-                trace = opt_trace(inst, target)
+                trace = extract_trace(history, inst, target)
                 assert trace.total_cost == final.value(target)
                 assert trace.config_after(len(inst.requests)) == target
 
@@ -163,9 +164,9 @@ class TestOptTrace:
             inst = small_instance(seed)
             if not inst.requests:
                 continue
-            final = final_work_vector(inst)
-            for target in all_configs(final.space):
-                trace = opt_trace(inst, target)
+            history = work_vector_history(inst)
+            for target in all_configs(history.space):
+                trace = extract_trace(history, inst, target)
                 assert trace_violations(trace, inst.metric, x_lazy=True) == []
 
     def test_deterministic(self, m3_instance):
@@ -282,7 +283,7 @@ def test_k7_uses_assignment_matching():
     history = work_vector_history(inst)
     final = history[-1]
     target = final.space.config(0)
-    trace = opt_trace(inst, target)
+    trace = extract_trace(history, inst, target)
     assert trace.total_cost == final.value(target)
     assert trace_violations(trace, inst.metric, x_lazy=True) == []
 

@@ -170,8 +170,8 @@ class TestUpdate:
 
 def loop_transitions(space, request):
     """Reference: the per-configuration loop over the configurations that
-    miss the request, configuration-major (C(n-1, k), k) tables, and the
-    ranks of those configurations."""
+    miss the request, configuration-major (C(n-1, k), k) tables of swapped
+    ranks and move costs, and the ranks of those configurations."""
     dist = space.metric.dist
     configs = all_configs(space)
     uncovered = [i for i, cfg in enumerate(configs) if request not in cfg]
@@ -253,12 +253,13 @@ class TestConfigurationSpaceKernels:
     def test_tables_equal_the_loops(self, n, k, weights):
         space = ConfigurationSpace(random_metric(n, seed=100 * n + k, weight_range=weights), k)
         for request in range(n):
-            targets, costs, uncovered, column = space.transitions(request)
+            covered, costs, uncovered, column = space.transitions(request)
             ref_uncovered, ref_targets, ref_costs = loop_transitions(space, request)
             assert np.array_equal(uncovered, ref_uncovered)
-            assert np.array_equal(targets, ref_targets.T)
+            assert np.array_equal(covered.take(space.swaps), ref_targets.T)
             assert np.array_equal(costs, ref_costs.T)
             assert np.array_equal(column[uncovered], np.arange(len(uncovered)))
+            assert np.array_equal(column[covered], np.full(len(covered), -1))
         size = len(space)
         ranks = {0} if (n, k) == (16, 8) else {0, size // 3, size - 1}
         for rank in sorted(ranks):
@@ -270,7 +271,8 @@ class TestConfigurationSpaceKernels:
     @pytest.mark.parametrize("kind", [np.uint8, np.int64])
     def test_numpy_requests_equal_int_requests(self, kind):
         # on a space of its own, the numpy scalar builds every table rather
-        # than reading one cached from an int: 1 << np.uint8(p) is 0 from p = 8
+        # than reading one cached from an int; the build shifts by the
+        # request, and 1 << (15 - np.uint8(p)) is 0 for p up to 7
         metric = random_metric(16, seed=16)
         plain, built = ConfigurationSpace(metric, 3), ConfigurationSpace(metric, 3)
         before = [WorkVector(space, space.distance_vector((0, 5, 11))) for space in (plain, built)]
@@ -286,50 +288,96 @@ class TestConfigurationSpaceKernels:
         # give the same values, but every update over it would be slow
         space = ConfigurationSpace(random_metric(n, seed=7), k)
         size = len(space)
-        assert space.slots.shape == (k, size)
-        assert space.slots.dtype == np.uint8
-        assert space.slots.flags.c_contiguous
+        width = math.comb(n - 1, k)
+        for table, shape, dtype in (
+            (space.slots, (k, size), np.uint8), (space.swaps, (k, width), np.intp),
+        ):
+            assert table.shape == shape
+            assert table.dtype == dtype
+            assert table.flags.c_contiguous
+            assert not table.flags.writeable
         for request in (0, n - 1):
-            targets, costs, uncovered, column = space.transitions(request)
-            width = math.comb(n - 1, k)
-            for table, dtype in ((targets, np.intp), (costs, np.int64)):
-                assert table.shape == (k, width)
-                assert table.dtype == dtype
-                assert table.flags.c_contiguous
-                assert not table.flags.writeable
-            for table, length, dtype in ((uncovered, width, np.intp), (column, size, np.int32)):
+            covered, costs, uncovered, column = space.transitions(request)
+            assert costs.shape == (k, width)
+            assert costs.dtype == np.int64
+            assert costs.flags.c_contiguous
+            assert not costs.flags.writeable
+            for table, length, dtype in (
+                (covered, math.comb(n - 1, k - 1), np.intp), (uncovered, width, np.intp),
+                (column, size, np.int32),
+            ):
                 assert table.shape == (length,)
                 assert table.dtype == dtype
                 assert not table.flags.writeable
-            covered = [request in cfg for cfg in all_configs(space)]
-            assert np.array_equal(column == -1, covered)
+            held = [i for i, cfg in enumerate(all_configs(space)) if request in cfg]
+            assert covered.tolist() == held
+            assert np.array_equal(column == -1, np.isin(np.arange(size), held))
             assert np.array_equal(column[uncovered], np.arange(width))
         vector = space.distance_vector(space.config(size - 1))
         assert vector.shape == (size,)
         assert vector.dtype == np.int64
         assert not vector.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_lattices_without_points_or_with_empty_subsets(self, n):
+        # k = 1: the (k-1)-subsets of the lattice are the empty set alone,
+        # so every swap lands on the request; n = 1: the lattice has no
+        # points, and no configuration misses the request
+        space = ConfigurationSpace(MetricSpace(((0,),)) if n == 1 else random_metric(n, seed=n), 1)
+        assert space.swaps.tolist() == [[0] * (n - 1)]
+        for request in range(n):
+            covered, costs, uncovered, column = space.transitions(request)
+            assert covered.tolist() == [request]
+            assert uncovered.tolist() == [p for p in range(n) if p != request]
+            assert costs.tolist() == [[space.metric.dist[request][p] for p in uncovered.tolist()]]
+            assert column.tolist() == [-1 if p == request else p - (p > request) for p in range(n)]
+        vector = initial_work_vector(space.metric, (0,))
+        for request in range(n):
+            want = loop_update(vector, request)
+            vector = update_work_vector(vector, request)
+            assert vector.values.tolist() == want
+
     def test_table_bytes(self):
-        # k intp targets and k int64 costs per configuration that misses
-        # the request: 16 * 8 * C(14, 8) = 384,384 bytes at (15, 8), where
-        # a table over all C(15, 8) configurations took 823,680
+        # k int64 costs per configuration that misses the request: 8 * 8 *
+        # C(14, 8) = 192,192 bytes at (15, 8).  The swaps are one table of
+        # the space, as large as one request's costs; a per-request intp
+        # target table doubled them to 384,384, and tables over all C(15, 8)
+        # configurations took 823,680
         space = ConfigurationSpace(random_metric(15, seed=15), 8)
         for request in range(15):
-            targets, costs, _, _ = space.transitions(request)
-            assert targets.nbytes + costs.nbytes == 16 * 8 * math.comb(14, 8) == 384_384
+            assert space.transitions(request).costs.nbytes == 8 * 8 * math.comb(14, 8) == 192_192
+        assert space.swaps.nbytes == 192_192
 
-    def test_cache_bytes_after_verify(self):
-        # verify at (15, 8, 4) caches 10 tables, each with intp targets
-        # and int64 costs, intp uncovered ranks and an int32 rank -> column
-        # map: 4,341,480 bytes, where an intp map made it 4,598,880
+    @pytest.mark.parametrize(
+        "shape, seed, tables, per_table, swaps",
+        [((15, 8, 4), 1, 10, 269_412, 192_192), ((16, 6, 4), 2, 8, 336_336, 240_240)],
+    )
+    def test_cache_bytes_after_verify(self, shape, seed, tables, per_table, swaps):
+        # verify caches one table set per distinct anchored request: int64
+        # costs, intp covered and uncovered ranks and an int32 rank ->
+        # column map; the space adds one intp swap table.  At (15, 8, 4)
+        # that is 2,694,120 + 192,192 bytes, where per-request intp target
+        # tables made the cache 4,341,480 and an intp map 4,598,880
         configuration_space.cache_clear()
-        inst = generate_instance(15, 8, 4, seed=1)
+        inst = generate_instance(*shape, seed)
+        n, k, _ = shape
         assert verify_anchored_properties(inst, "2k-1", 0, 3).status == "pass"
-        tables = configuration_space(inst.metric, inst.k)._transitions.values()
-        assert all(table.column.dtype == np.int32 for table in tables)
-        per_table = 16 * 8 * math.comb(14, 8) + 8 * math.comb(14, 8) + 4 * math.comb(15, 8)
-        assert len(tables) == 10
-        assert sum(a.nbytes for table in tables for a in table) == 10 * per_table == 4_341_480
+        space = configuration_space(inst.metric, inst.k)
+        cached = space._transitions.values()
+        assert all(table.column.dtype == np.int32 for table in cached)
+        assert per_table == (
+            8 * k * math.comb(n - 1, k) + 8 * math.comb(n - 1, k - 1)
+            + 8 * math.comb(n - 1, k) + 4 * math.comb(n, k)
+        )
+        assert len(cached) == tables
+        assert sum(a.nbytes for table in cached for a in table) == tables * per_table
+        assert space.swaps.nbytes == swaps == 8 * k * math.comb(n - 1, k)
+        # and the space keeps no k x |configs| intp table
+        wide = [
+            name for name, a in vars(space).items()
+            if isinstance(a, np.ndarray) and a.dtype == np.intp and a.size >= k * len(space)
+        ]
+        assert wide == []
 
     def test_slots_follow_combinations(self):
         # the numpy build against itertools, for every 1 <= k <= n <= 16,
@@ -587,8 +635,11 @@ class TestOneOrNoUncoveredColumn:
         for seed in range(1, 5):
             inst = generate_instance(n, k, 6, seed)
             space = configuration_space(inst.metric, k)
+            assert space.swaps.shape == (k, n - k)
             for request in range(n):
-                assert space.transitions(request).targets.shape == (k, n - k)
+                tables = space.transitions(request)
+                assert tables.uncovered.shape == (n - k,)
+                assert tables.costs.shape == (k, n - k)
             vectors = [initial_work_vector(inst.metric, inst.initial)]
             config, rounds = inst.initial, []
             for request in inst.requests:
