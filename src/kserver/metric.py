@@ -6,7 +6,6 @@ exact equalities, so nothing here ever goes through floating point.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -14,6 +13,15 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# lean module first; see Instance.fingerprint for why not hashlib
+try:
+    from _sha256 import sha256  # CPython 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 MIN_POINTS = 2
 MAX_POINTS = 16
@@ -429,8 +437,14 @@ class Instance:
         return cls.build(metric, data["k"], data["initial"], data["requests"])
 
     def fingerprint(self) -> str:
+        """SHA-256 hex digest of the instance's canonical JSON (sorted
+        keys, no spaces).  Reports name their instance by it and C1b seeds
+        its sample with it.  The module takes ``sha256`` from the
+        interpreter's built-in module where there is one, as CPython's
+        ``random`` does for ``_sha512``: ``hashlib`` would load OpenSSL
+        into every process for this one hash.  The digest is the same."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -17,6 +18,7 @@ from kserver import (
     Instance,
     MetricSpace,
     canonical_configuration,
+    generate_instance,
     instance_to_json,
     matching_assignment,
     matching_cost,
@@ -24,7 +26,7 @@ from kserver import (
     random_metric,
     validate_metric,
 )
-from kserver.metric import check_point, matching_costs, parse_json
+from kserver.metric import check_point, matching_costs, parse_json, sha256
 
 M3_MATRIX = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
 
@@ -528,6 +530,49 @@ class TestInstanceJson:
     def test_fingerprint_distinguishes(self, m3_instance):
         other = Instance.build(m3_instance.metric, 2, (0, 1), (2, 0))
         assert other.fingerprint() != m3_instance.fingerprint()
+
+
+def canonical_digest(inst):
+    """The fingerprint as its definition states it, through ``hashlib``."""
+    canonical = json.dumps(inst.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestFingerprintDigest:
+    """``metric.sha256`` comes from the interpreter's built-in module where
+    there is one; every digest must equal ``hashlib``'s."""
+
+    def test_fingerprint_is_the_canonical_sha256(self):
+        labelled = MetricSpace.from_matrix(M3_MATRIX, labels=("a", "b", "c"))
+        big = 2**50
+        near = MetricSpace.from_matrix([[0, big, big + 3], [big, 0, big + 1], [big + 3, big + 1, 0]])
+        for inst in (
+            Instance.build(labelled, 2, (0, 1), (2,)),
+            generate_instance(16, 8, 300, 1),
+            Instance.build(near, 2, (0, 1), (2, 0, 2, 1)),
+        ):
+            assert inst.fingerprint() == canonical_digest(inst)
+
+    @pytest.mark.parametrize("size", [0, 55, 56, 63, 64, 65, 100_000])
+    def test_padding_boundaries(self, size):
+        data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+        assert len(data) == size
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_hashlib_fallback(self, m3_instance):
+        src = str(Path(kserver.__file__).parents[1])
+        code = (
+            "import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+            f"sys.path.insert(0, {src!r}); import hashlib; "
+            "from kserver import Instance, MetricSpace; from kserver import metric; "
+            "assert metric.sha256 is hashlib.sha256; "
+            f"inst = Instance.build(MetricSpace.from_matrix({M3_MATRIX!r}), 2, (0, 1), (2,)); "
+            "print(inst.fingerprint())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == m3_instance.fingerprint() == canonical_digest(m3_instance)
 
 
 INT64_MAX = 2**63 - 1
