@@ -21,8 +21,9 @@ one-target walk from its first round) and keeps those rounds' leave
 points as one list, which the batched replay hands to ``_replay``.
 Only the rounds where targets differ run on arrays, one row per round.
 
-The per-round vectors are a ``History``: one int64 row per stored
-vector, the array the fold returned, never copied.  ``work_vector_history``
+The per-round vectors are a ``History``: one row per stored vector, the
+array the fold returned, never copied, in the space's dtype (int16 on
+small weights) until a fold widens it.  ``work_vector_history``
 folds an anchor onto a base history, sharing its rows, only until a cycle
 maps the vector to itself.  The anchor's requests are all start points,
 so once the backtrack finds its plan on the start inside the anchor, the

@@ -27,6 +27,11 @@ The decision rule moves the server x of the current configuration
 minimizing value((X minus x) plus r) + dist(x, r), breaking ties toward
 the smallest point identifier, and makes the empty move when the request
 is already covered.
+
+Entries and costs are int16 where the space's metric allows it, else
+int64 (see ``ConfigurationSpace``).  An update whose result passes the
+space's ceiling widens that result to int64, so no int16 sum wraps
+whatever the number of requests (``update_work_vector`` has the proof).
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .metric import (
 
 # a distance vector's mark for configurations not reached yet
 UNREACHED = INT64_MAX
+INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 class Transitions(NamedTuple):
@@ -67,10 +73,11 @@ class Transitions(NamedTuple):
     it, each in increasing order (intp).  Replacing slot j of configuration
     ``uncovered[c]`` by the request gives configuration
     ``covered[space.swaps[j, c]]`` at cost ``costs[j, c]``, a C-contiguous
-    ``(k, C(n-1, k))`` int64 table.  ``column`` maps every rank to its
-    column, or -1 where the configuration holds the request.  The map is
-    int32, half the bytes of intp: it is read one rank at a time, or
-    gathered at a few hundred ranks, so no large gather pays its cast.
+    ``(k, C(n-1, k))`` table in the space's dtype.  ``column`` maps every
+    rank to its column, or -1 where the configuration holds the request.
+    The map is int32, half the bytes of intp: it is read one rank at a
+    time, or gathered at a few hundred ranks, so no large gather pays its
+    cast.
     """
 
     covered: np.ndarray
@@ -108,10 +115,22 @@ class ConfigurationSpace:
     are cast once per build.  Swaps stay intp, since int32 or uint16
     indices are cast on every gather: an update at (16, 6) took 0.11-0.14
     ms with them against 0.064-0.070 ms (timeit, best of 7, shared 2-vCPU
-    x86-64 VM).  Costs stay int64, since narrower costs are cast on every
-    addition; only the rank -> column map, which no update gathers
-    through, is int32.  Cached distance vectors from fixed origins serve
-    initial vectors and collapse checks.
+    x86-64 VM).  The rank -> column map, which no update gathers through,
+    is int32.
+
+    Work vectors and costs share one dtype, ``dtype``, so that no addition
+    casts: int16 if its maximum is at least ``2 * (k + 1) * largest``,
+    else int64.  ``ceiling`` is int16's maximum less ``(k + 1) *
+    largest``; an update whose result has its rank-0 entry above it
+    widens that result to int64 (see ``update_work_vector``).  An int64
+    space's ceiling is int64's maximum: the int64 refusals of ``metric``
+    bound its values.  Narrow rows and costs together make the fold
+    faster, and narrow costs alone make it slower: the array work of one
+    update at (12, 4), (16, 6) and (15, 8) took 4.3, 41 and 32 us in
+    int16, 4.9, 53 and 40 us in int64, and 5.8, 60 and 46 us with int64
+    rows and int16 costs (timeit, best of 7 interleaved, shared 2-vCPU
+    x86-64 VM).  Distance vectors stay int64, with their ``UNREACHED``
+    mark; cached ones from fixed origins serve initial vectors and C2.
     """
 
     def __init__(self, metric: MetricSpace, k: int):
@@ -148,8 +167,12 @@ class ConfigurationSpace:
             self.swaps[j] = self._rank_of_mask[swapped]
             rest = rest ^ bit
         self._lattice = self.slots[:, split:] - 1  # its slot points, uint8
+        span = (k + 1) * metric.largest
+        narrow = 2 * span <= INT16_MAX
+        self.dtype = np.int16 if narrow else np.int64
+        self.ceiling = INT16_MAX - span if narrow else INT64_MAX
         # each point's distance row over the other points
-        self._rows = metric.matrix[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        self._rows = metric.matrix[~np.eye(n, dtype=bool)].reshape(n, n - 1).astype(self.dtype)
         tables = (self._masks, self._rank_of_mask, self.slots, self.swaps, self._lattice, self._rows)
         for table in tables:
             table.setflags(write=False)
@@ -252,7 +275,8 @@ def configuration_space(metric: MetricSpace, k: int) -> ConfigurationSpace:
 @dataclass(frozen=True, eq=False)
 class WorkVector:
     """Work function values over every configuration of a space, in rank
-    order: a space and one read-only int64 entry per configuration.
+    order: a space and one read-only entry per configuration, in the
+    space's dtype or, once a fold has passed the space's ceiling, int64.
 
     Immutable; updates return fresh vectors so histories from different
     request sequences can be compared entry by entry.
@@ -268,9 +292,10 @@ class WorkVector:
 @dataclass(frozen=True, eq=False)
 class History:
     """The work vectors after each prefix of a request sequence, stored as
-    a tuple of rows: the read-only int64 value arrays of the vectors, one
-    per stored vector, shared with the vectors themselves and with any
-    history that extends this one rather than copied.
+    a tuple of rows: the read-only value arrays of the vectors, one per
+    stored vector, shared with the vectors themselves and with any history
+    that extends this one rather than copied.  A row is in the space's
+    dtype, or int64 from the first fold that passed the space's ceiling.
 
     A sequence of ``base_len`` requests followed by whole cycles over the
     k start points (an anchor) may be folded only until one cycle maps the
@@ -321,17 +346,34 @@ class History:
 
 
 def initial_work_vector(metric: MetricSpace, initial) -> WorkVector:
-    """Vector before any request: matching distance from the start."""
+    """Vector before any request: matching distance from the start, in
+    the space's dtype."""
     origin = canonical_configuration(initial, metric.n)
     space = configuration_space(metric, len(origin))
-    return WorkVector(space, space.distance_vector(origin))
+    values = space.distance_vector(origin).astype(space.dtype, copy=False)
+    values.setflags(write=False)
+    return WorkVector(space, values)
 
 
 def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
     """Fold one request into a work vector, returning a new vector.
 
     Entries of configurations that hold the request are copied; the
-    others take the minimum over their transition table's k slots.
+    others take the minimum over their transition table's k slots, in the
+    vector's dtype.  An int16 result whose rank-0 entry, the reference,
+    is above ``space.ceiling`` is widened to int64, and so is every
+    vector folded from it.
+
+    No int16 sum wraps.  Let L be the largest distance and M int16's
+    maximum, so ``ceiling = M - (k + 1) L`` and ``2 (k + 1) L <= M``.
+    Work function values are at least 0 and 1-Lipschitz in the matching
+    distance (Koutsoupias and Papadimitriou 1995): |w(X) - w(Y)| <=
+    d(X, Y) <= k L.  An int16 vector's reference is at most the ceiling:
+    the initial one is a distance, at most k L <= ceiling, and a result
+    above it is widened.  So every int16 entry lies in [0, ceiling + k L],
+    and the fold, a decision or a backtrack adds one move cost to it, at
+    most ceiling + (k + 1) L = M.  Int64 vectors are bounded by the int64
+    refusals of ``metric``.
     """
     space = vector.space
     covered, costs, uncovered, _ = space.transitions(request)
@@ -339,6 +381,8 @@ def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
     moved += costs
     values = vector.values.copy()
     values[uncovered] = moved.min(axis=0)
+    if values.item(0) > space.ceiling and values.dtype != np.int64:
+        values = values.astype(np.int64)
     values.setflags(write=False)
     return WorkVector(space, values)
 

@@ -20,7 +20,7 @@ from kserver import (
 )
 from kserver.offline import oracle_work_vector
 from kserver.rng import SplitMix64
-from test_workfunction import d_equivalence, shifted, vector_pairs
+from vector_checks import d_equivalence, shifted, vector_pairs
 
 UNIFORM_CAMPAIGN = {
     "seeds": [1, 100], "n": [4, 8], "k": [2, 3], "rho_len": [0, 12],

@@ -49,7 +49,7 @@ from kserver.workfunction import (
     update_work_vector,
 )
 from test_offline import WRONG_PLAN, loop_extract_trace, verify_mid_case
-from test_workfunction import all_configs
+from vector_checks import all_configs
 
 DEFAULT_CAMPAIGN = {
     "seeds": [1, 20],

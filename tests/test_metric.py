@@ -18,6 +18,7 @@ from kserver import (
     Instance,
     MetricSpace,
     canonical_configuration,
+    final_work_vector,
     generate_instance,
     instance_to_json,
     matching_assignment,
@@ -27,6 +28,8 @@ from kserver import (
     validate_metric,
 )
 from kserver.metric import check_point, matching_costs, parse_json, sha256
+from kserver.offline import oracle_work_vector
+from vector_checks import vector_pairs
 
 M3_MATRIX = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
 
@@ -602,10 +605,6 @@ def test_work_values_must_fit_int64(k, count):
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(1, 2), count=st.integers(0, 8))
 def test_values_at_the_int64_bound_are_exact(k, count):
-    from kserver import final_work_vector
-    from kserver.offline import oracle_work_vector
-    from test_workfunction import vector_pairs
-
     inside = INT64_MAX // (count + k)
     requests = [(k + i) % (k + 1) for i in range(count)]
     inst = Instance.build(equidistant(k + 1, inside), k, range(k), requests)

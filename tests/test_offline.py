@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from kserver import offline
@@ -28,8 +29,8 @@ from kserver.offline import (
     oracle_schedule_costs,
     oracle_work_vector,
 )
-from test_workfunction import all_configs, vector_pairs
 from trace_checks import trace_violations
+from vector_checks import all_configs, vector_pairs
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -252,20 +253,25 @@ def test_history_shape(m3_instance):
 
 
 def test_histories_share_the_vectors(monkeypatch):
-    # no row is copied: the base history stores the arrays its updates
-    # return, and an anchored history stores the base history's own rows
+    # no row is copied: the base history stores the arrays its initial
+    # vector and its updates return, and an anchored history stores the
+    # base history's own rows.  The initial vector is cast from the cached
+    # int64 distance vector, a fresh int16 array per call
     returned = []
-    update = offline.update_work_vector
+    initial, update = offline.initial_work_vector, offline.update_work_vector
 
-    def recorded(vector, request):
-        returned.append(update(vector, request))
-        return returned[-1]
+    def recorded(fold):
+        def wrapper(*args):
+            returned.append(fold(*args))
+            return returned[-1]
+        return wrapper
 
-    monkeypatch.setattr(offline, "update_work_vector", recorded)
+    monkeypatch.setattr(offline, "initial_work_vector", recorded(initial))
+    monkeypatch.setattr(offline, "update_work_vector", recorded(update))
     inst = generate_instance(6, 3, 8, seed=4)
     base = work_vector_history(inst)
-    assert base.rows[0] is initial_work_vector(inst.metric, inst.initial).values
-    assert all(row is vector.values for row, vector in zip(base.rows[1:], returned, strict=True))
+    assert all(row is vector.values for row, vector in zip(base.rows, returned, strict=True))
+    assert base.rows[0].dtype == base.space.dtype == np.int16
     anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * 40)
     returned.clear()
     history = work_vector_history(anchored, base)

@@ -26,6 +26,7 @@ from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
 from kserver.metric import INT64_MAX
 from kserver.offline import (
+    _backtrack,
     extract_trace,
     first_start_visits,
     opt_cost,
@@ -42,37 +43,7 @@ from kserver.workfunction import (
     extend_wfa,
 )
 from trace_checks import trace_violations
-
-
-def all_configs(space):
-    """Every configuration of ``space`` in rank order, which is the order
-    of ``itertools.combinations`` (``test_slots_follow_combinations``)."""
-    return list(itertools.combinations(range(space.metric.n), space.k))
-
-
-def vector_pairs(vector):
-    """(configuration, value) for every entry of ``vector``, in rank order."""
-    return list(zip(all_configs(vector.space), vector.values.tolist()))
-
-
-def shifted(vector, offset):
-    """``vector`` plus a constant everywhere, which updates commute with and
-    decisions ignore.  ``verify`` relies on that without building the
-    shifted vector; these tests check it."""
-    values = vector.values + np.int64(offset)
-    values.setflags(write=False)
-    return WorkVector(vector.space, values)
-
-
-def d_equivalence(first, second):
-    """The constant by which two vectors differ everywhere, if one exists."""
-    if (first.space.metric, first.space.k) != (second.space.metric, second.space.k):
-        raise InputError("work vectors live on different configuration spaces")
-    diff = first.values - second.values
-    offset = int(diff[0])
-    if np.all(diff == offset):
-        return offset
-    return None
+from vector_checks import all_configs, d_equivalence, shifted, vector_pairs
 
 
 def small_instance(seed, n_max=5, k_max=3, len_max=6):
@@ -191,13 +162,14 @@ def loop_update(vector, request):
     min over z in X of w(X - z + r) + d(r, z), skipping the replacements
     that would collapse X; covered configurations are not told apart."""
     space, dist = vector.space, vector.space.metric.dist
+    values = vector.values.tolist()
     out = []
     for cfg in all_configs(space):
         scores = []
         for j, z in enumerate(cfg):
             swapped = tuple(sorted(cfg[:j] + cfg[j + 1 :] + (request,)))
             if len(set(swapped)) == len(swapped):
-                scores.append(int(vector.values[space.rank(swapped)]) + dist[request][z])
+                scores.append(values[space.rank(swapped)] + dist[request][z])
         out.append(min(scores))
     return out
 
@@ -296,10 +268,12 @@ class TestConfigurationSpaceKernels:
             assert table.dtype == dtype
             assert table.flags.c_contiguous
             assert not table.flags.writeable
+        # weights 1-9 fit int16 with room for (k + 3) times the largest
+        assert space.dtype == np.int16
         for request in (0, n - 1):
             covered, costs, uncovered, column = space.transitions(request)
             assert costs.shape == (k, width)
-            assert costs.dtype == np.int64
+            assert costs.dtype == space.dtype
             assert costs.flags.c_contiguous
             assert not costs.flags.writeable
             for table, length, dtype in (
@@ -317,6 +291,11 @@ class TestConfigurationSpaceKernels:
         assert vector.shape == (size,)
         assert vector.dtype == np.int64
         assert not vector.flags.writeable
+        # the initial vector is the distance vector cast to the space's dtype
+        initial = initial_work_vector(space.metric, space.config(size - 1))
+        assert initial.values.dtype == space.dtype
+        assert not initial.values.flags.writeable
+        assert initial.values.tolist() == vector.tolist()
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_lattices_without_points_or_with_empty_subsets(self, n):
@@ -338,26 +317,29 @@ class TestConfigurationSpaceKernels:
             assert vector.values.tolist() == want
 
     def test_table_bytes(self):
-        # k int64 costs per configuration that misses the request: 8 * 8 *
-        # C(14, 8) = 192,192 bytes at (15, 8).  The swaps are one table of
-        # the space, as large as one request's costs; a per-request intp
-        # target table doubled them to 384,384, and tables over all C(15, 8)
-        # configurations took 823,680
+        # k int16 costs per configuration that misses the request: 2 * 8 *
+        # C(14, 8) = 48,048 bytes at (15, 8), where int64 costs took
+        # 192,192.  The swaps are one intp table of the space, 192,192
+        # bytes; a per-request intp target table made a request's tables
+        # 384,384, and tables over all C(15, 8) configurations took 823,680
         space = ConfigurationSpace(random_metric(15, seed=15), 8)
+        assert space.dtype == np.int16
         for request in range(15):
-            assert space.transitions(request).costs.nbytes == 8 * 8 * math.comb(14, 8) == 192_192
-        assert space.swaps.nbytes == 192_192
+            assert space.transitions(request).costs.nbytes == 2 * 8 * math.comb(14, 8) == 48_048
+        assert space.swaps.nbytes == 8 * 8 * math.comb(14, 8) == 192_192
 
     @pytest.mark.parametrize(
         "shape, seed, tables, per_table, swaps",
-        [((15, 8, 4), 1, 10, 269_412, 192_192), ((16, 6, 4), 2, 8, 336_336, 240_240)],
+        [((15, 8, 4), 1, 10, 125_268, 192_192), ((16, 6, 4), 2, 8, 156_156, 240_240)],
     )
     def test_cache_bytes_after_verify(self, shape, seed, tables, per_table, swaps):
-        # verify caches one table set per distinct anchored request: int64
+        # verify caches one table set per distinct anchored request: int16
         # costs, intp covered and uncovered ranks and an int32 rank ->
         # column map; the space adds one intp swap table.  At (15, 8, 4)
-        # that is 2,694,120 + 192,192 bytes, where per-request intp target
-        # tables made the cache 4,341,480 and an intp map 4,598,880
+        # that is 1,252,680 + 192,192 bytes, where int64 costs made the
+        # cache 2,694,120, per-request intp target tables 4,341,480 and an
+        # intp map 4,598,880; per request, int64 costs took 269,412 bytes
+        # at (15, 8) and 336,336 at (16, 6)
         configuration_space.cache_clear()
         inst = generate_instance(*shape, seed)
         n, k, _ = shape
@@ -365,8 +347,9 @@ class TestConfigurationSpaceKernels:
         space = configuration_space(inst.metric, inst.k)
         cached = space._transitions.values()
         assert all(table.column.dtype == np.int32 for table in cached)
+        assert all(table.costs.dtype == np.int16 for table in cached)
         assert per_table == (
-            8 * k * math.comb(n - 1, k) + 8 * math.comb(n - 1, k - 1)
+            2 * k * math.comb(n - 1, k) + 8 * math.comb(n - 1, k - 1)
             + 8 * math.comb(n - 1, k) + 4 * math.comb(n, k)
         )
         assert len(cached) == tables
@@ -588,7 +571,8 @@ class TestHistory:
             periodic_from = base_len + (fixed_cycle - 1) * k
 
             def row():
-                return np.array([stream.randint(0, 40) for _ in range(len(space))], dtype=np.int64)
+                values = [stream.randint(0, 40) for _ in range(len(space))]
+                return np.array(values, dtype=space.dtype)
 
             prefix = [row() for _ in range(periodic_from)]
             cycle = [row() for _ in range(k)]
@@ -623,6 +607,154 @@ class TestHistory:
         for t in (-5, 4):
             with pytest.raises(IndexError, match=f"history index {t} out of range for 4 vectors"):
                 history[t]
+
+
+def python_int_fold(space, initial, requests):
+    """Reference: the values after each prefix of ``requests`` as lists of
+    Python ints, the first the matching distances from ``initial`` and each
+    next one ``loop_update`` of the last."""
+    rows = [[matching_cost(initial, cfg, space.metric) for cfg in all_configs(space)]]
+    for request in requests:
+        rows.append(loop_update(WorkVector(space, np.array(rows[-1], dtype=np.int64)), request))
+    return rows
+
+
+def widening_instance(n, k, rho_len, seed, weights, model="uniform", start=None):
+    inst = generate_instance(n, k, rho_len, seed, request_model=model, weight_range=weights)
+    return inst if start is None else Instance.build(inst.metric, k, start, inst.requests)
+
+
+def widened_from(history):
+    """The first stored row in int64, or None; every row after it is int64."""
+    wide = [row.dtype == np.int64 for row in history.rows]
+    first = wide.index(True) if True in wide else None
+    assert first is None or all(wide[first:])
+    return first
+
+
+class TestNarrowStorage:
+    """Vectors are stored in int16 where the metric allows it, and a fold
+    whose result passes the space's ceiling widens it to int64.  The
+    widening cases pick weights whose values pass the ceiling: in the base,
+    whose values then pass int16's maximum, and in the anchor, whose start
+    is not rank 0 so that the rank-0 entry still rises there.  Everything
+    read off the rows must equal a fold in Python ints."""
+
+    @pytest.mark.parametrize(
+        "k, largest, dtype",
+        [
+            (8, 1820, np.int16), (8, 1821, np.int64), (2, 5461, np.int16), (2, 5462, np.int64),
+            (7, INT64_MAX // 7, np.int64),
+        ],
+    )
+    def test_dtype_and_ceiling(self, k, largest, dtype):
+        # int16 if it holds 2 (k + 1) largest; an int64 space never widens
+        n = k + 1
+        matrix = [[0 if i == j else largest for j in range(n)] for i in range(n)]
+        space = ConfigurationSpace(MetricSpace.from_matrix(matrix), k)
+        assert space.dtype == dtype
+        top = int(np.iinfo(np.int16).max)
+        assert space.ceiling == (INT64_MAX if dtype is np.int64 else top - (k + 1) * largest)
+        for request in range(n):
+            assert space.transitions(request).costs.dtype == dtype
+
+    @pytest.mark.parametrize(
+        "n, k, rho_len, seed, weights, model, start, dtype, widened",
+        [
+            (10, 8, 160, 1, (1700, 1820), "greedy_adversary", None, np.int16, 60),
+            (10, 8, 60, 6, (1700, 1820), "uniform", tuple(range(2, 10)), np.int16, 68),
+            (6, 3, 40, 1, (5000, 6000), "uniform", None, np.int64, 0),
+        ],
+    )
+    def test_widened_histories_equal_a_python_int_fold(
+        self, n, k, rho_len, seed, weights, model, start, dtype, widened
+    ):
+        inst = widening_instance(n, k, rho_len, seed, weights, model, start)
+        space = configuration_space(inst.metric, k)
+        assert space.dtype == dtype
+        base_len = len(inst.requests)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
+        anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
+        history = work_vector_history(anchored, base)
+
+        # every stored row, and three cycles read back from the periodic ones
+        checked = min(len(history), history.periodic_from + 3 * k + 1)
+        reference = python_int_fold(space, inst.initial, anchored.requests[: checked - 1])
+        for t in range(checked):
+            assert history[t].values.tolist() == reference[t], t
+        # the first widened row, in the base (60 < 160) or in the anchor (68 > 60)
+        assert widened_from(history) == widened
+        if dtype is np.int16:
+            assert history.rows[widened - 1][0] <= space.ceiling < history.rows[widened][0]
+
+        # decisions: read off the history, folded afresh, and the loop's
+        trace = extend_wfa(ExecutionTrace(inst.initial, (), 0), history, anchored.requests)
+        assert trace == run_wfa(anchored)
+        config = inst.initial
+        for t in range(checked - 1):
+            vector = WorkVector(space, np.array(reference[t], dtype=np.int64))
+            assert trace.rounds[t] == loop_decide(vector, config, anchored.requests[t]), t
+            config = trace.rounds[t].config
+
+        # every target's trace costs its value, through backtracks that
+        # cross the widened round: one walk per target, the batched walk
+        # over the anchored history, and one over the base, whose targets
+        # stay apart for many rounds
+        final = history[-1].values.tolist()
+        for rank in range(len(space)):
+            assert extract_trace(history, anchored, space.config(rank)).total_cost == final[rank]
+        first_start_visits(history, anchored, range(len(space)), base_len)
+        # the start's value is the same in every anchor row, int16 or
+        # int64, so the walk from the start jumps over the anchor
+        at_start = space.rank(inst.initial)
+        assert _backtrack(history, anchored, [at_start])[3] == len(anchored.requests)
+        visits = []
+        for rank in range(len(space)):
+            trace = extract_trace(base, inst, space.config(rank))
+            assert trace.total_cost == reference[base_len][rank]
+            on_start = (t for t in range(base_len) if trace.config_after(t) == inst.initial)
+            visits.append(next(on_start, -1))
+        assert first_start_visits(base, inst, range(len(space)), 0).tolist() == visits
+
+        # and the report reads the same values
+        report = verify_anchored_properties(inst, 2 * k - 1, 0, 3)
+        assert report.values["opt"] == min(reference[base_len])
+        assert report.values["opt_rho_sigma"] == min(final)
+        assert report.check("P1").lhs == reference[base_len][at_start]
+        minimizers = [rank for rank, value in enumerate(final) if value == min(final)]
+        assert (report.check("C1a").status == "pass") == (minimizers == [at_start])
+        distance = [matching_cost(inst.initial, cfg, inst.metric) for cfg in all_configs(space)]
+        c2 = all(value - final[at_start] == d for value, d in zip(final, distance))
+        assert (report.check("C2").status == "pass") == c2
+
+    @pytest.mark.parametrize("start", [None, (2, 3)])
+    def test_widened_short_sequences_equal_the_oracle(self, start):
+        # k = 2 at weights near 5,461: int16, widened within 14 requests,
+        # and every value against the k^T schedule enumeration
+        for seed in range(1, 4):
+            inst = widening_instance(4, 2, 14, seed, (5000, 5461), start=start)
+            history = work_vector_history(inst)
+            assert history.space.dtype == np.int16
+            assert dict(vector_pairs(history[-1])) == oracle_work_vector(inst)
+            assert opt_cost(history[-1]) == oracle_opt(inst)
+            for target in all_configs(history.space):
+                assert extract_trace(history, inst, target).total_cost == oracle_opt(inst, target)
+            assert 0 < widened_from(history) <= 14
+
+    def test_stored_history_bytes(self):
+        # the anchored history of (16, 8, 300) seed 1 as verify folds it:
+        # 332 stored rows of 12,870 int16 entries, 8,545,680 bytes, where
+        # int64 rows took 34,182,720
+        inst = generate_instance(16, 8, 300, 1)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 15, 0).cycles
+        anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
+        history = work_vector_history(anchored, base)
+        space = history.space
+        assert space.dtype == np.int16
+        stored = sum(row.nbytes for row in history.rows)
+        assert stored == 2 * len(space) * len(history.rows) == 2 * 12_870 * 332 == 8_545_680
 
 
 class TestOneOrNoUncoveredColumn:
