@@ -18,7 +18,7 @@ from .harness import (
 )
 from .metric import InputError, Instance, instance_to_json, parse_json
 from .offline import opt_cost, opt_trace
-from .workfunction import final_work_vector, run_wfa
+from .workfunction import final_work_vector, run_wfa, wfa_cost
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -106,17 +106,15 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     inst = _load_instance(args.instance)
-    if args.algo == "wfa":
-        trace = run_wfa(inst)
-    elif args.trace_out:
-        trace = opt_trace(inst)  # ends in the argmin configuration: costs the optimum
-    else:
-        trace = None
-    print(opt_cost(final_work_vector(inst)) if trace is None else trace.total_cost)
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(trace.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    if not args.trace_out:  # a cost, and no round built
+        print(wfa_cost(inst)[0] if args.algo == "wfa" else opt_cost(final_work_vector(inst)))
+        return EXIT_OK
+    # opt's trace ends in the argmin configuration: it costs the optimum
+    trace = run_wfa(inst) if args.algo == "wfa" else opt_trace(inst)
+    print(trace.total_cost)
+    with open(args.trace_out, "w", encoding="utf-8") as handle:
+        json.dump(trace.to_json(), handle, indent=2, sort_keys=True)
+        handle.write("\n")
     return EXIT_OK
 
 

@@ -12,11 +12,12 @@ C1b  for every ending configuration, the extracted cost-realizing
      execution passes through the start configuration during the anchor
      block (checked on all configurations, or a seeded sample of 512).
      All examined targets are backtracked and lazily replayed together
-     (``offline.first_start_visits``), each shared plan walked once and
-     each trace's cost checked against its work-vector entry, with every
-     final relocation priced by one batched subset DP
-     (``metric.matching_costs``); the first target's trace is also
-     built by ``extract_trace``, and a different first visit raises.
+     (``offline.first_start_visits``), each round's distinct plans walked
+     once and each trace's cost checked against its work-vector entry,
+     with every final relocation priced by one batched subset DP in the
+     space's dtype (``metric.matching_costs``); the first target's trace
+     is also built by ``extract_trace``, and a different first visit
+     raises.
      Both replay a plan with the one lazy replay, ``offline._replay``,
      which skips the anchor rounds in which the plan holds the start.
 C2   the anchored work vector equals its value at the start plus the
@@ -31,8 +32,9 @@ E3   the online cost of the repeated block is exactly q times the block
      ignores it: every later block is block 1 shifted by c, so the
      repeated block is block 1's rounds q times, at q times its cost (no
      round is built), and its optimum is block 1's plus (q-1)*c.
-     Otherwise blocks 2..q continue the anchored online run and its work
-     vector, each folded like the first.
+     Otherwise blocks 2..q continue the anchored online run, rebuilt
+     round by round (``extend_wfa``), and its work vector, each folded
+     like the first.
 R1   the online algorithm ends the anchored block back at the start
      configuration.  If this fails the anchor is rebuilt with a doubled
      allowance, up to a cap; running out of cap is reported as
@@ -43,9 +45,11 @@ T1   the online cost of the base sequence is at most 2*alpha times its
 The base history is folded once; its optimum sizes every anchor.  An
 escalation attempt only folds its anchor onto the base history and reads
 the online run off the result (the algorithm decides each round from the
-vector before it); the other checks run once, on the anchor that ends
-the escalation, and T1 takes the base run as the anchored run's first
-|rho| rounds.
+vector before it), on ranks and with no round built
+(``workfunction.wfa_ranks``): its end configuration, the cost of its
+first |rho| rounds and its total.  The other checks run once, on the
+anchor that ends the escalation, and T1 takes the base run as the
+anchored run's first |rho| rounds.
 
 Anchors are folded only to their fixed point.  The anchor is m cycles
 over the start points, and updates are deterministic, so once two
@@ -62,7 +66,6 @@ same as with every cycle folded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,7 +96,9 @@ from .workfunction import (
     initial_work_vector,
     run_wfa,  # unused here; the benchmark tracer wraps this name
     update_work_vector,
+    wfa_cost,
     wfa_decide,
+    wfa_ranks,
 )
 
 CHECK_IDS = ("P1", "E1", "C1a", "C1b", "C2", "E2", "E3", "R1", "T1")
@@ -235,20 +240,22 @@ def verify_anchored_properties(
     base = work_vector_history(inst)
     vector_base = base[-1]
     opt_base = opt_cost(vector_base)
+    space = base.space
 
     # an attempt does only what R1 needs
     for beta_used in _beta_schedule(beta_initial, beta_cap):
         anchor = compute_anchor(inst, opt_base, alpha, beta_used)
         anchored = replace(inst, requests=inst.requests + anchor.requests)
         history = work_vector_history(anchored, base)
-        trace_anchored = extend_wfa(ExecutionTrace(start, (), 0), history, anchored.requests)
-        end_config = trace_anchored.config_after(len(anchored.requests))
+        end, alg_base, alg_anchored = wfa_ranks(
+            space, history, anchored.requests, space.rank(start), base_len
+        )
+        end_config = space.config(end)
         if end_config == start:
             break
     r1_status = "pass" if end_config == start else "inconclusive"
     r1 = CheckResult("R1", r1_status, list(end_config), list(start))
 
-    alg_base = sum(move.cost for rnd in trace_anchored.rounds[:base_len] for move in rnd.moves)
     return_cost = vector_base.value(start)
     p1 = _bool_check("P1", return_cost <= 2 * opt_base, return_cost, 2 * opt_base)
     t1 = _bool_check("T1", alg_base <= 2 * alpha * opt_base, alg_base, 2 * alpha * opt_base)
@@ -261,13 +268,12 @@ def verify_anchored_properties(
     )
 
     minimizers = np.flatnonzero(vector_anchored.values == opt_anchored)
-    space = vector_anchored.space
     unique_start = len(minimizers) == 1 and space.config(minimizers[0]) == start
     c1a = _bool_check(
         "C1a", unique_start, [list(space.config(i)) for i in minimizers[:4]], [list(start)],
     )
 
-    # compared as a difference, which stays inside int64 where the sum may not
+    # compared as a difference, which stays inside the dtype where the sum may not
     at_start = vector_anchored.value(start)
     distance = space.distance_vector(start)
     c2_bad = np.flatnonzero(vector_anchored.values - distance != at_start)
@@ -290,13 +296,14 @@ def verify_anchored_properties(
     check_int64_bound(
         f"q*T + k = {q}*{rounds} + {inst.k}", q * rounds + inst.k, inst.metric.largest
     )
-    alg_anchored = trace_anchored.total_cost
     witness = None
     if c2.status == "pass" and r1_status == "pass":
         # block 1's rounds q times, so no round is built or compared
         opt_repeated = opt_anchored + (q - 1) * at_start
         alg_repeated = q * alg_anchored
     else:
+        # block 1's rounds, which the run on ranks did not build
+        trace_anchored = extend_wfa(ExecutionTrace(start, (), 0), history, anchored.requests)
         trace_repeated, vector_repeated = trace_anchored, vector_anchored
         for _ in range(q - 1):
             block = work_vector_history(anchored, work_vector_history(inst, first=vector_repeated))
@@ -389,12 +396,9 @@ class RatioRow:
 
 def measure_strict_ratio(inst: Instance) -> RatioRow:
     """``RatioRow.of`` an instance that has no verify report: folds the base
-    sequence once and reads its online run off the fold."""
-    initial = initial_work_vector(inst.metric, inst.initial)
-    vectors = itertools.accumulate(inst.requests, update_work_vector, initial=initial)
-    alg = extend_wfa(ExecutionTrace(inst.initial, (), 0), vectors, inst.requests).total_cost
-    # extend_wfa's zip pulls a request first, so the final vector is left unread
-    return RatioRow.of(inst, opt_cost(next(vectors)), alg)
+    sequence once and reads its online run off the fold (``wfa_cost``)."""
+    alg, final = wfa_cost(inst)
+    return RatioRow.of(inst, opt_cost(final), alg)
 
 
 REQUEST_MODELS = ("uniform", "roundrobin_k_plus_1", "greedy_adversary")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -302,34 +302,64 @@ def matching_assignment(
 
 def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Minimum total distance of a bijection from column i of ``sources`` to
-    column i of ``targets``, for every column at once.
+    column i of ``targets``, for every column at once, in ``matrix``'s dtype.
 
     ``targets`` is a ``(k, N)`` table of points and ``sources`` a ``(k, N)``
     or ``(k, 1)`` one (a single origin for every column); points may repeat
-    on either side.  A DP over subsets of the source rows: target rows
-    0..j-1 are matched to each subset of j sources at least cost, and
-    target row j then takes each unused source in turn.  k * 2^(k-1)
-    vector steps give the exact minimum over bijections.  This is the
-    batched int64 form of the recurrence behind :func:`matching_cost`.
-    Sums stay in int64; callers bound k times the largest distance by
-    int64.
+    on either side.  A DP over subsets of the source rows, one layer per
+    target row: layer j holds, for each j-subset of the sources, the least
+    cost of matching target rows 0..j-1 to it, and a (j+1)-subset takes
+    the least over its members a of layer j at the subset without a plus
+    a's distance to target row j.  The members are taken slot by slot
+    (``_subset_layers``), so a layer costs one gather of the previous
+    layer, one of the step and one ``np.minimum`` per slot: k(k+1)/2
+    slots in all, over the k * 2^(k-1) terms of :func:`matching_cost`'s
+    recurrence.  Every partial sum is at most k times the largest
+    distance, which the caller's dtype must hold.
     """
     k, width = targets.shape
-    layer = {0: np.zeros(width, dtype=np.int64)}
-    for target in targets:
+    layer = np.zeros((1, width), dtype=matrix.dtype)
+    for target, (before, member) in zip(targets, _subset_layers(k)):
         step = matrix[sources, target]
-        grown: dict[int, np.ndarray] = {}
-        for used, values in layer.items():
-            for a in range(k):
-                if used >> a & 1:
-                    continue
-                candidate = values + step[a]
-                best = grown.setdefault(used | 1 << a, candidate)
-                if best is not candidate:
-                    np.minimum(best, candidate, out=best)
+        grown = None
+        for subsets, sources_at in zip(before, member):
+            candidate = layer.take(subsets, axis=0)
+            candidate += step.take(sources_at, axis=0)
+            if grown is None:
+                grown = candidate
+            else:
+                np.minimum(grown, candidate, out=grown)
         layer = grown
-    (values,) = layer.values()
-    return values
+    return layer[0]
+
+
+@lru_cache(maxsize=1)
+def _subset_layers(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Index tables of ``matching_costs``' layers, one pair per layer j = 1..k.
+
+    Layer j lists the j-subsets of range(k) in increasing mask order.  Its
+    ``member[m, s]`` is the m-th smallest element of subset s and
+    ``before[m, s]`` the index in layer j - 1 of subset s without it, both
+    ``(j, C(k, j))`` intp tables.  Built from a popcount table over the
+    2^k masks, by doubling, and the set bits of each layer's masks in
+    row-major order: no sort.
+    """
+    popcount = np.zeros(1 << k, dtype=np.intp)
+    for b in range(k):
+        popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
+    index = np.empty(1 << k, dtype=np.intp)
+    bits = np.arange(k)
+    layers = []
+    for j in range(k + 1):
+        masks = np.flatnonzero(popcount == j)
+        index[masks] = np.arange(masks.size)
+        if j:
+            member = np.nonzero(masks[:, None] >> bits & 1)[1].reshape(-1, j).T
+            before = index[masks ^ 1 << member]
+            for table in (before, member):
+                table.setflags(write=False)
+            layers.append((before, member))
+    return tuple(layers)
 
 
 def min_pairwise_distance(config: Iterable[int], metric: MetricSpace) -> int:

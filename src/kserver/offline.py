@@ -12,14 +12,15 @@ and one lazy replay of a plan, ``_replay``, with two callers:
 ``first_start_visits`` replays many targets at once and keeps only
 where each trace first revisits the start.  The latter prices every
 target's final relocation in one batched subset DP
-(``metric.matching_costs``, a minimum matching per column), since
-under the triangle inequality the relocation costs exactly a minimum
-matching.  Targets that share a plan share its work, and that work is
-done in Python ints rather than numpy arrays of width one: the backtrack
-walks one rank with scalar reads once every target's rank agrees (a
+(``metric.matching_costs``, a minimum matching per column, in the
+space's dtype), since under the triangle inequality the relocation
+costs exactly a minimum matching.  Targets that share a plan share its
+work: the backtrack walks each round's distinct ranks once, and once
+every target's rank agrees it walks one rank with scalar reads (a
 one-target walk from its first round) and keeps those rounds' leave
-points as one list, which the batched replay hands to ``_replay``.
-Only the rounds where targets differ run on arrays, one row per round.
+points as one list, which the batched replay hands to ``_replay`` in
+Python ints.  Only the rounds where targets differ run on arrays, one
+row per distinct rank.
 
 The per-round vectors are a ``History``: one row per stored vector, the
 array the fold returned, never copied, in the space's dtype (int16 on
@@ -224,28 +225,33 @@ def _replay(
 
 def _backtrack(
     history: History, inst: Instance, ranks: Sequence[int]
-) -> tuple[np.ndarray, list[int], np.ndarray, int]:
+) -> tuple[list[int], list[int], list[tuple[np.ndarray, np.ndarray]], int]:
     """The backward pass behind every extracted trace, for many targets at
-    once: ``(first, shared, split, held_to)``.
+    once: ``(first, shared, steps, held_to)``.
 
     Walking back from each target rank, every round takes the first
     transition slot whose predecessor value plus move cost gives the
     current value, which is the smallest leave point.  A target that holds
     the request has no column in the request's tables: it is held, keeping
-    its rank, and its value must equal its predecessor's.  ``first[i]`` is
-    the plan's configuration before the first request, and a round's leave
+    its rank, and its value must equal its predecessor's.  A round's leave
     point is the point its serving server moves on to (the request itself
     when it is held, since the plan then stays put).
 
-    The walk is deterministic, so once every target's rank is the same,
-    every earlier step is the same for all of them.  So the ranks are
-    walked side by side on arrays only while they differ, and ``split``
-    holds one row of leave points, one per target, for each of those last
-    rounds.  From the round they agree down, one rank is walked with
+    The walk is deterministic, so a plan's rank after a round fixes every
+    earlier step: targets whose walks meet share them.  So each round
+    walks only the distinct ranks, the nodes of that round; the nodes
+    after the last round are the targets as given.  ``steps`` holds, for
+    each round from ``len(shared) + 1`` on, two arrays over the nodes
+    after it: each node's leave point, and its parent, the index of its
+    predecessor among the nodes before the round.  ``first`` lists the
+    ranks of the nodes before the first request.  Nodes are walked on
+    arrays while more than one remains.  From the round where one node
+    remains, that node is every target's plan, and it is walked with
     scalar reads (its column, its value and the slots in order until one
-    matches), and ``shared[t]`` is every target's leave point at round
-    t + 1; past them, round t + 1 reads ``split[t - len(shared)]``.  A
-    one-target walk is scalar from its first round and has no split row.
+    matches): ``first`` has its one rank, ``shared[t]`` is every target's
+    leave point at round t + 1, and the steps start at round
+    ``len(shared) + 1``.  A one-target walk is scalar from its last round
+    and has no step.
 
     The start holds every anchor request, so its entry is copied from
     round ``history.base_len`` on.  Once the shared rank is the start at
@@ -257,34 +263,34 @@ def _backtrack(
     space = history.space
     slots, swaps = space.slots, space.swaps
     requests = inst.requests
-    cur = np.array(ranks, dtype=np.intp)
-    width = cur.size
-    rows = np.arange(width)
-    split = []  # from the last round down
+    nodes = np.array(ranks, dtype=np.intp)
+    seen = np.empty(len(space), dtype=np.intp)
+    steps = []  # from the last round down
     t = len(requests)
-    while t > 0 and (cur != cur[0]).any():
+    while t > 0 and nodes.size > 1:
         request = requests[t - 1]
         covered, costs, _, column = space.transitions(request)
         before, after = history.values(t - 1), history.values(t)
-        col = column[cur]
+        col = column[nodes]
         held = col < 0  # covered: the plan keeps its configuration
-        # a held target keeps its rank at zero cost in every slot
-        prev = np.where(held, cur, covered.take(swaps.take(col, axis=1)))
-        match = before[prev] + np.where(held, 0, costs.take(col, axis=1)) == after[cur]
+        # a held node keeps its rank at zero cost in every slot
+        prev = np.where(held, nodes, covered.take(swaps.take(col, axis=1)))
+        match = before[prev] + np.where(held, 0, costs.take(col, axis=1)) == after[nodes]
         slot = match.argmax(axis=0)
-        found = match[slot, rows]
-        split.append(np.where(held, request, slots[slot, cur]))
-        cur = prev[slot, rows]
-        if not found.all():
+        across = np.arange(nodes.size)
+        if not match[slot, across].all():
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
+        leave = np.where(held, request, slots[slot, nodes])
+        nodes, parent = _distinct(prev[slot, across], seen)
+        steps.append((leave, parent))
         t -= 1
-    split = np.array(split[::-1], dtype=slots.dtype).reshape(-1, width)
-    if t == 0:  # the plans may differ from the first request on
-        return cur, [], split, 0
+    steps.reverse()
+    if nodes.size > 1:  # the plans may differ from the first request on
+        return nodes.tolist(), [], steps, 0
 
     # every earlier step is shared: walk one rank for all
     shared = [0] * t
-    rank = int(cur[0])
+    rank = int(nodes[0])
     base_len = history.base_len
     start = space.rank(inst.initial)
     steady = t > base_len and len({row[start] for row in history.rows[base_len:]}) == 1
@@ -313,7 +319,19 @@ def _backtrack(
         if not found:
             raise RuntimeError(f"backtracking found no predecessor at round {t}")
         t -= 1
-    return np.full(width, rank, dtype=np.intp), shared, split, held_to
+    return [rank], shared, steps, held_to
+
+
+def _distinct(ranks: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``ranks``, and each entry's index among them,
+    without a sort: ``seen``, scratch over every rank, keeps one position
+    per rank (the last written)."""
+    order = np.arange(ranks.size)
+    seen[ranks] = order
+    kept = seen[ranks]
+    distinct = kept == order
+    index = np.cumsum(distinct) - 1
+    return ranks[distinct], index[kept]
 
 
 def first_start_visits(
@@ -324,18 +342,22 @@ def first_start_visits(
 
     Gives, for all targets at once, the traces ``extract_trace`` builds one
     at a time: one ``_backtrack`` over every target, then a forward pass
-    that replays all plans lazily.  Over the rounds where every target
+    that replays its nodes lazily.  Over the rounds where every target
     shares its first plan and its leave points, ``shared``, one plan stands
     for all of them and is replayed by ``_replay``, as ``extract_trace``'s
     one plan is, and its first visit is read off the rounds.  From round
-    ``len(shared)`` on, its state is copied out to one row per target of
-    (targets, k) position arrays, advanced by the rows of ``split``.  As in
-    ``extract_trace``, each plan must cover every request and each trace's
-    cost, final relocation included, must equal its work-vector entry
-    exactly; either failure raises, naming the first such target in the
-    order given.  The relocation costs all come from one batched subset DP,
-    ``matching_costs`` from the lazy positions to the targets: by
-    ``_final_relocation``'s lemma that is what ``extract_trace`` pays.
+    ``len(shared)`` on, the state of each node (its plan and lazy
+    positions, its cost and, unless the shared replay found the visit
+    every target inherits, its first visit) is one row of arrays, widened
+    at each round to the next round's nodes through their parents and
+    advanced by their leave points; the last round's nodes are the
+    targets.  As in ``extract_trace``, each plan must cover every request
+    and each trace's cost, final relocation included, must equal its
+    work-vector entry exactly; either failure raises, naming the first
+    such target in the order given.  The relocation costs all come from
+    one batched subset DP, ``matching_costs`` from the lazy positions to
+    the targets in the space's dtype: by ``_final_relocation``'s lemma
+    that is what ``extract_trace`` pays.
 
     The anchor rounds ``_replay`` skips all lie in the shared rounds, so
     only the one plan ever skips.
@@ -343,55 +365,60 @@ def first_start_visits(
     final = history[-1]
     space = final.space
     requests = inst.requests
-    cur, shared, split, held_to = _backtrack(history, inst, ranks)
-    width = cur.size
-
-    # one plan serves every target over the shared rounds, if there are any
-    plans, which = np.unique(cur, return_inverse=True)
-    shared_to = len(shared)
+    ranks = np.asarray(ranks, dtype=np.intp)
+    first, shared, steps, held_to = _backtrack(history, inst, ranks)
     aligned = [
-        list(matching_assignment(inst.initial, space.config(p), inst.metric)) for p in plans
+        list(matching_assignment(inst.initial, space.config(p), inst.metric)) for p in first
     ]
-    # rounds [0, shared_to) in Python ints; aligned[0] is advanced in place
-    rounds, lazy, cost = _replay(
-        history, inst, aligned[0], shared, held_to, space.config(ranks[0])
-    )
-    replayed = ExecutionTrace(inst.initial, tuple(rounds), cost)
-    visits = (t for t in range(base_len, shared_to) if replayed.config_after(t) == inst.initial)
-    visit = next(visits, -1)
-    t = shared_to
+    shared_to = len(shared)
+    lazy, cost, visit = list(inst.initial), 0, -1
+    if shared:
+        # rounds [0, shared_to) in Python ints; aligned[0] is advanced in place
+        rounds, lazy, cost = _replay(
+            history, inst, aligned[0], shared, held_to, space.config(ranks[0])
+        )
+        replayed = ExecutionTrace(inst.initial, tuple(rounds), cost)
+        visits = (t for t in range(base_len, shared_to) if replayed.config_after(t) == inst.initial)
+        visit = next(visits, -1)
 
-    # then one row per target.  No round is skipped here: the backward
-    # pass jumps only on the shared rank, so held_to <= shared_to
-    rows = np.arange(width)
-    plan_pos = np.array(aligned, dtype=np.intp)[which]
-    lazy_pos = np.array([lazy], dtype=np.intp).repeat(width, axis=0)
+    # then one row per node.  No round is skipped here: the backward pass
+    # jumps only on the shared rank, so held_to <= shared_to
+    plan_pos = np.array(aligned, dtype=np.intp)
+    lazy_pos = np.array([lazy], dtype=np.intp).repeat(len(first), axis=0)
     # exact: every partial cost is at most the target's work value
-    cost = np.full(width, cost, dtype=np.int64)
-    first = np.full(width, visit, dtype=np.intp)
+    cost = np.full(len(first), cost, dtype=np.int64)
+    visited = np.full(len(first), visit, dtype=np.intp)
     bit = np.left_shift(1, np.arange(inst.n), dtype=np.int32)
     start_mask = bit[list(inst.initial)].sum()
     matrix = inst.metric.matrix
-    while t < len(requests):
-        if t >= base_len:
-            # stacked servers cover fewer than k bits, so never the start's mask
-            on_start = np.bitwise_or.reduce(bit[lazy_pos], axis=1) == start_mask
-            first[(first < 0) & on_start] = t
+    for t, (leave, parent) in enumerate(steps, start=shared_to):
+        if visit < 0:  # no visit every target inherits: each node keeps its own
+            if t >= base_len:
+                # stacked servers cover fewer than k bits, so never the start's mask
+                on_start = np.bitwise_or.reduce(bit[lazy_pos], axis=1) == start_mask
+                visited[(visited < 0) & on_start] = t
+            visited = visited[parent]
+        plan_pos = plan_pos.take(parent, axis=0)
+        lazy_pos = lazy_pos.take(parent, axis=0)
+        cost = cost.take(parent)
         request = requests[t]
         serving = plan_pos == request
-        sid = serving.argmax(axis=1)
-        covered = serving[rows, sid]
+        # each node's serving server, as an index into its flattened row
+        at = serving.argmax(axis=1)
+        at += np.arange(0, at.size * inst.k, inst.k)
+        covered = serving.ravel().take(at)
         if not covered.all():
+            target = ranks[_first_target(steps, t - shared_to, ~covered)]
             raise RuntimeError(
-                f"the plan ending in {space.config(ranks[int(covered.argmin())])} "
+                f"the plan ending in {space.config(target)} "
                 f"does not cover request {request} at round {t + 1}"
             )
-        cost += matrix[lazy_pos[rows, sid], request]
-        lazy_pos[rows, sid] = request
-        plan_pos[rows, sid] = split[t - shared_to]
-        t += 1
+        lazy = lazy_pos.ravel()  # views: both tables are fresh and contiguous
+        cost += matrix[:, request].take(lazy.take(at))
+        lazy[at] = request
+        plan_pos.ravel()[at] = leave
 
-    total = cost + matching_costs(matrix, lazy_pos.T, space.slots[:, ranks])
+    total = cost + matching_costs(matrix.astype(space.dtype), lazy_pos.T, space.slots[:, ranks])
     expected = final.values[ranks]
     wrong = np.flatnonzero(total != expected)
     if wrong.size:
@@ -400,7 +427,16 @@ def first_start_visits(
             f"extracted trace ending in {space.config(ranks[i])} costs {total[i]}, "
             f"work vector says {expected[i]}"
         )
-    return first
+    return visited if visit < 0 else np.full(len(ranks), visit, dtype=np.intp)
+
+
+def _first_target(steps: list, s: int, marked: np.ndarray) -> int:
+    """The index of the first target, in the order given, whose plan takes
+    a node that ``marked`` flags among the nodes after ``steps[s]``."""
+    node = np.arange(steps[-1][1].size)  # the nodes after the last round
+    for _, parent in steps[:s:-1]:
+        node = parent[node]
+    return int(marked[node].argmax())
 
 
 def _final_relocation(lazy_pos: list[int], target: Configuration, metric):

@@ -58,8 +58,6 @@ from .metric import (
     matching_cost,  # unused here; the benchmark tracer counts matchings through this name
 )
 
-# a distance vector's mark for configurations not reached yet
-UNREACHED = INT64_MAX
 INT16_MAX = int(np.iinfo(np.int16).max)
 
 
@@ -129,15 +127,15 @@ class ConfigurationSpace:
     update at (12, 4), (16, 6) and (15, 8) took 4.3, 41 and 32 us in
     int16, 4.9, 53 and 40 us in int64, and 5.8, 60 and 46 us with int64
     rows and int16 costs (timeit, best of 7 interleaved, shared 2-vCPU
-    x86-64 VM).  Distance vectors stay int64, with their ``UNREACHED``
-    mark; cached ones from fixed origins serve initial vectors and C2.
+    x86-64 VM).  Distance vectors are in the same dtype, and cached ones
+    from fixed origins serve initial vectors and C2.
     """
 
     def __init__(self, metric: MetricSpace, k: int):
         n = metric.n
         if not 1 <= k <= n:
             raise InputError(f"k={k} out of range for n={n}")
-        # distance vectors add up to k distances in int64
+        # an int64 space's distance vectors add up to k distances
         check_int64_bound(f"k={k}", k, metric.largest)
         self.metric = metric
         self.k = k
@@ -218,9 +216,9 @@ class ConfigurationSpace:
         if cached is not None:
             return cached
         # request is a Python int here: under numpy 2, 1 << np.uint8(9) is 0
-        held = self._masks & 1 << (self.metric.n - 1 - request)
+        held = (self._masks & 1 << (self.metric.n - 1 - request)) != 0
         covered = np.flatnonzero(held)
-        uncovered = np.flatnonzero(held == 0)
+        uncovered = np.flatnonzero(~held)
         column = np.full(len(self), -1, dtype=np.int32)
         column[uncovered] = np.arange(uncovered.size, dtype=np.int32)
         # lattice point q is the q-th point other than the request
@@ -232,31 +230,35 @@ class ConfigurationSpace:
         return tables
 
     def distance_vector(self, origin: Configuration) -> np.ndarray:
-        """Matching distance from ``origin`` to every configuration.
+        """Matching distance from ``origin`` to every configuration, in the
+        space's dtype.
 
-        Starting from 0 at the origin and ``UNREACHED`` elsewhere, one
-        work-vector update per origin point p, over p's transition tables,
-        lets p's server stay or move once.  That reaches every
-        configuration X, at least at the cost of the bijections that keep
-        each origin point of X in place and send the rest of the origin to
-        the rest of X.  On a metric one of those is a minimum matching
-        (the pinning lemma at ``offline._final_relocation``), and every
-        value is some bijection's cost, so the result is exact.  An
-        unreached entry is never added to, and after the i-th origin point
-        a reached one is at most i times the largest distance, which the
-        space's int64 bound covers: no sum wraps.  The tables are the ones
-        an anchor over the origin folds with, so ``verify`` builds none
-        for its start's vector.
+        Starting from 0 at the origin and the dtype's maximum, the mark of
+        an unreached entry, elsewhere, one work-vector update per origin
+        point p, over p's transition tables, lets p's server stay or move
+        once.  That reaches every configuration X, at least at the cost of
+        the bijections that keep each origin point of X in place and send
+        the rest of the origin to the rest of X.  On a metric one of those
+        is a minimum matching (the pinning lemma at
+        ``offline._final_relocation``), and every value is some bijection's
+        cost, so the result is exact.  An unreached entry is never added
+        to, and a reached one only while origin points remain, at most
+        k - 1 times the largest distance: one more distance stays below the
+        mark (int16 by the space's choice, int64 by its int64 bound), so no
+        sum wraps and no reached entry is taken for unreached.  The tables
+        are the ones an anchor over the origin folds with, so ``verify``
+        builds none for its start's vector.
         """
         cached = self._distance_vectors.get(origin)
         if cached is not None:
             return cached
-        values = np.full(len(self), UNREACHED, dtype=np.int64)
+        unreached = np.iinfo(self.dtype).max
+        values = np.full(len(self), unreached, dtype=self.dtype)
         values[self.rank(origin)] = 0
         for p in origin:
             covered, costs, uncovered, _ = self.transitions(p)
             moved = values[covered][self.swaps]
-            np.add(moved, costs, out=moved, where=moved != UNREACHED)
+            np.add(moved, costs, out=moved, where=moved != unreached)
             values[uncovered] = moved.min(axis=0)
         values.setflags(write=False)
         self._distance_vectors[origin] = values
@@ -346,13 +348,11 @@ class History:
 
 
 def initial_work_vector(metric: MetricSpace, initial) -> WorkVector:
-    """Vector before any request: matching distance from the start, in
-    the space's dtype."""
+    """Vector before any request: the cached matching distance from the
+    start."""
     origin = canonical_configuration(initial, metric.n)
     space = configuration_space(metric, len(origin))
-    values = space.distance_vector(origin).astype(space.dtype, copy=False)
-    values.setflags(write=False)
-    return WorkVector(space, values)
+    return WorkVector(space, space.distance_vector(origin))
 
 
 def update_work_vector(vector: WorkVector, request: int) -> WorkVector:
@@ -462,3 +462,58 @@ def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
         rounds.append(rnd)
         config = rnd.config
     return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total)
+
+
+def wfa_ranks(
+    space: ConfigurationSpace, vectors, requests, rank: int, prefix: int = 0
+) -> tuple[int, int, int]:
+    """The rounds ``extend_wfa`` appends, run on ranks and never built:
+    ``(end rank, cost of the first prefix rounds, total cost)``.
+
+    From the configuration of ``rank``, each request is decided from the
+    matching item of ``vectors``, the entries before it: a ``History``, or
+    an iterable of value arrays.  The rank is carried through the request's
+    tables: a covered rank stays, and an uncovered one at column ``col``
+    becomes ``covered[swaps[slot, col]]`` for the slot ``wfa_decide``
+    moves, the first of least entry plus move cost.  On a ``History``
+    whose anchor reached a fixed point, the run stops as ``extend_wfa``'s
+    does, once its rank repeats across a cycle of the periodic rows, and
+    every cycle left costs what the last one did.  Such a stop comes no
+    earlier than the history's base length, the largest ``prefix`` it
+    takes.
+    """
+    history = vectors if isinstance(vectors, History) else None
+    if history is not None:
+        vectors = map(history.values, range(len(history)))
+    swaps = space.swaps
+    total = 0
+    at_prefix = None
+    mark = None  # (rank, total) at the previous cycle start
+    for i, (request, values) in enumerate(zip(requests, vectors)):
+        if i == prefix:
+            at_prefix = total
+        if history is not None and history.starts_periodic_cycle(i):
+            if mark is not None and mark[0] == rank:
+                total += (total - mark[1]) * ((len(requests) - i) // space.k)
+                break
+            mark = (rank, total)
+        covered, costs, _, column = space.transitions(request)
+        col = column[rank]
+        if col >= 0:  # uncovered
+            moves = covered[swaps[:, col]]
+            slot = (values[moves] + costs[:, col]).argmin()
+            total += int(costs[slot, col])
+            rank = int(moves[slot])
+    return rank, (total if at_prefix is None else at_prefix), total
+
+
+def wfa_cost(inst: Instance) -> tuple[int, WorkVector]:
+    """The work function algorithm's cost on ``inst``, by ``wfa_ranks`` over
+    vectors folded as the run goes and not stored, and the final vector."""
+    initial = initial_work_vector(inst.metric, inst.initial)
+    space = initial.space
+    vectors = itertools.accumulate(inst.requests, update_work_vector, initial=initial)
+    rows = (vector.values for vector in vectors)
+    _, _, total = wfa_ranks(space, rows, inst.requests, space.rank(inst.initial))
+    # zip pulls a request first, so the final vector is left unread
+    return total, next(vectors)

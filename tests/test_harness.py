@@ -47,8 +47,16 @@ from kserver.workfunction import (
     extend_wfa,
     initial_work_vector,
     update_work_vector,
+    wfa_cost,
+    wfa_ranks,
 )
-from test_offline import WRONG_PLAN, loop_extract_trace, verify_mid_case
+from test_offline import (
+    WRONG_PLAN,
+    loop_extract_trace,
+    target_nodes,
+    target_plans,
+    verify_mid_case,
+)
 from vector_checks import all_configs
 
 DEFAULT_CAMPAIGN = {
@@ -162,23 +170,23 @@ class TestVerify:
         import kserver.harness as harness
 
         base_len = len(m3_instance.requests)
-        extend_wfa = harness.extend_wfa
+        wfa_ranks = harness.wfa_ranks
 
-        def stubborn_wfa(trace, vectors, requests):
-            trace = extend_wfa(trace, vectors, requests)
+        def stubborn_wfa(space, vectors, requests, rank, prefix=0):
+            end, at_prefix, total = wfa_ranks(space, vectors, requests, rank, prefix)
             if len(requests) > base_len:
                 # forge a final configuration away from the start
-                bad = dataclasses.replace(trace.rounds[-1], config=(1, 2))
-                trace = dataclasses.replace(trace, rounds=trace.rounds[:-1] + (bad,))
-            return trace
+                end = space.rank((1, 2))
+            return end, at_prefix, total
 
-        monkeypatch.setattr(harness, "extend_wfa", stubborn_wfa)
+        monkeypatch.setattr(harness, "wfa_ranks", stubborn_wfa)
         monkeypatch.setattr(harness, "BETA_CAP_GAPS", 4)  # the start's gap is 1: cap 4
         cycles = [compute_anchor(m3_instance, 2, 3, b).cycles for b in (0, 1, 2, 4)]
         assert cycles == [13, 14, 15, 17]
         calls = count_work(monkeypatch)
         report = verify_anchored_properties(m3_instance, alpha=3, beta_initial=0)
         assert report.check("R1").status == "inconclusive"
+        assert report.check("R1").lhs == [1, 2]
         assert report.beta_used == 4  # 0, 1, 2, 4 all attempted
         # every attempt folds its anchor onto the one base history, up to
         # the fixed point at cycle 4 (k = 2: 8 updates); the other checks
@@ -474,17 +482,111 @@ class TestFixedPointCompression:
         assert (folded > 0) == (forced and q > 1)
 
 
+def two_cluster_instance(far):
+    """Two clusters, {0, 1} and {2, 3}, at distance 1 inside each and
+    ``far`` between them; k = 2 from (0, 1).  WFA shuttles a server inside
+    the near cluster until the work function justifies fetching the far
+    one, so the anchor's fixed point comes later the larger ``far``."""
+    dist = [[0 if i == j else 1 if i // 2 == j // 2 else far for j in range(4)] for i in range(4)]
+    return Instance.build(MetricSpace.from_matrix(dist), 2, (0, 1), (2, 3, 0, 2))
+
+
+def check_rank_run(history, served, prefix, monkeypatch):
+    """``wfa_ranks`` over ``history`` against ``extend_wfa``'s rounds: the
+    end configuration, the cost of the first ``prefix`` rounds and the
+    total, and the number of decisions each makes, counted as
+    ``wfa_decide`` calls and as transition lookups.  Returns that count."""
+    import kserver.workfunction as workfunction
+
+    space = history.space
+    calls = {"decide": 0, "lookup": 0}
+    decide, lookup = workfunction.wfa_decide, workfunction.ConfigurationSpace.transitions
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(workfunction, "wfa_decide", counted("decide", decide))
+    trace = extend_wfa(ExecutionTrace(served.initial, (), 0), history, served.requests)
+    monkeypatch.setattr(workfunction.ConfigurationSpace, "transitions", counted("lookup", lookup))
+    end, at_prefix, total = wfa_ranks(
+        space, history, served.requests, space.rank(served.initial), prefix
+    )
+    monkeypatch.undo()
+    assert space.config(end) == trace.config_after(len(served.requests))
+    assert at_prefix == sum(move.cost for rnd in trace.rounds[:prefix] for move in rnd.moves)
+    assert total == trace.total_cost
+    assert calls["lookup"] == calls["decide"]
+    return calls["decide"]
+
+
+class TestRankRun:
+    """The online run verify reads on ranks, ``wfa_ranks``, against the
+    rounds ``extend_wfa`` builds from the same history, and against the
+    full run when no cycle is skipped."""
+
+    @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
+    def test_equals_extend_wfa(self, model, weights, seed, monkeypatch):
+        inst = compression_instance(model, weights, seed)
+        base_len = len(inst.requests)
+        base = work_vector_history(inst)
+        cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
+        for m in (1, 2, cycles):
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
+            history = work_vector_history(anchored, base)
+            decided = check_rank_run(history, anchored, base_len, monkeypatch)
+            rounds = len(anchored.requests)
+            # the full anchor's run stops cycles before its end
+            assert decided == rounds if history.fixed_cycle is None else decided <= rounds
+            assert m < cycles or decided < rounds
+        # the base alone, and folded as the run goes
+        check_rank_run(base, inst, base_len, monkeypatch)
+        alg, final = wfa_cost(inst)
+        assert alg == run_wfa(inst).total_cost
+        assert np.array_equal(final.values, base[-1].values)
+
+    @pytest.mark.parametrize("far", [1, 3, 10, 100])
+    def test_two_clusters(self, far, monkeypatch):
+        # the fixed point comes at cycle far + 2; the run decides up to the
+        # cycle after it, where its configuration repeats, not all m cycles
+        inst = two_cluster_instance(far)
+        base = work_vector_history(inst)
+        anchor = compute_anchor(inst, opt_cost(base[-1]), 3, 0)
+        anchored = dataclasses.replace(inst, requests=inst.requests + anchor.requests)
+        history = work_vector_history(anchored, base)
+        assert history.fixed_cycle == far + 2
+        decided = check_rank_run(history, anchored, len(inst.requests), monkeypatch)
+        assert decided <= history.periodic_from + 2 * inst.k < len(anchored.requests)
+        assert wfa_cost(anchored)[0] == run_wfa(anchored).total_cost
+        report = verify_anchored_properties(inst, 3)
+        assert report.values["alg_rho_sigma"] == run_wfa(anchored).total_cost
+
+
 def single_walks(history, served, ranks):
     """``_backtrack`` over all ranks at once against one walk per rank:
     the first plans, every target's leave points (the shared ones, then
-    its column of the split rows), and the first plans returned."""
-    first, shared, split, _ = _backtrack(history, served, ranks)
+    those of its nodes), and the first plans returned.  The nodes of each
+    round are distinct ranks, and every target through a node has that
+    node's rank after the round."""
+    first, shared, steps, _ = _backtrack(history, served, ranks)
+    firsts, split = target_plans(first, steps)
+    assert len(set(first)) == len(first)
     for column, rank in enumerate(ranks):
-        alone_first, alone_shared, alone_split, _ = _backtrack(history, served, [rank])
-        assert first[column] == alone_first[0], rank
-        assert alone_split.shape == (0, 1), rank
+        alone_first, alone_shared, alone_steps, _ = _backtrack(history, served, [rank])
+        assert firsts[column] == alone_first[0], rank
+        assert alone_steps == [], rank
         assert shared + split[:, column].tolist() == alone_shared, rank
-    return first.tolist()
+    space, requests = history.space, served.requests
+    walked = np.array([
+        walked_ranks(space, requests, rank, shared + split[:, column].tolist())
+        for column, rank in enumerate(ranks)
+    ])
+    for s in range(len(steps) - 1):
+        pairs = set(zip(target_nodes(steps, s), walked[:, len(shared) + s + 1]))
+        assert len(pairs) == steps[s][0].size == len({rank for _, rank in pairs})
+    return firsts.tolist()
 
 
 def walked_ranks(space, requests, target, leave):
@@ -500,8 +602,9 @@ def walked_ranks(space, requests, target, leave):
 
 
 class TestMergedBackward:
-    """The backward pass continues on one column once every target's rank
-    agrees; each column must still be the walk from its own target."""
+    """The backward pass walks each round's distinct ranks, and continues on
+    one rank once every target's rank agrees; each target's plan, read
+    through the parents, must still be the walk from its own target."""
 
     @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
     def test_merged_walk_equals_single_walks(self, model, weights, seed):
@@ -537,8 +640,9 @@ class TestMergedBackward:
             ranks = range(len(space))
             asked = []
             monkeypatch.setattr(History, "values", lambda h, t: asked.append(t) or values(h, t))
-            first, shared, split, held_to = _backtrack(history, anchored, ranks)
+            first, shared, steps, held_to = _backtrack(history, anchored, ranks)
             monkeypatch.undo()
+            first, split = target_plans(first, steps)
             walked = np.array([
                 walked_ranks(space, requests, rank, shared + split[:, rank].tolist())
                 for rank in ranks
@@ -546,6 +650,10 @@ class TestMergedBackward:
             rounds, period, periodic_from = len(requests), inst.k, history.periodic_from
             merged = max(t for t in range(rounds + 1) if (walked[:, t] == walked[0, t]).all())
             assert len(shared) == merged and split.shape == (rounds - merged, len(ranks))
+            # each round's nodes are the distinct ranks after it
+            assert [leave.size for leave, _ in steps[:-1]] == [
+                len(set(walked[:, t])) for t in range(merged + 1, rounds)
+            ]
             starts = range(periodic_from, rounds + 1, period)
             # the array walk passes a cycle start, and the next lies below the merge
             above = [t for t in starts if t > merged]
@@ -581,10 +689,11 @@ class TestSharedReplay:
     shares it, and one row per target after that."""
 
     def test_one_plan_to_the_last_round(self, monkeypatch):
-        """One target, or one target repeated, shares its plan and its leave
-        points up to the last round, so the whole forward replay runs on
-        Python lists: it must still skip the held anchor rounds and find
-        the reference's first visit."""
+        """One target shares its plan and its leave points up to the last
+        round, so the whole forward replay runs on Python lists, and one
+        target repeated up to the round before (its copies are the nodes
+        after the last round): it must still skip the held anchor rounds
+        and find the reference's first visit."""
         for model, weights, seed in COMPRESSION_CASES:
             inst = compression_instance(model, weights, seed)
             base_len = len(inst.requests)
@@ -603,7 +712,7 @@ class TestSharedReplay:
                     monkeypatch.undo()
                     assert first == want * len(ranks), (model, weights, seed, ranks)
                     # no leave point of [base_len + k, held_to) is read
-                    rounds = len(anchored.requests)
+                    rounds = len(anchored.requests) - (len(ranks) > 1)
                     assert read == [*range(base_len + inst.k), *range(held_to, rounds)]
 
     @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
@@ -629,7 +738,7 @@ class TestSharedReplay:
                 if held_to == 0:
                     continue
                 skips += 1
-                assert (first == first[0]).all()
+                assert len(first) == 1
                 assert base_len < held_to <= len(shared)
                 assert shared[base_len:held_to] == list(requests[base_len:held_to])
         assert skips > 0

@@ -27,7 +27,7 @@ from kserver import (
     random_metric,
     validate_metric,
 )
-from kserver.metric import check_point, matching_costs, parse_json, sha256
+from kserver.metric import _subset_layers, check_point, matching_costs, parse_json, sha256
 from kserver.offline import oracle_work_vector
 from vector_checks import vector_pairs
 
@@ -206,8 +206,15 @@ class TestMatchingRoutes:
             assert cost == matching_cost(x, y, metric)
 
 
+@pytest.fixture(params=[np.int16, np.int64], ids=["int16", "int64"])
+def matrix_dtype(request):
+    return request.param
+
+
 class TestMatchingCostsKernel:
-    """The batched subset DP against ``matching_cost``, column by column.
+    """The batched subset DP against ``matching_cost``, column by column,
+    on the metric's int64 matrix and on its int16 cast (C1b's, in a
+    narrow space), the result in the matrix's dtype.
 
     ``matching_cost`` is the scalar form of the same subset recurrence in
     Python integers; ``TestMatchingRoutes`` checks it, and the assignment
@@ -216,12 +223,14 @@ class TestMatchingCostsKernel:
     """
 
     @staticmethod
-    def check_columns(metric, sources, targets):
+    def check_columns(metric, sources, targets, dtype=np.int64):
         # sources (k, N) or (k, 1), targets (k, N), as Python lists
         got = matching_costs(
-            metric.matrix, np.array(sources, dtype=np.intp), np.array(targets, dtype=np.intp)
+            metric.matrix.astype(dtype),
+            np.array(sources, dtype=np.intp),
+            np.array(targets, dtype=np.intp),
         )
-        assert got.dtype == np.int64
+        assert got.dtype == dtype
         assert got.shape == (len(targets[0]),)
         for i, value in enumerate(got.tolist()):
             column = [row[i if len(row) > 1 else 0] for row in sources]
@@ -272,29 +281,49 @@ class TestMatchingCostsKernel:
 
     @pytest.mark.parametrize("weights", [(1, 1), (1, 9), (1, 1000)])
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_columns_equal_matching_cost(self, k, weights):
+    def test_columns_equal_matching_cost(self, k, weights, matrix_dtype):
+        # k times 1000 fits int16: every partial sum is exact in it
         rng = random.Random(1000 * k + weights[1])
         n = rng.randint(max(k, 2), 16)
         metric = random_metric(n, seed=rng.randrange(2**32), weight_range=weights)
         sources, targets = self.random_columns(rng, n, k, 24)
-        self.check_columns(metric, sources, targets)
+        self.check_columns(metric, sources, targets, matrix_dtype)
         # one origin broadcast to every column
         origin = [[p] for p in rng.sample(range(n), k)]
-        self.check_columns(metric, origin, targets)
+        self.check_columns(metric, origin, targets, matrix_dtype)
         for sources, targets in self.shared_columns(rng, n, k):
-            self.check_columns(metric, sources, targets)
+            self.check_columns(metric, sources, targets, matrix_dtype)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_zero_and_one_column(self, k):
+    def test_zero_and_one_column(self, k, matrix_dtype):
         metric = random_metric(10, seed=k)
-        empty = matching_costs(metric.matrix, np.zeros((k, 0), dtype=np.intp),
+        matrix = metric.matrix.astype(matrix_dtype)
+        empty = matching_costs(matrix, np.zeros((k, 0), dtype=np.intp),
                                np.zeros((k, 0), dtype=np.intp))
-        assert empty.shape == (0,) and empty.dtype == np.int64
-        broadcast = matching_costs(metric.matrix, np.zeros((k, 1), dtype=np.intp),
+        assert empty.shape == (0,) and empty.dtype == matrix_dtype
+        broadcast = matching_costs(matrix, np.zeros((k, 1), dtype=np.intp),
                                    np.zeros((k, 0), dtype=np.intp))
         assert broadcast.shape == (0,)
         sources, targets = self.random_columns(random.Random(k), 10, k, 1)
-        self.check_columns(metric, sources, targets)
+        self.check_columns(metric, sources, targets, matrix_dtype)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_layer_tables_equal_the_masks(self, k):
+        # layer j lists the j-subsets of range(k) in increasing mask order;
+        # column s holds subset s's members in increasing order, and the
+        # index in layer j - 1 of s without each member
+        layers = _subset_layers(k)
+        assert len(layers) == k
+        previous = [0]
+        for j, (before, member) in enumerate(layers, start=1):
+            masks = [mask for mask in range(1 << k) if mask.bit_count() == j]
+            assert before.shape == member.shape == (j, len(masks))
+            assert before.dtype == member.dtype == np.intp
+            for s, mask in enumerate(masks):
+                members = [a for a in range(k) if mask >> a & 1]
+                assert member[:, s].tolist() == members
+                assert before[:, s].tolist() == [previous.index(mask ^ 1 << a) for a in members]
+            previous = masks
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_largest_distance_the_int64_guard_admits(self, k):

@@ -255,8 +255,8 @@ def test_history_shape(m3_instance):
 def test_histories_share_the_vectors(monkeypatch):
     # no row is copied: the base history stores the arrays its initial
     # vector and its updates return, and an anchored history stores the
-    # base history's own rows.  The initial vector is cast from the cached
-    # int64 distance vector, a fresh int16 array per call
+    # base history's own rows.  The initial vector's entries are the cached
+    # int16 distance vector itself
     returned = []
     initial, update = offline.initial_work_vector, offline.update_work_vector
 
@@ -331,6 +331,27 @@ WRONG_PLAN = {"seed": 1, "target": (2, 3), "round": 1, "point": 2}
 WRONG_COST = r"extracted trace ending in \(2, 3\) costs 17, work vector says 11"
 
 
+def target_nodes(steps, s):
+    """Each target's node after round ``steps[s]``, through the parents of
+    the later rounds: the nodes after the last round are the targets."""
+    node = np.arange(steps[-1][1].size)
+    for _, parent in steps[:s:-1]:
+        node = parent[node]
+    return node
+
+
+def target_plans(first, steps):
+    """Each target's first plan and its leave points after the shared
+    rounds, read off ``_backtrack``'s nodes through their parents: one rank
+    per target, and a (rounds, targets) table of leave points."""
+    node = np.arange(steps[-1][1].size if steps else len(first))
+    split = []
+    for leave, parent in reversed(steps):
+        split.append(leave[node])
+        node = parent[node]
+    return np.array(first)[node], np.array(split[::-1], dtype=np.intp).reshape(-1, node.size)
+
+
 def wrong_plan_case(monkeypatch):
     inst = generate_instance(4, 2, 4, WRONG_PLAN["seed"])
     history = work_vector_history(inst)
@@ -339,16 +360,25 @@ def wrong_plan_case(monkeypatch):
     backtrack = offline._backtrack
 
     def wrong(history, served, ranks):
-        first, shared, split, held_to = backtrack(history, served, ranks)
+        first, shared, steps, held_to = backtrack(history, served, ranks)
         t = WRONG_PLAN["round"]
         if len(ranks) == 1:  # one target: every leave point is shared
             assert shared[t] != WRONG_PLAN["point"]
             shared[t] = WRONG_PLAN["point"]
-        else:  # the plans differ from round 1 on: no leave point is shared
-            column = list(ranks).index(rank)
-            assert not shared and split[t, column] != WRONG_PLAN["point"]
-            split[t, column] = WRONG_PLAN["point"]
-        return first, shared, split, held_to
+        else:
+            # the plans differ from round 1 on: no leave point is shared.
+            # The plan's node after round 2 is also (1, 3)'s, whose trace
+            # still costs its entry with the changed point
+            assert not shared and len(steps) == len(served.requests)
+            nodes = target_nodes(steps, t)
+            node = nodes[list(ranks).index(rank)]
+            through = [history.space.config(r) for r, n in zip(ranks, nodes) if n == node]
+            assert through == [(1, 3), (2, 3)]
+            leave = steps[t][0].copy()
+            assert leave[node] != WRONG_PLAN["point"]
+            leave[node] = WRONG_PLAN["point"]
+            steps[t] = (leave, steps[t][1])
+        return first, shared, steps, held_to
 
     monkeypatch.setattr(offline, "_backtrack", wrong)
     return inst, history
@@ -362,7 +392,8 @@ def test_extract_trace_cost_check_names_the_target(monkeypatch):
 
 def test_start_visits_cost_check_names_the_target(monkeypatch):
     inst, history = wrong_plan_case(monkeypatch)
-    # every other target's plan is intact, so only (2, 3) mismatches
+    # every other target's plan but (1, 3)'s is intact, so only (2, 3)
+    # mismatches
     with pytest.raises(RuntimeError, match=WRONG_COST):
         first_start_visits(history, inst, range(len(history.space)), 0)
 
@@ -381,13 +412,40 @@ def verify_mid_case():
 
 
 def test_leave_points_of_verify_mid():
-    # every target shares the leave points of rounds 1..1392; only the 6
-    # rounds after the merge take one row per target, 2,970 bytes in all
+    # every target shares the leave points of rounds 1..1392; the 6 rounds
+    # after the merge walk 3, 4, 12, 54, 165 and 495 nodes, one leave point
+    # and one parent each, and the 495 targets share one first plan
     inst, anchored, history = verify_mid_case()
-    _, shared, split, _ = offline._backtrack(history, anchored, range(495))
-    assert len(shared) == 1392 and split.shape == (6, 495) and split.nbytes == 2970
-    _, shared, split, _ = offline._backtrack(history, anchored, [7])
-    assert len(shared) == 1398 and split.shape == (0, 1)
+    first, shared, steps, _ = offline._backtrack(history, anchored, range(495))
+    assert len(shared) == 1392 and len(first) == 1
+    assert [leave.size for leave, _ in steps] == [3, 4, 12, 54, 165, 495]
+    assert [parent.max() + 1 for _, parent in steps] == [1, 3, 4, 12, 54, 165]
+    assert sum(leave.nbytes + parent.nbytes for leave, parent in steps) == 733 * 9
+    _, shared, steps, _ = offline._backtrack(history, anchored, [7])
+    assert len(shared) == 1398 and steps == []
+
+
+def test_nodes_of_the_slowest_benchmark_instance():
+    # the (15, 8, 4) instance of seed 26, which the verify-wide benchmark
+    # draws at seed 1, with verify's anchor and C1b's sample of 512 of its
+    # 6,435 targets: the targets merge 18 rounds before the end, and the
+    # distinct ranks the backward pass walks after each of those rounds
+    # fall from 512 to 2: 2,148 node steps, against the 18 * 512 = 9,216
+    # steps of one walk per target
+    inst = generate_instance(15, 8, 4, seed=26)
+    base = work_vector_history(inst)
+    cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
+    anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
+    history = work_vector_history(anchored, base)
+    stream = SplitMix64(int(anchored.fingerprint()[:16], 16))
+    ranks = stream.sample(len(history.space), 512)
+    first, shared, steps, held_to = offline._backtrack(history, anchored, ranks)
+    assert len(anchored.requests) == 780 and len(first) == 1
+    assert len(shared) == held_to == 762
+    assert [leave.size for leave, _ in steps] == [
+        2, 2, 2, 2, 2, 5, 11, 12, 22, 24, 36, 57, 102, 182, 287, 405, 483, 512,
+    ]
+    assert sum(leave.size for leave, _ in steps) == 2148
 
 
 def test_backtrack_rows_read_on_verify_mid(monkeypatch):
@@ -423,12 +481,16 @@ def test_changed_start_entry_is_caught():
         first_start_visits(broken, anchored, range(len(history.space)), len(inst.requests))
 
 
-@pytest.mark.parametrize("where", ["shared", "split"])
-def test_corrupted_leave_point_is_caught(monkeypatch, where):
+@pytest.mark.parametrize("where,named", [
+    ("shared", (0, 1, 2, 10)), ("node", (0, 1, 2, 3)), ("leaf", (0, 1, 3, 5)),
+])
+def test_corrupted_leave_point_is_caught(monkeypatch, where, named):
     # one leave point changed: at base round 11, which every target shares,
     # so the one replayed plan fails for all and the first target given is
-    # named; or in one target's column of the first round after the merge,
-    # so that target alone fails and is named
+    # named; in the node target 7's plan takes in the first round after
+    # the merge, which 478 targets share, so the first of them is named;
+    # or in a node of the fourth round after the merge that one target's
+    # plan alone takes, so that target alone fails and is named
     inst, anchored, history = verify_mid_case()
     column = 7
     ranks = list(range(len(history.space)))
@@ -437,45 +499,53 @@ def test_corrupted_leave_point_is_caught(monkeypatch, where):
     backtrack = offline._backtrack
 
     def corrupted(history, served, ranks):
-        first, shared, split, held_to = backtrack(history, served, ranks)
+        first, shared, steps, held_to = backtrack(history, served, ranks)
         if where == "shared":
             shared[10] = (shared[10] + 1) % inst.n
-        else:
-            split[0, column] = (split[0, column] + 1) % inst.n
-        return first, shared, split, held_to
+            return first, shared, steps, held_to
+        s = 0 if where == "node" else 3
+        nodes = target_nodes(steps, s)
+        node = nodes[column] if where == "node" else np.flatnonzero(np.bincount(nodes) == 1)[0]
+        through = np.flatnonzero(nodes == node)
+        assert through.size == (478 if where == "node" else 1)
+        assert history.space.config(ranks[through[0]]) == named
+        leave = steps[s][0].copy()
+        leave[node] = (leave[node] + 1) % inst.n
+        steps[s] = (leave, steps[s][1])
+        return first, shared, steps, held_to
 
     monkeypatch.setattr(offline, "_backtrack", corrupted)
     assert history.space.config(column) == (0, 1, 2, 10)
-    with pytest.raises(RuntimeError, match=r"ending in \(0, 1, 2, 10\)"):
+    with pytest.raises(RuntimeError, match=rf"ending in \({', '.join(map(str, named))}\)"):
         first_start_visits(history, anchored, ranks, len(inst.requests))
 
 
 def uncovered_plan_case(monkeypatch, instance, target):
-    """The full history of ``instance``, with every plan ending in
-    ``target`` (every plan if None) starting from a configuration that
-    lacks the first request, so no server of it can serve round 1."""
+    """The full history of ``instance``, with the first plan of ``target``
+    (every first plan if None) replaced by a configuration that lacks the
+    first request, so no server of it can serve round 1.  Every target
+    whose plan starts in the same node is changed with it."""
     history = work_vector_history(instance)
     space = history.space
     lacking = next(i for i, c in enumerate(all_configs(space)) if instance.requests[0] not in c)
     backtrack = offline._backtrack
+    if target is not None:
+        (wrong,) = backtrack(history, instance, [space.rank(target)])[0]
 
     def uncovered(history, served, ranks):
-        first, shared, split, held_to = backtrack(history, served, ranks)
-        first = first.copy()
-        if target is None:
-            first[:] = lacking
-        else:
-            first[list(ranks).index(space.rank(target))] = lacking
-        return first, shared, split, held_to
+        first, shared, steps, held_to = backtrack(history, served, ranks)
+        first = [lacking if target is None or f == wrong else f for f in first]
+        return first, shared, steps, held_to
 
     monkeypatch.setattr(offline, "_backtrack", uncovered)
     return history
 
 
 @pytest.mark.parametrize("instance,target,named", [
-    # one wrong column among plans that differ from round 1 on
-    ((4, 2, 4, 1), (2, 3), (2, 3)),
-    # every column wrong alike, one replayed row for all: the first named
+    # one wrong node among plans that differ from round 1 on: (1, 3)'s plan
+    # starts in (2, 3)'s node, and comes first
+    ((4, 2, 4, 1), (2, 3), (1, 3)),
+    # every node wrong alike, one replayed row for all: the first named
     ((12, 4, 50, 114), None, (0, 1, 2, 3)),
 ])
 def test_uncovered_request_raises(monkeypatch, instance, target, named):
@@ -486,6 +556,9 @@ def test_uncovered_request_raises(monkeypatch, instance, target, named):
         first_start_visits(history, inst, range(len(history.space)), 0)
     with pytest.raises(RuntimeError, match=message):
         extract_trace(history, inst, named)
+    if target is not None:  # and (2, 3)'s own trace fails alike
+        with pytest.raises(RuntimeError, match=r"plan ending in \(2, 3\) does not cover"):
+            extract_trace(history, inst, target)
 
 
 def test_extract_trace_skips_repeated_cycles(monkeypatch):

@@ -289,12 +289,12 @@ class TestConfigurationSpaceKernels:
             assert np.array_equal(column[uncovered], np.arange(width))
         vector = space.distance_vector(space.config(size - 1))
         assert vector.shape == (size,)
-        assert vector.dtype == np.int64
+        assert vector.dtype == space.dtype
         assert not vector.flags.writeable
-        # the initial vector is the distance vector cast to the space's dtype
+        # the initial vector's entries are its space's cached distance vector
         initial = initial_work_vector(space.metric, space.config(size - 1))
+        assert initial.values is initial.space.distance_vector(space.config(size - 1))
         assert initial.values.dtype == space.dtype
-        assert not initial.values.flags.writeable
         assert initial.values.tolist() == vector.tolist()
 
     @pytest.mark.parametrize("n", [1, 5])
