@@ -64,7 +64,6 @@ from .workfunction import (
     initial_work_vector,
     run_wfa,
     update_work_vector,
-    wfa_decide,
 )
 
 __version__ = "0.1.0"

@@ -32,9 +32,12 @@ E3   the online cost of the repeated block is exactly q times the block
      ignores it: every later block is block 1 shifted by c, so the
      repeated block is block 1's rounds q times, at q times its cost (no
      round is built), and its optimum is block 1's plus (q-1)*c.
-     Otherwise blocks 2..q continue the anchored online run, rebuilt
-     round by round (``extend_wfa``), and its work vector, each folded
-     like the first.
+     Otherwise blocks 2..q continue the anchored online run, on ranks
+     with the rank after each round kept (``wfa_ranks``'s trail), and
+     its work vector, each folded like the first.  Requests repeat with
+     the block, so a round differs from block 1's at the same position
+     exactly when its ranks before and after do: the first such round
+     is the witness, and no round is built.
 R1   the online algorithm ends the anchored block back at the start
      configuration.  If this fails the anchor is rebuilt with a doubled
      allowance, up to a cap; running out of cap is reported as
@@ -71,7 +74,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anchor import compute_anchor
-from .execution import ExecutionTrace
 from .metric import (
     MAX_POINTS,
     MIN_POINTS,
@@ -92,12 +94,10 @@ from .offline import (
 )
 from .rng import SplitMix64
 from .workfunction import (
-    extend_wfa,
     initial_work_vector,
     run_wfa,  # unused here; the benchmark tracer wraps this name
     update_work_vector,
     wfa_cost,
-    wfa_decide,
     wfa_ranks,
 )
 
@@ -302,17 +302,19 @@ def verify_anchored_properties(
         opt_repeated = opt_anchored + (q - 1) * at_start
         alg_repeated = q * alg_anchored
     else:
-        # block 1's rounds, which the run on ranks did not build
-        trace_anchored = extend_wfa(ExecutionTrace(start, (), 0), history, anchored.requests)
-        trace_repeated, vector_repeated = trace_anchored, vector_anchored
+        # the rank after each round of block 1, then of blocks 2..q
+        # continuing its run
+        trail = [space.rank(start)]
+        wfa_ranks(space, history, anchored.requests, trail[0], trail=trail)
+        alg_repeated, vector_repeated = alg_anchored, vector_anchored
         for _ in range(q - 1):
             block = work_vector_history(anchored, work_vector_history(inst, first=vector_repeated))
-            trace_repeated = extend_wfa(trace_repeated, block, anchored.requests)
+            alg_repeated += wfa_ranks(space, block, anchored.requests, trail[-1], trail=trail)[2]
             vector_repeated = block[-1]
         opt_repeated = opt_cost(vector_repeated)
-        alg_repeated = trace_repeated.total_cost
-        for i, (got, want) in enumerate(zip(trace_repeated.rounds, trace_anchored.rounds * q)):
-            if got != want:
+        steps = list(zip(trail, trail[1:]))
+        for i, step in enumerate(steps):
+            if step != steps[i % rounds]:
                 witness = {"round": i + 1}
                 break
     e2 = _bool_check("E2", opt_repeated == q * opt_anchored, opt_repeated, q * opt_anchored)
@@ -456,15 +458,17 @@ def generate_instance(
             raise InputError(f"greedy adversary needs an uncovered point (k={k}, n={n})")
         requests = []
         vector = initial_work_vector(metric, initial)
-        config = initial
+        space = vector.space
+        rank = space.rank(initial)
         for _ in range(rho_len):
+            config = space.config(rank)
             uncovered = [p for p in range(n) if p not in config]
             request = max(
                 uncovered,
                 key=lambda p: (min(metric.dist[p][s] for s in config), -p),
             )
             requests.append(request)
-            config = wfa_decide(vector, config, request).config
+            rank = wfa_ranks(space, (vector.values,), (request,), rank)[0]
             vector = update_work_vector(vector, request)
     return Instance.build(metric, k, initial, requests)
 

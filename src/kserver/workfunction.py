@@ -394,93 +394,29 @@ def final_work_vector(inst: Instance) -> WorkVector:
     return vector
 
 
-def wfa_decide(vector: WorkVector, config, request: int) -> Round:
-    """The online round for one request, decided from the pre-update work
-    vector: the request, the moves and the configuration after them.
-
-    A covered request gets no moves.  Otherwise the server position with
-    the minimal updated-value-plus-distance score moves to the request, as
-    one ``Move(mover, request, cost)`` of Python ints, scored over the
-    request's transition table; ties go to the first slot, which holds
-    the smallest position identifier.  The decision depends only on the
-    configuration, the request and the vector's entries, and is unchanged
-    when a constant is added to every entry.
-    """
-    space = vector.space
-    config = tuple(config)
-    rank = space.rank(config)
-    covered, costs, _, column = space.transitions(request)
-    request = int(request)
-    points = [int(p) for p in config]
-    col = column[rank]
-    if col < 0:  # covered
-        return Round(request, (), tuple(points))
-    scores = vector.values[covered[space.swaps[:, col]]] + costs[:, col]
-    slot = int(scores.argmin())
-    mover = points[slot]
-    points[slot] = request
-    return Round(request, (Move(mover, request, int(costs[slot, col])),), tuple(sorted(points)))
-
-
-def run_wfa(inst: Instance) -> ExecutionTrace:
-    """Serve a whole instance with the work function algorithm.
-
-    Lazy by construction: at most one server moves per round and it ends
-    on the request.  Vectors are folded as the run goes and not stored.
-    """
-    initial = initial_work_vector(inst.metric, inst.initial)
-    vectors = itertools.accumulate(inst.requests, update_work_vector, initial=initial)
-    return extend_wfa(ExecutionTrace(inst.initial, (), 0), vectors, inst.requests)
-
-
-def extend_wfa(trace: ExecutionTrace, vectors, requests) -> ExecutionTrace:
-    """Append the round ``wfa_decide`` makes for each request to ``trace``,
-    deciding each from the matching item of ``vectors``: the work vector
-    before that request.  A stored history will do, or a lazy iterator.
-
-    On a ``History`` whose anchor reached a fixed point, the run stops as
-    soon as its configuration repeats across a cycle of the periodic rows:
-    the same configuration, vectors and requests give the same decisions,
-    so every round left is the last cycle's round at the same position.
-    """
-    config = trace.config_after(len(trace.rounds))
-    rounds = []
-    total = trace.total_cost
-    periodic = isinstance(vectors, History)
-    mark = None  # (configuration, total) at the previous cycle start
-    for i, (request, vector) in enumerate(zip(requests, vectors)):
-        if periodic and vectors.starts_periodic_cycle(i):
-            if mark is not None and mark[0] == config:
-                period = vectors.space.k
-                repeats = (len(requests) - i) // period
-                rounds += rounds[-period:] * repeats
-                total += (total - mark[1]) * repeats
-                break
-            mark = (config, total)
-        rnd = wfa_decide(vector, config, request)
-        total += sum(move.cost for move in rnd.moves)
-        rounds.append(rnd)
-        config = rnd.config
-    return ExecutionTrace(trace.initial, trace.rounds + tuple(rounds), total)
-
-
 def wfa_ranks(
-    space: ConfigurationSpace, vectors, requests, rank: int, prefix: int = 0
+    space: ConfigurationSpace, vectors, requests, rank: int, prefix: int = 0, trail=None
 ) -> tuple[int, int, int]:
-    """The rounds ``extend_wfa`` appends, run on ranks and never built:
-    ``(end rank, cost of the first prefix rounds, total cost)``.
+    """The work function algorithm's run on ranks: ``(end rank, cost of the
+    first prefix rounds, total cost)``.
 
     From the configuration of ``rank``, each request is decided from the
     matching item of ``vectors``, the entries before it: a ``History``, or
-    an iterable of value arrays.  The rank is carried through the request's
-    tables: a covered rank stays, and an uncovered one at column ``col``
-    becomes ``covered[swaps[slot, col]]`` for the slot ``wfa_decide``
-    moves, the first of least entry plus move cost.  On a ``History``
-    whose anchor reached a fixed point, the run stops as ``extend_wfa``'s
-    does, once its rank repeats across a cycle of the periodic rows, and
-    every cycle left costs what the last one did.  Such a stop comes no
-    earlier than the history's base length, the largest ``prefix`` it
-    takes.
+    an iterable of value arrays.  A covered request leaves the rank as it
+    is.  Otherwise the server of the least entry plus move cost moves to
+    the request, ties to the first slot, which holds the smallest point
+    identifier: at column ``col`` of the request's tables, the rank
+    becomes ``covered[swaps[slot, col]]`` for that slot.  The decision
+    depends only on the configuration, the request and the entries, and
+    is unchanged when a constant is added to every entry.  A list
+    ``trail`` gets the rank after each round appended.
+
+    On a ``History`` whose anchor reached a fixed point, the run stops as
+    soon as its rank repeats across a cycle of the periodic rows: the same
+    rank, vectors and requests give the same decisions, so every cycle
+    left costs what the last one did, and ``trail`` is filled in with the
+    last cycle's ranks.  Such a stop comes no earlier than the history's
+    base length, the largest ``prefix`` it takes.
     """
     history = vectors if isinstance(vectors, History) else None
     if history is not None:
@@ -494,7 +430,10 @@ def wfa_ranks(
             at_prefix = total
         if history is not None and history.starts_periodic_cycle(i):
             if mark is not None and mark[0] == rank:
-                total += (total - mark[1]) * ((len(requests) - i) // space.k)
+                repeats = (len(requests) - i) // space.k
+                total += (total - mark[1]) * repeats
+                if trail is not None:
+                    trail += trail[-space.k :] * repeats
                 break
             mark = (rank, total)
         covered, costs, _, column = space.transitions(request)
@@ -504,16 +443,45 @@ def wfa_ranks(
             slot = (values[moves] + costs[:, col]).argmin()
             total += int(costs[slot, col])
             rank = int(moves[slot])
+        if trail is not None:
+            trail.append(rank)
     return rank, (total if at_prefix is None else at_prefix), total
 
 
-def wfa_cost(inst: Instance) -> tuple[int, WorkVector]:
+def wfa_cost(inst: Instance, trail=None) -> tuple[int, WorkVector]:
     """The work function algorithm's cost on ``inst``, by ``wfa_ranks`` over
-    vectors folded as the run goes and not stored, and the final vector."""
+    vectors folded as the run goes and not stored, and the final vector;
+    ``trail`` is passed on."""
     initial = initial_work_vector(inst.metric, inst.initial)
     space = initial.space
     vectors = itertools.accumulate(inst.requests, update_work_vector, initial=initial)
     rows = (vector.values for vector in vectors)
-    _, _, total = wfa_ranks(space, rows, inst.requests, space.rank(inst.initial))
+    _, _, total = wfa_ranks(space, rows, inst.requests, space.rank(inst.initial), trail=trail)
     # zip pulls a request first, so the final vector is left unread
     return total, next(vectors)
+
+
+def run_wfa(inst: Instance) -> ExecutionTrace:
+    """Serve a whole instance with the work function algorithm: the run of
+    ``wfa_cost``, with each round built from the ranks before and after
+    it.  An unchanged rank is a covered request and no move.  Otherwise
+    the one point of the old configuration missing from the new one moved
+    to the request, at its distance; every field is a Python int.  Lazy by
+    construction: at most one server moves per round and it ends on the
+    request.
+    """
+    space = configuration_space(inst.metric, inst.k)
+    trail = [space.rank(inst.initial)]
+    total, _ = wfa_cost(inst, trail)
+    dist = inst.metric.dist
+    rounds = []
+    old = inst.initial
+    for request, before, after in zip(inst.requests, trail, trail[1:]):
+        new = space.config(after)
+        moves = ()
+        if after != before:
+            (mover,) = set(old) - set(new)
+            moves = (Move(mover, request, dist[mover][request]),)
+        rounds.append(Round(request, moves, new))
+        old = new
+    return ExecutionTrace(inst.initial, tuple(rounds), total)

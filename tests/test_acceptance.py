@@ -16,10 +16,10 @@ from kserver import (
     report_to_csv,
     run_campaign,
     update_work_vector,
-    wfa_decide,
 )
 from kserver.offline import oracle_work_vector
 from kserver.rng import SplitMix64
+from kserver.workfunction import wfa_ranks
 from vector_checks import d_equivalence, shifted, vector_pairs
 
 UNIFORM_CAMPAIGN = {
@@ -165,12 +165,11 @@ def test_robustness_invariants():
         space = vector.space
         for _ in range(200):
             request = stream.randint(0, n - 1)
-            config = space.config(stream.randint(0, len(space) - 1))
+            rank = stream.randint(0, len(space) - 1)
             offset = offsets[pairs % 3]
+            decision = wfa_ranks(space, (vector.values,), (request,), rank)
             for d in offsets:
-                assert wfa_decide(vector, config, request) == wfa_decide(
-                    shifted(vector, d), config, request
-                )
+                assert wfa_ranks(space, (shifted(vector, d).values,), (request,), rank) == decision
             updated = update_work_vector(vector, request)
             updated_shifted = update_work_vector(shifted(vector, offset), request)
             assert d_equivalence(updated_shifted, updated) == offset

@@ -32,7 +32,6 @@ from kserver.harness import (
     _beta_schedule,
     _check_start_visits,
 )
-from kserver.execution import ExecutionTrace
 from kserver.offline import (
     _backtrack,
     extract_trace,
@@ -44,7 +43,6 @@ from kserver.rng import SplitMix64
 from kserver.workfunction import (
     History,
     configuration_space,
-    extend_wfa,
     initial_work_vector,
     update_work_vector,
     wfa_cost,
@@ -57,6 +55,7 @@ from test_offline import (
     target_plans,
     verify_mid_case,
 )
+from test_workfunction import loop_decide, loop_run, ranked_run, trace_run
 from vector_checks import all_configs
 
 DEFAULT_CAMPAIGN = {
@@ -172,8 +171,8 @@ class TestVerify:
         base_len = len(m3_instance.requests)
         wfa_ranks = harness.wfa_ranks
 
-        def stubborn_wfa(space, vectors, requests, rank, prefix=0):
-            end, at_prefix, total = wfa_ranks(space, vectors, requests, rank, prefix)
+        def stubborn_wfa(space, vectors, requests, rank, prefix=0, trail=None):
+            end, at_prefix, total = wfa_ranks(space, vectors, requests, rank, prefix, trail)
             if len(requests) > base_len:
                 # forge a final configuration away from the start
                 end = space.rank((1, 2))
@@ -409,8 +408,8 @@ class TestFixedPointCompression:
             assert history.fixed_cycle == first_repeated_cycle(reference, base_len, k)
             if history.fixed_cycle is not None:
                 assert len(history.rows) == base_len + history.fixed_cycle * k
-            start = ExecutionTrace(inst.initial, (), 0)
-            assert extend_wfa(start, history, anchored.requests) == run_wfa(anchored)
+            run = ranked_run(history.space, history, anchored.requests, inst.initial)
+            assert run == trace_run(run_wfa(anchored))
             full = work_vector_history(anchored)
             ranks = range(len(full[-1].space))
             assert np.array_equal(
@@ -492,43 +491,50 @@ def two_cluster_instance(far):
 
 
 def check_rank_run(history, served, prefix, monkeypatch):
-    """``wfa_ranks`` over ``history`` against ``extend_wfa``'s rounds: the
-    end configuration, the cost of the first ``prefix`` rounds and the
-    total, and the number of decisions each makes, counted as
-    ``wfa_decide`` calls and as transition lookups.  Returns that count."""
+    """``wfa_ranks`` over ``history`` with a trail against ``loop_run``
+    over every vector: the configuration after each round, the cost of the
+    first ``prefix`` rounds and the total.  Its decisions, counted as
+    transition lookups, end at the first periodic cycle start whose
+    configuration is the one a cycle earlier, or at the last round.
+    Returns that count."""
     import kserver.workfunction as workfunction
 
-    space = history.space
-    calls = {"decide": 0, "lookup": 0}
-    decide, lookup = workfunction.wfa_decide, workfunction.ConfigurationSpace.transitions
+    space, requests, k = history.space, served.requests, served.k
+    lookup = workfunction.ConfigurationSpace.transitions
+    decided = 0
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        nonlocal decided
+        decided += 1
+        return lookup(*args)
 
-    monkeypatch.setattr(workfunction, "wfa_decide", counted("decide", decide))
-    trace = extend_wfa(ExecutionTrace(served.initial, (), 0), history, served.requests)
-    monkeypatch.setattr(workfunction.ConfigurationSpace, "transitions", counted("lookup", lookup))
-    end, at_prefix, total = wfa_ranks(
-        space, history, served.requests, space.rank(served.initial), prefix
-    )
+    monkeypatch.setattr(workfunction.ConfigurationSpace, "transitions", counted)
+    trail = [space.rank(served.initial)]
+    end, at_prefix, total = wfa_ranks(space, history, requests, trail[0], prefix, trail)
     monkeypatch.undo()
-    assert space.config(end) == trace.config_after(len(served.requests))
-    assert at_prefix == sum(move.cost for rnd in trace.rounds[:prefix] for move in rnd.moves)
-    assert total == trace.total_cost
-    assert calls["lookup"] == calls["decide"]
-    return calls["decide"]
+    want = loop_run(history, requests, served.initial)
+    configs = [want.config_after(t) for t in range(len(requests) + 1)]
+    assert [space.config(rank) for rank in trail] == configs
+    assert end == trail[-1]
+    assert at_prefix == sum(move.cost for rnd in want.rounds[:prefix] for move in rnd.moves)
+    assert total == want.total_cost
+    repeats = (
+        i for i in range(len(requests))
+        if history.starts_periodic_cycle(i)
+        and history.starts_periodic_cycle(i - k)
+        and configs[i] == configs[i - k]
+    )
+    assert decided == next(repeats, len(requests))
+    return decided
 
 
 class TestRankRun:
     """The online run verify reads on ranks, ``wfa_ranks``, against the
-    rounds ``extend_wfa`` builds from the same history, and against the
+    rounds ``loop_run`` makes from the same history, and against the
     full run when no cycle is skipped."""
 
     @pytest.mark.parametrize("model,weights,seed", COMPRESSION_CASES)
-    def test_equals_extend_wfa(self, model, weights, seed, monkeypatch):
+    def test_equals_loop_run(self, model, weights, seed, monkeypatch):
         inst = compression_instance(model, weights, seed)
         base_len = len(inst.requests)
         base = work_vector_history(inst)
@@ -962,15 +968,17 @@ class TestGenerateInstance:
             generate_instance(3, 3, 5, seed=1, request_model="roundrobin_k_plus_1")
 
     def test_greedy_requests_are_uncovered(self):
-        from kserver import initial_work_vector, update_work_vector, wfa_decide
-
+        # each request is the uncovered point farthest from the online
+        # configuration, ties to the smallest, and loop_decide serves it
         inst = generate_instance(6, 2, 15, seed=5, request_model="greedy_adversary")
+        dist = inst.metric.dist
         vector = initial_work_vector(inst.metric, inst.initial)
         config = inst.initial
         for request in inst.requests:
             assert request not in config
-            decision = wfa_decide(vector, config, request)
-            config = decision.config
+            gaps = {p: min(dist[p][s] for s in config) for p in range(inst.n) if p not in config}
+            assert request == min(p for p, gap in gaps.items() if gap == max(gaps.values()))
+            config = loop_decide(vector, config, request).config
             vector = update_work_vector(vector, request)
 
     def test_k_exceeds_n(self):

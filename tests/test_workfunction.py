@@ -20,7 +20,6 @@ from kserver import (
     run_wfa,
     update_work_vector,
     verify_anchored_properties,
-    wfa_decide,
 )
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
@@ -40,7 +39,7 @@ from kserver.workfunction import (
     History,
     WorkVector,
     configuration_space,
-    extend_wfa,
+    wfa_ranks,
 )
 from trace_checks import trace_violations
 from vector_checks import all_configs, d_equivalence, shifted, vector_pairs
@@ -188,6 +187,41 @@ def loop_decide(vector, config, request):
         if best_score is None or score < best_score:
             best_score, best = score, Round(request, (Move(x, request, dist[x][request]),), swapped)
     return best
+
+
+def loop_run(vectors, requests, start):
+    """Reference: ``loop_decide`` at every round from the configuration
+    ``start``, each round decided from the matching item of ``vectors``
+    (work vectors; a ``History`` will do), with no periodic stop."""
+    config, rounds, total = tuple(start), [], 0
+    for vector, request in zip(vectors, requests):
+        rnd = loop_decide(vector, config, request)
+        total += sum(move.cost for move in rnd.moves)
+        rounds.append(rnd)
+        config = rnd.config
+    return ExecutionTrace(tuple(start), tuple(rounds), total)
+
+
+def rank_decide(vector, config, request):
+    """One round of ``wfa_ranks`` from ``config``: the configuration after
+    it and its cost, which fix the round."""
+    space = vector.space
+    end, _, cost = wfa_ranks(space, (vector.values,), (request,), space.rank(config))
+    return space.config(end), cost
+
+
+def ranked_run(space, vectors, requests, start):
+    """``wfa_ranks`` from ``start`` with a trail: the configuration before
+    the first round and after each, and the total."""
+    trail = [space.rank(start)]
+    total = wfa_ranks(space, vectors, requests, trail[0], trail=trail)[2]
+    return [space.config(rank) for rank in trail], total
+
+
+def trace_run(trace):
+    """The configuration before the first round of a trace and after each,
+    and its total."""
+    return [trace.config_after(t) for t in range(len(trace.rounds) + 1)], trace.total_cost
 
 
 def loop_distance_vector(space, origin):
@@ -442,40 +476,50 @@ class TestConfigurationSpaceKernels:
 
 
 class TestDecide:
+    """One round of ``wfa_ranks``: the decision rule."""
+
     def test_covered_request_is_empty_move(self, m3):
         w = initial_work_vector(m3, (0, 1))
-        assert wfa_decide(w, (0, 1), 0) == Round(0, (), (0, 1))
+        assert rank_decide(w, (0, 1), 0) == ((0, 1), 0)
 
     def test_m3_moves_closer_server(self, m3):
         w = initial_work_vector(m3, (0, 1))
-        assert wfa_decide(w, (0, 1), 2) == Round(2, (Move(1, 2, 2),), (0, 2))
+        assert rank_decide(w, (0, 1), 2) == ((0, 2), 2)
 
     def test_tie_breaks_to_smallest_position(self, uniform3):
         w = initial_work_vector(uniform3, (0, 1))
-        assert wfa_decide(w, (0, 1), 2) == Round(2, (Move(0, 2, 1),), (1, 2))
+        assert rank_decide(w, (0, 1), 2) == ((1, 2), 1)
 
     def test_errors(self, m3):
         w = initial_work_vector(m3, (0, 1))
         with pytest.raises(InputError):
-            wfa_decide(w, (0, 5), 2)
+            rank_decide(w, (0, 5), 2)
         with pytest.raises(InputError):
-            wfa_decide(w, (0, 1), 9)
+            rank_decide(w, (0, 1), 9)
         # refused once point 1's table is cached, too
-        wfa_decide(w, (0, 2), 1)
+        rank_decide(w, (0, 2), 1)
         for request in (True, 1.0, -1):
             with pytest.raises(InputError):
-                wfa_decide(w, (0, 2), request)
+                rank_decide(w, (0, 2), request)
 
     def test_numpy_inputs_give_python_ints(self, m3):
         w = initial_work_vector(m3, (0, 1))
-        for decision, want in (
-            (wfa_decide(w, (0, 1), np.int64(2)), Round(2, (Move(1, 2, 2),), (0, 2))),
-            (wfa_decide(w, np.array([0, 1]), np.int64(1)), Round(1, (), (0, 1))),
+        space = w.space
+        for config, request, want in (
+            ((0, 1), np.int64(2), ((0, 2), 2)),
+            (np.array([0, 1]), np.int64(1), ((0, 1), 0)),
         ):
-            assert decision == want
-            moves = [(m.origin, m.target, m.cost) for m in decision.moves]
-            fields = (decision.request, *decision.config, *itertools.chain(*moves))
-            assert all(type(value) is int for value in fields), decision
+            result = wfa_ranks(space, (w.values,), (request,), space.rank(config))
+            assert (space.config(result[0]), result[2]) == want
+            assert all(type(value) is int for value in result), result
+        # and every field of the rounds run_wfa builds
+        trace = run_wfa(Instance.build(m3, 2, np.array([0, 1]), np.array([2, 1, 0])))
+        assert trace.rounds[0] == Round(2, (Move(1, 2, 2),), (0, 2))
+        for rnd in trace.rounds:
+            moves = [(m.origin, m.target, m.cost) for m in rnd.moves]
+            fields = (rnd.request, *rnd.config, *itertools.chain(*moves))
+            assert all(type(value) is int for value in fields), rnd
+        assert type(trace.total_cost) is int
 
     @pytest.mark.parametrize("n,k,weights", list(kernel_cases()))
     def test_equals_the_loop(self, n, k, weights):
@@ -488,7 +532,9 @@ class TestDecide:
             vector = update_work_vector(vector, request)
         for config in all_configs(space):
             for request in range(n):
-                assert wfa_decide(vector, config, request) == loop_decide(vector, config, request)
+                want = loop_decide(vector, config, request)
+                cost = sum(move.cost for move in want.moves)
+                assert rank_decide(vector, config, request) == (want.config, cost)
 
 
 class TestRunWfa:
@@ -526,16 +572,19 @@ class TestRunWfa:
             anchor = compute_anchor(inst, opt, 5, 0)
             anchored = dataclasses.replace(inst, requests=inst.requests + anchor.requests)
             repeated = dataclasses.replace(anchored, requests=anchored.requests * q)
-            trace, vector = run_wfa(anchored), final_work_vector(anchored)
+            space = configuration_space(inst.metric, inst.k)
+            trail = [space.rank(inst.initial)]
+            history = work_vector_history(anchored)
+            total = wfa_ranks(space, history, anchored.requests, trail[0], trail=trail)[2]
+            vector = history[-1]
             for _ in range(q - 1):
                 block = work_vector_history(anchored, work_vector_history(inst, first=vector))
                 assert block.fixed_cycle is not None
-                trace = extend_wfa(trace, block, anchored.requests)
+                total += wfa_ranks(space, block, anchored.requests, trail[-1], trail=trail)[2]
                 vector = block[-1]
             assert np.array_equal(vector.values, final_work_vector(repeated).values)
             fresh = run_wfa(repeated)
-            assert trace.rounds == fresh.rounds
-            assert trace.total_cost == fresh.total_cost
+            assert ([space.config(rank) for rank in trail], total) == trace_run(fresh)
 
     def test_run_read_off_a_stored_history(self):
         # the algorithm is online, so the history of the served sequence
@@ -547,12 +596,11 @@ class TestRunWfa:
             (0, 9),
         ):
             inst = generate_instance(6, 3, rho_len, seed, request_model=model, weight_range=weights)
-            start = ExecutionTrace(inst.initial, (), 0)
-            trace = extend_wfa(start, work_vector_history(inst), inst.requests)
+            history = work_vector_history(inst)
             fresh = run_wfa(inst)
-            assert trace.rounds == fresh.rounds
-            assert trace.total_cost == fresh.total_cost
-            assert len(trace.rounds) == rho_len
+            assert ranked_run(history.space, history, inst.requests, inst.initial) == trace_run(fresh)
+            assert fresh == loop_run(history, inst.requests, inst.initial)
+            assert len(fresh.rounds) == rho_len
 
 
 class TestHistory:
@@ -590,10 +638,8 @@ class TestHistory:
                 history[length + 1]
 
             requests = inst.requests + inst.initial * cycles
-            vectors = [WorkVector(space, v) for v in listed]
-            start = ExecutionTrace(inst.initial, (), 0)
-            want = extend_wfa(start, vectors, requests)
-            assert extend_wfa(start, history, requests) == want
+            want = loop_run([WorkVector(space, v) for v in listed], requests, inst.initial)
+            assert ranked_run(space, history, requests, inst.initial) == trace_run(want)
             costly += any(rnd.moves for rnd in want.rounds[-k:])
         assert costly >= 2  # runs still moving in their last cycle
 
@@ -689,13 +735,11 @@ class TestNarrowStorage:
             assert history.rows[widened - 1][0] <= space.ceiling < history.rows[widened][0]
 
         # decisions: read off the history, folded afresh, and the loop's
-        trace = extend_wfa(ExecutionTrace(inst.initial, (), 0), history, anchored.requests)
-        assert trace == run_wfa(anchored)
-        config = inst.initial
-        for t in range(checked - 1):
-            vector = WorkVector(space, np.array(reference[t], dtype=np.int64))
-            assert trace.rounds[t] == loop_decide(vector, config, anchored.requests[t]), t
-            config = trace.rounds[t].config
+        trace = run_wfa(anchored)
+        assert ranked_run(space, history, anchored.requests, inst.initial) == trace_run(trace)
+        vectors = [WorkVector(space, np.array(row, dtype=np.int64)) for row in reference[:-1]]
+        want = loop_run(vectors, anchored.requests, inst.initial)
+        assert trace.rounds[: checked - 1] == want.rounds
 
         # every target's trace costs its value, through backtracks that
         # cross the widened round: one walk per target, the batched walk
@@ -773,15 +817,10 @@ class TestOneOrNoUncoveredColumn:
                 assert tables.uncovered.shape == (n - k,)
                 assert tables.costs.shape == (k, n - k)
             vectors = [initial_work_vector(inst.metric, inst.initial)]
-            config, rounds = inst.initial, []
             for request in inst.requests:
-                rnd = wfa_decide(vectors[-1], config, request)
-                assert rnd == loop_decide(vectors[-1], config, request)
-                rounds.append(rnd)
-                config = rnd.config
                 vectors.append(update_work_vector(vectors[-1], request))
                 assert vectors[-1].values.tolist() == loop_update(vectors[-2], request)
-            assert run_wfa(inst).rounds == tuple(rounds)
+            assert run_wfa(inst) == loop_run(vectors, inst.requests, inst.initial)
             history = work_vector_history(inst)
             visits = []
             for target in all_configs(space):
@@ -832,7 +871,7 @@ class TestProperties:
             moved = shifted(w, offset)
             for cfg in all_configs(w.space):
                 for request in range(3):
-                    assert wfa_decide(w, cfg, request) == wfa_decide(moved, cfg, request)
+                    assert rank_decide(w, cfg, request) == rank_decide(moved, cfg, request)
 
     def test_d_equivalence_preserved_by_update(self, m3):
         w = initial_work_vector(m3, (0, 1))
@@ -853,7 +892,7 @@ class TestProperties:
         assert d_equivalence(w_long, w_short) is not None
         for cfg in all_configs(w_long.space):
             for request in range(3):
-                assert wfa_decide(w_long, cfg, request) == wfa_decide(w_short, cfg, request)
+                assert rank_decide(w_long, cfg, request) == rank_decide(w_short, cfg, request)
 
 
 @settings(max_examples=50, deadline=None)
