@@ -54,13 +54,14 @@ first |rho| rounds and its total.  The other checks run once, on the
 anchor that ends the escalation, and T1 takes the base run as the
 anchored run's first |rho| rounds.
 
-Anchors are folded only to their fixed point.  The anchor is m cycles
-over the start points, and updates are deterministic, so once two
-consecutive cycle-end work vectors are exactly equal, every later cycle
-repeats the last one (``offline.work_vector_history``).  The online run
-stops at an exact repetition across a cycle and fills in the rest from
-it.  C1b's passes skip the anchor rounds in which the plan stands on the
-start: the start holds every anchor request, so its entry never changes
+Anchors are folded only until their vectors repeat.  The anchor is m
+cycles over the start points, and updates are deterministic, so once a
+work vector is exactly equal to the one k requests earlier, possibly
+inside a cycle, every later vector repeats the one k before it
+(``offline.work_vector_history``).  The online run stops at an exact
+repetition across an anchor cycle and fills in the rest from it.  C1b's
+passes skip the anchor rounds in which the plan stands on the start:
+the start holds every anchor request, so its entry never changes
 there and the plan stays at zero cost (``offline._backtrack``).  No
 paper lemma is assumed: C2 and the repetition equalities stay checks,
 and an anchor that never repeats is folded to its end.  Reports are the
@@ -236,7 +237,6 @@ def verify_anchored_properties(
     beta_cap = BETA_CAP_GAPS * min_pairwise_distance(inst.initial, inst.metric)
 
     start = inst.initial
-    base_len = len(inst.requests)
     base = work_vector_history(inst)
     vector_base = base[-1]
     opt_base = opt_cost(vector_base)
@@ -248,7 +248,7 @@ def verify_anchored_properties(
         anchored = replace(inst, requests=inst.requests + anchor.requests)
         history = work_vector_history(anchored, base)
         end, alg_base, alg_anchored = wfa_ranks(
-            space, history, anchored.requests, space.rank(start), base_len
+            space, history, anchored.requests, space.rank(start)
         )
         end_config = space.config(end)
         if end_config == start:
@@ -286,12 +286,12 @@ def verify_anchored_properties(
         },
     )
 
-    c1b = _check_start_visits(history, anchored, base_len, C1B_SAMPLE_CAP)
+    c1b = _check_start_visits(history, anchored)
 
     # C2 and R1 decide blocks 2..q once.  When both pass, block 1 ends on
     # the start with its first vector plus at_start, so every later block
     # is block 1 shifted by at_start; otherwise each continues the run
-    # folded like the first, its anchor up to its fixed point
+    # folded like the first, its anchor until its vectors repeat
     rounds = len(anchored.requests)
     check_int64_bound(
         f"q*T + k = {q}*{rounds} + {inst.k}", q * rounds + inst.k, inst.metric.largest
@@ -341,7 +341,7 @@ def verify_anchored_properties(
     )
 
 
-def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: int) -> CheckResult:
+def _check_start_visits(history, anchored: Instance) -> CheckResult:
     """C1b: each extracted execution must sit on the start configuration at
     the end of some round inside the anchor block.
 
@@ -352,12 +352,12 @@ def _check_start_visits(history, anchored: Instance, base_len: int, sample_cap: 
     which the plan holds the start; a different first visit means they
     disagree, and raises.  The tests check the skip against traces walked
     over every round of the anchored sequence."""
-    space = history[-1].space
-    if len(space) <= sample_cap:
+    space, base_len = history.space, history.base_len
+    if len(space) <= C1B_SAMPLE_CAP:
         ranks = range(len(space))
     else:
         stream = SplitMix64(int(anchored.fingerprint()[:16], 16))
-        ranks = stream.sample(len(space), sample_cap)
+        ranks = stream.sample(len(space), C1B_SAMPLE_CAP)
     first = first_start_visits(history, anchored, ranks, base_len)
     reference = extract_trace(history, anchored, space.config(ranks[0]))
     visits = (

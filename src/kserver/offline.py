@@ -25,8 +25,8 @@ row per distinct rank.
 The per-round vectors are a ``History``: one row per stored vector, the
 array the fold returned, never copied, in the space's dtype (int16 on
 small weights) until a fold widens it.  ``work_vector_history``
-folds an anchor onto a base history, sharing its rows, only until a cycle
-maps the vector to itself.  The anchor's requests are all start points,
+folds an anchor onto a base history, sharing its rows, only until a row
+equals the row k before it.  The anchor's requests are all start points,
 so once the backtrack finds its plan on the start inside the anchor, the
 plan holds the start at zero cost back to the anchor's first round: the
 backtrack and the replay skip those rounds.
@@ -84,9 +84,10 @@ def work_vector_history(
     the start's distance vector), and the history has no periodic tail.
     ``base`` is the history of the first requests; its rows are reused, and
     the requests after them must be whole cycles over the start
-    configuration: an anchor.  The anchor is folded only until two
-    consecutive cycle-end vectors are exactly equal, since from there on
-    every cycle repeats the last one; if that never happens, to its end.
+    configuration: an anchor.  The anchor is folded only until a row
+    equals the row k before it, the base's last or a later one, since
+    every later row then repeats the one k before it; if that never
+    happens, to its end.
     """
     requests = inst.requests
     if base is None:
@@ -95,28 +96,26 @@ def work_vector_history(
         vectors = itertools.accumulate(requests, update_work_vector, initial=first)
         rows = tuple(vector.values for vector in vectors)
         length = len(requests)
-        return History(first.space, rows, length, length, None)
+        return History(first.space, rows, length, length, len(rows))
 
-    base_len = base.length
-    cycle = inst.initial
-    cycles, rest = divmod(len(requests) - base_len, len(cycle))
-    if base.fixed_cycle is not None or cycles < 0 or rest or requests[base_len:] != cycle * cycles:
+    base_len, k = base.length, len(inst.initial)
+    cycles, rest = divmod(len(requests) - base_len, k)
+    repeating = base.periodic_from < len(base.rows)
+    if repeating or cycles < 0 or rest or requests[base_len:] != inst.initial * cycles:
         raise InputError("the requests after the base history must be whole cycles over the start")
-    vector = base[-1]
-    tail = []
-    fixed_cycle = None
-    for c in range(1, cycles + 1):
-        begin = vector.values
-        for request in cycle:
-            vector = update_work_vector(vector, request)
-            tail.append(vector.values)
-        if np.array_equal(vector.values, begin):
-            fixed_cycle = c
-            tail.pop()  # the row it repeats is stored
-            break
+    rows, vector = list(base.rows), base[-1]
+    for request in requests[base_len:]:
+        vector = update_work_vector(vector, request)
+        row, earlier = vector.values, len(rows) - k
+        # one entry first: a row that differs there costs no pass over the arrays
+        if earlier >= base_len and row.item(-1) == rows[earlier].item(-1):
+            if np.array_equal(row, rows[earlier]):
+                break  # the period starts at row earlier, and this row is not stored
+        rows.append(row)
+    else:
+        earlier = len(rows)  # no row repeats
     return replace(
-        base, rows=base.rows + tuple(tail), length=len(requests), base_len=base_len,
-        fixed_cycle=fixed_cycle,
+        base, rows=tuple(rows), length=len(requests), base_len=base_len, periodic_from=earlier
     )
 
 
@@ -377,8 +376,10 @@ def first_start_visits(
         rounds, lazy, cost = _replay(
             history, inst, aligned[0], shared, held_to, space.config(ranks[0])
         )
-        replayed = ExecutionTrace(inst.initial, tuple(rounds), cost)
-        visits = (t for t in range(base_len, shared_to) if replayed.config_after(t) == inst.initial)
+        # the positions at the end of round t > 0 are rounds[t - 1]'s; round 0 is the start
+        visits = (
+            t for t in range(base_len, shared_to) if t == 0 or rounds[t - 1].config == inst.initial
+        )
         visit = next(visits, -1)
 
     # then one row per node.  No round is skipped here: the backward pass

@@ -300,34 +300,29 @@ class History:
     dtype, or int64 from the first fold that passed the space's ceiling.
 
     A sequence of ``base_len`` requests followed by whole cycles over the
-    k start points (an anchor) may be folded only until one cycle maps the
-    vector to itself, at cycle ``fixed_cycle``: updates are deterministic,
-    so from row ``periodic_from`` on the vectors repeat with period k, and
-    later rows are read from the last stored cycle.
-    Otherwise every row is stored and ``fixed_cycle`` is None.  ``len``,
-    indexing and iteration keep the nominal meaning: ``len(history)`` is
-    T + 1, and ``history[t]`` is the vector after t of the T requests.
-    Row 0 is the vector the fold started from, which may follow earlier
-    requests (a repeated block's starts where the last block ended).
+    k start points (an anchor) may be folded only until a row equals the
+    row k before it, at row ``periodic_from`` + k: updates are
+    deterministic and the requests repeat with period k, so from row
+    ``periodic_from`` on the vectors repeat with period k, and later rows
+    are read from the last k stored ones.  The period may start inside a
+    cycle.  Otherwise every row is stored and ``periodic_from`` is
+    ``len(rows)``.  ``len``, indexing and iteration keep the nominal
+    meaning: ``len(history)`` is T + 1, and ``history[t]`` is the vector
+    after t of the T requests.  Row 0 is the vector the fold started from,
+    which may follow earlier requests (a repeated block's starts where the
+    last block ended).
     """
 
     space: ConfigurationSpace
     rows: tuple[np.ndarray, ...]
     length: int
     base_len: int
-    fixed_cycle: int | None
-
-    @property
-    def periodic_from(self) -> int:
-        if self.fixed_cycle is None:
-            return len(self.rows)
-        return self.base_len + (self.fixed_cycle - 1) * self.space.k
+    periodic_from: int
 
     def starts_periodic_cycle(self, t: int) -> bool:
-        """Whether a cycle starts after t requests inside the periodic rows,
-        where every cycle is served from the same vectors."""
-        p = self.periodic_from
-        return t >= p and (t - p) % self.space.k == 0
+        """Whether an anchor cycle starts after t requests inside the
+        periodic rows, where every cycle is served from the same vectors."""
+        return t >= self.periodic_from and (t - self.base_len) % self.space.k == 0
 
     def values(self, t: int) -> np.ndarray:
         """Entries of the vector after t requests, 0 <= t <= T."""
@@ -395,10 +390,11 @@ def final_work_vector(inst: Instance) -> WorkVector:
 
 
 def wfa_ranks(
-    space: ConfigurationSpace, vectors, requests, rank: int, prefix: int = 0, trail=None
+    space: ConfigurationSpace, vectors, requests, rank: int, trail=None
 ) -> tuple[int, int, int]:
     """The work function algorithm's run on ranks: ``(end rank, cost of the
-    first prefix rounds, total cost)``.
+    base, total cost)``, the base being the first ``base_len`` rounds of a
+    ``History`` and every round otherwise.
 
     From the configuration of ``rank``, each request is decided from the
     matching item of ``vectors``, the entries before it: a ``History``, or
@@ -411,23 +407,25 @@ def wfa_ranks(
     is unchanged when a constant is added to every entry.  A list
     ``trail`` gets the rank after each round appended.
 
-    On a ``History`` whose anchor reached a fixed point, the run stops as
-    soon as its rank repeats across a cycle of the periodic rows: the same
+    On a ``History`` whose anchor repeats, the run stops as soon as its
+    rank repeats across an anchor cycle of the periodic rows: the same
     rank, vectors and requests give the same decisions, so every cycle
-    left costs what the last one did, and ``trail`` is filled in with the
-    last cycle's ranks.  Such a stop comes no earlier than the history's
-    base length, the largest ``prefix`` it takes.
+    left, up to the end of the anchor, costs what the last one did, and
+    ``trail`` is filled in with the last cycle's ranks.  Such a stop comes
+    a cycle after the base at the earliest.
     """
     history = vectors if isinstance(vectors, History) else None
+    base_len = None
     if history is not None:
         vectors = map(history.values, range(len(history)))
+        base_len = history.base_len
     swaps = space.swaps
     total = 0
-    at_prefix = None
+    at_base = None
     mark = None  # (rank, total) at the previous cycle start
     for i, (request, values) in enumerate(zip(requests, vectors)):
-        if i == prefix:
-            at_prefix = total
+        if i == base_len:
+            at_base = total
         if history is not None and history.starts_periodic_cycle(i):
             if mark is not None and mark[0] == rank:
                 repeats = (len(requests) - i) // space.k
@@ -445,7 +443,7 @@ def wfa_ranks(
             rank = int(moves[slot])
         if trail is not None:
             trail.append(rank)
-    return rank, (total if at_prefix is None else at_prefix), total
+    return rank, (total if at_base is None else at_base), total
 
 
 def wfa_cost(inst: Instance, trail=None) -> tuple[int, WorkVector]:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,12 +173,12 @@ class TestVerify:
         base_len = len(m3_instance.requests)
         wfa_ranks = harness.wfa_ranks
 
-        def stubborn_wfa(space, vectors, requests, rank, prefix=0, trail=None):
-            end, at_prefix, total = wfa_ranks(space, vectors, requests, rank, prefix, trail)
+        def stubborn_wfa(space, vectors, requests, rank, trail=None):
+            end, at_base, total = wfa_ranks(space, vectors, requests, rank, trail)
             if len(requests) > base_len:
                 # forge a final configuration away from the start
                 end = space.rank((1, 2))
-            return end, at_prefix, total
+            return end, at_base, total
 
         monkeypatch.setattr(harness, "wfa_ranks", stubborn_wfa)
         monkeypatch.setattr(harness, "BETA_CAP_GAPS", 4)  # the start's gap is 1: cap 4
@@ -187,12 +189,19 @@ class TestVerify:
         assert report.check("R1").status == "inconclusive"
         assert report.check("R1").lhs == [1, 2]
         assert report.beta_used == 4  # 0, 1, 2, 4 all attempted
-        # every attempt folds its anchor onto the one base history, up to
-        # the fixed point at cycle 4 (k = 2: 8 updates); the other checks
-        # and the repeat (q = 3: two blocks of 1 + 8, folded since the
-        # forged run never ends at the start) run once, on the last anchor
-        assert calls == {"update": base_len + 4 * 8 + 2 * (base_len + 8), "extract": 1}
-        assert calls["update"] == 51
+        # every attempt folds its anchor onto the one base history up to
+        # its first row equal to the row k before it, the same row on every
+        # attempt, which is not stored; the other checks and the repeat
+        # (q = 3: two blocks of |rho| and as many anchor updates, folded
+        # since the forged run never ends at the start) run once, on the
+        # last anchor
+        requests = m3_instance.requests + m3_instance.initial * cycles[-1]
+        anchored = dataclasses.replace(m3_instance, requests=requests)
+        repeated = first_repeated_row(full_fold(anchored), base_len, m3_instance.k)
+        assert repeated == 8  # row 6 again: 7 anchor updates
+        folded = repeated - base_len
+        assert calls == {"update": base_len + 4 * folded + 2 * (base_len + folded), "extract": 1}
+        assert calls["update"] == 45
         direct = verify_anchored_properties(m3_instance, alpha=3, beta_initial=4)
         assert report.checks == direct.checks
         assert report.values == direct.values
@@ -227,10 +236,12 @@ def per_target_start_visits(history, anchored, base_len, sample_cap):
 
 class TestStartVisits:
     """The batched C1b, on the history verify builds (anchor folded onto the
-    base up to its fixed point), against the per-target reference
+    base until its rows repeat), against the per-target reference
     extraction on the full fold."""
 
-    def test_batched_equals_per_target_extraction(self):
+    def test_batched_equals_per_target_extraction(self, monkeypatch):
+        import kserver.harness as harness
+
         statuses = []
         for model, weights, seed in itertools.product(
             ("uniform", "roundrobin_k_plus_1", "greedy_adversary"), ((1, 9), (1, 1)), range(1, 7)
@@ -244,7 +255,8 @@ class TestStartVisits:
                 history = work_vector_history(anchored, base)
                 reference = work_vector_history(anchored)
                 for cap in (10, C1B_SAMPLE_CAP):
-                    got = _check_start_visits(history, anchored, len(inst.requests), cap)
+                    monkeypatch.setattr(harness, "C1B_SAMPLE_CAP", cap)
+                    got = _check_start_visits(history, anchored)
                     want = per_target_start_visits(reference, anchored, len(inst.requests), cap)
                     assert got == want, (model, weights, seed, cycles, cap)
                     statuses.append(got.status)
@@ -312,9 +324,12 @@ class TestStartVisits:
         assert any(stacked)
 
     def test_empty_base_visits_at_round_zero(self, m3_instance):
+        # one anchor cycle folded onto an empty base
+        base = work_vector_history(dataclasses.replace(m3_instance, requests=()))
         anchored = dataclasses.replace(m3_instance, requests=(0, 1))
-        history = work_vector_history(anchored)
-        assert _check_start_visits(history, anchored, 0, C1B_SAMPLE_CAP) == per_target_start_visits(
+        history = work_vector_history(anchored, base)
+        assert history.base_len == 0
+        assert _check_start_visits(history, anchored) == per_target_start_visits(
             history, anchored, 0, C1B_SAMPLE_CAP
         )
 
@@ -369,11 +384,12 @@ def full_fold(inst):
     return values
 
 
-def first_repeated_cycle(values, base_len, k):
-    """The first anchor cycle whose end vector equals the one before it."""
-    for c in range(1, (len(values) - 1 - base_len) // k + 1):
-        if np.array_equal(values[base_len + c * k], values[base_len + (c - 1) * k]):
-            return c
+def first_repeated_row(values, base_len, k):
+    """The first anchor row that equals the row k before it, that row
+    being the base's last or later, else None."""
+    for t in range(base_len + k, len(values)):
+        if np.array_equal(values[t], values[t - k]):
+            return t
     return None
 
 
@@ -405,9 +421,12 @@ class TestFixedPointCompression:
             assert len(history) == len(reference)
             for t, vector in enumerate(history):
                 assert np.array_equal(vector.values, reference[t]), t
-            assert history.fixed_cycle == first_repeated_cycle(reference, base_len, k)
-            if history.fixed_cycle is not None:
-                assert len(history.rows) == base_len + history.fixed_cycle * k
+            repeated = first_repeated_row(reference, base_len, k)
+            if repeated is None:
+                assert history.periodic_from == len(history.rows) == len(reference)
+            else:
+                assert history.periodic_from == repeated - k
+                assert len(history.rows) == repeated
             run = ranked_run(history.space, history, anchored.requests, inst.initial)
             assert run == trace_run(run_wfa(anchored))
             full = work_vector_history(anchored)
@@ -416,7 +435,7 @@ class TestFixedPointCompression:
                 first_start_visits(history, anchored, ranks, base_len),
                 first_start_visits(full, anchored, ranks, base_len),
             )
-        assert history.fixed_cycle is not None  # the full anchor's
+        assert history.periodic_from < len(history.rows)  # the full anchor repeats
 
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("q", [1, 2, 3, 5])
@@ -481,6 +500,44 @@ class TestFixedPointCompression:
         assert (folded > 0) == (forced and q > 1)
 
 
+def test_period_starting_inside_a_cycle(monkeypatch):
+    """(15, 8, 4) seed 26 of the verify-wide pool: the anchor's rows repeat
+    from row 15, three requests into its second cycle, so the online run
+    stops and fills in its trail on anchor cycles that the period does not
+    start.  Every read, the online run and C1b's first visits against the
+    unstopped fold of every row, with the same base length."""
+    inst = generate_instance(15, 8, 4, seed=26)
+    base_len, k = len(inst.requests), inst.k
+    base = work_vector_history(inst)
+    cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
+    anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
+    history = work_vector_history(anchored, base)
+    assert (base_len, k, history.periodic_from, len(history.rows)) == (4, 8, 15, 23)
+    unstopped = dataclasses.replace(work_vector_history(anchored), base_len=base_len)
+    assert unstopped.periodic_from == len(unstopped.rows) == len(history)
+    for t in range(len(history)):
+        assert np.array_equal(history.values(t), unstopped.values(t)), t
+
+    space, requests = history.space, anchored.requests
+    start = space.rank(inst.initial)
+    runs = []
+    for vectors in (history, unstopped):
+        trail = [start]
+        runs.append((wfa_ranks(space, vectors, requests, start, trail), trail))
+    assert runs[0] == runs[1]
+    (end, at_base, total), trail = runs[0]
+    assert len(trail) == len(requests) + 1 and end == trail[-1] == start
+    assert at_base == wfa_ranks(space, base, inst.requests, start)[2] < total
+    decided = check_rank_run(history, anchored, monkeypatch)
+    assert decided < len(requests) and (decided - base_len) % k == 0
+
+    ranks = range(len(space))
+    assert np.array_equal(
+        first_start_visits(history, anchored, ranks, base_len),
+        first_start_visits(unstopped, anchored, ranks, base_len),
+    )
+
+
 def two_cluster_instance(far):
     """Two clusters, {0, 1} and {2, 3}, at distance 1 inside each and
     ``far`` between them; k = 2 from (0, 1).  WFA shuttles a server inside
@@ -490,12 +547,12 @@ def two_cluster_instance(far):
     return Instance.build(MetricSpace.from_matrix(dist), 2, (0, 1), (2, 3, 0, 2))
 
 
-def check_rank_run(history, served, prefix, monkeypatch):
+def check_rank_run(history, served, monkeypatch):
     """``wfa_ranks`` over ``history`` with a trail against ``loop_run``
     over every vector: the configuration after each round, the cost of the
-    first ``prefix`` rounds and the total.  Its decisions, counted as
-    transition lookups, end at the first periodic cycle start whose
-    configuration is the one a cycle earlier, or at the last round.
+    history's first ``base_len`` rounds and the total.  Its decisions,
+    counted as transition lookups, end at the first periodic cycle start
+    whose configuration is the one a cycle earlier, or at the last round.
     Returns that count."""
     import kserver.workfunction as workfunction
 
@@ -510,13 +567,14 @@ def check_rank_run(history, served, prefix, monkeypatch):
 
     monkeypatch.setattr(workfunction.ConfigurationSpace, "transitions", counted)
     trail = [space.rank(served.initial)]
-    end, at_prefix, total = wfa_ranks(space, history, requests, trail[0], prefix, trail)
+    end, at_base, total = wfa_ranks(space, history, requests, trail[0], trail)
     monkeypatch.undo()
     want = loop_run(history, requests, served.initial)
     configs = [want.config_after(t) for t in range(len(requests) + 1)]
     assert [space.config(rank) for rank in trail] == configs
     assert end == trail[-1]
-    assert at_prefix == sum(move.cost for rnd in want.rounds[:prefix] for move in rnd.moves)
+    base_rounds = want.rounds[: history.base_len]
+    assert at_base == sum(move.cost for rnd in base_rounds for move in rnd.moves)
     assert total == want.total_cost
     repeats = (
         i for i in range(len(requests))
@@ -542,28 +600,34 @@ class TestRankRun:
         for m in (1, 2, cycles):
             anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
-            decided = check_rank_run(history, anchored, base_len, monkeypatch)
+            assert history.base_len == base_len
+            decided = check_rank_run(history, anchored, monkeypatch)
             rounds = len(anchored.requests)
             # the full anchor's run stops cycles before its end
-            assert decided == rounds if history.fixed_cycle is None else decided <= rounds
+            repeats = history.periodic_from < len(history.rows)
+            assert decided <= rounds if repeats else decided == rounds
             assert m < cycles or decided < rounds
         # the base alone, and folded as the run goes
-        check_rank_run(base, inst, base_len, monkeypatch)
+        assert base.base_len == base_len
+        check_rank_run(base, inst, monkeypatch)
         alg, final = wfa_cost(inst)
         assert alg == run_wfa(inst).total_cost
         assert np.array_equal(final.values, base[-1].values)
 
     @pytest.mark.parametrize("far", [1, 3, 10, 100])
     def test_two_clusters(self, far, monkeypatch):
-        # the fixed point comes at cycle far + 2; the run decides up to the
-        # cycle after it, where its configuration repeats, not all m cycles
+        # the vectors repeat from row 2 far + 5, one request into cycle
+        # far + 1; the run decides up to a cycle after the next cycle start,
+        # where its configuration repeats, not all m cycles
         inst = two_cluster_instance(far)
         base = work_vector_history(inst)
         anchor = compute_anchor(inst, opt_cost(base[-1]), 3, 0)
         anchored = dataclasses.replace(inst, requests=inst.requests + anchor.requests)
         history = work_vector_history(anchored, base)
-        assert history.fixed_cycle == far + 2
-        decided = check_rank_run(history, anchored, len(inst.requests), monkeypatch)
+        base_len = len(inst.requests)
+        assert history.periodic_from == base_len + far * inst.k + 1 == 2 * far + 5
+        assert len(history.rows) == history.periodic_from + inst.k
+        decided = check_rank_run(history, anchored, monkeypatch)
         assert decided <= history.periodic_from + 2 * inst.k < len(anchored.requests)
         assert wfa_cost(anchored)[0] == run_wfa(anchored).total_cost
         report = verify_anchored_properties(inst, 3)
@@ -654,17 +718,18 @@ class TestMergedBackward:
                 for rank in ranks
             ])
             rounds, period, periodic_from = len(requests), inst.k, history.periodic_from
+            base_len = len(inst.requests)
             merged = max(t for t in range(rounds + 1) if (walked[:, t] == walked[0, t]).all())
             assert len(shared) == merged and split.shape == (rounds - merged, len(ranks))
             # each round's nodes are the distinct ranks after it
             assert [leave.size for leave, _ in steps[:-1]] == [
                 len(set(walked[:, t])) for t in range(merged + 1, rounds)
             ]
-            starts = range(periodic_from, rounds + 1, period)
+            # anchor cycles start every k rounds from the base's end
+            starts = [t for t in range(periodic_from, rounds + 1) if (t - base_len) % period == 0]
             # the array walk passes a cycle start, and the next lies below the merge
             above = [t for t in starts if t > merged]
             assert above and min(above) - period >= periodic_from, (model, weights, seed)
-            base_len = len(inst.requests)
             start = space.rank(inst.initial)
             held = max(t for t in range(base_len + 1, merged + 1) if walked[0, t] == start)
             assert held_to == held, (model, weights, seed)
@@ -762,7 +827,7 @@ class TestSharedReplay:
             for m in (1, 2):
                 anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
                 history = work_vector_history(anchored, base)
-                if history.fixed_cycle is not None:
+                if history.periodic_from < len(history.rows):
                     continue
                 space = history.space
                 reference = work_vector_history(anchored)
@@ -799,12 +864,13 @@ def test_verify_work_counts(monkeypatch):
     assert report.beta_used == 0 and report.status == "pass"
     rounds = len(inst.requests) + inst.k * report.cycles
     assert rounds == 1398
-    # the anchor reaches its fixed point at cycle 4 of 337; blocks 2 and 3
-    # are block 1 shifted, so no other anchored history is folded
+    # the anchor's row 64 is row 60 again, inside its third cycle of 337,
+    # and is not stored; blocks 2 and 3 are block 1 shifted, so no other
+    # anchored history is folded
     anchored = [h for h in histories if len(h) == rounds + 1]
-    assert [(h.fixed_cycle, h.periodic_from, len(h.rows)) for h in anchored] == [(4, 62, 66)]
-    assert calls == {"update": 50 + 4 * 4, "extract": 1}
-    assert calls["update"] == 66
+    assert [(h.base_len, h.periodic_from, len(h.rows)) for h in anchored] == [(50, 60, 64)]
+    assert calls == {"update": 50 + 60 + 4 - 50, "extract": 1}
+    assert calls["update"] == 64
     # the shifted blocks end where the full fold of all three blocks does
     block = dataclasses.replace(inst, requests=inst.requests + inst.initial * report.cycles)
     reference = full_fold(dataclasses.replace(block, requests=block.requests * 3))
@@ -813,6 +879,49 @@ def test_verify_work_counts(monkeypatch):
     calls["update"] = 0
     measure_strict_ratio(inst)
     assert calls == {"update": 50, "extract": 1}
+
+
+PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins" / "verify.json"
+
+# anchor updates of the anchor verify folds first (alpha 2k-1, beta 0) on
+# each instance of the benchmark's pools, by (n, k, |rho|) and seed: 151
+# on verify-mid's pool and 266 on verify-wide's, where folding up to two
+# equal cycle-end vectors took 164 and 292
+PINNED_ANCHOR_UPDATES = {
+    "12,4,50": {
+        4: 11, 29: 16, 56: 11, 57: 12, 114: 14, 156: 13,
+        168: 10, 173: 11, 185: 16, 272: 11, 290: 15, 412: 11,
+    },
+    "15,8,4": {4: 32, 5: 34, 12: 36, 21: 24, 26: 19},
+    "16,6,4": {2: 23, 11: 19, 14: 28, 21: 28, 23: 23},
+}
+
+
+def test_pinned_anchors_stop_at_the_first_repeated_row(monkeypatch):
+    """On every pinned benchmark instance the anchor is folded up to its
+    first row equal to the row k before it, and no further: no stored row
+    repeats the row k before it, the stored rows end a period after
+    ``periodic_from``, and the fold makes that many updates past the base."""
+    pools = json.loads(PINS.read_text(encoding="utf-8"))
+    assert {key: sorted(map(int, pool["seeds"])) for key, pool in pools.items()} == {
+        key: sorted(seeds) for key, seeds in PINNED_ANCHOR_UPDATES.items()
+    }
+    calls = count_work(monkeypatch)
+    for key, seeds in PINNED_ANCHOR_UPDATES.items():
+        n, k, rho_len = map(int, key.split(","))
+        for seed, updates in seeds.items():
+            inst = generate_instance(n, k, rho_len, seed)
+            base = work_vector_history(inst)
+            cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * k - 1, 0).cycles
+            anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
+            calls["update"] = 0
+            history = work_vector_history(anchored, base)
+            rows, periodic_from = history.rows, history.periodic_from
+            assert not any(
+                np.array_equal(rows[t], rows[t - k]) for t in range(rho_len + k, len(rows))
+            ), (key, seed)
+            assert periodic_from < len(rows) == periodic_from + k, (key, seed)
+            assert calls["update"] == periodic_from + k - rho_len == updates, (key, seed)
 
 
 def test_closed_form_repeat_builds_no_q_fold_trace():

@@ -222,9 +222,9 @@ EXTRACT_MODELS = ("uniform", "roundrobin_k_plus_1", "greedy_adversary")
 @pytest.mark.parametrize("weights", [(1, 9), (1, 1), (1, 1000)])
 def test_extract_trace_equals_the_loop(weights):
     # every target, on the full fold of a base sequence and on anchors of
-    # one, two and m cycles folded onto it up to their fixed points; the
+    # one, two and m cycles folded onto it until their rows repeat; the
     # reference reads every vector of the anchored sequence folded in full
-    fixed = 0
+    repeated = 0
     for model, seed in itertools.product(EXTRACT_MODELS, range(1, 7)):
         n, k = (5, 2) if seed % 2 == 0 else (6, 3)
         inst = generate_instance(n, k, 8, seed, request_model=model, weight_range=weights)
@@ -234,13 +234,13 @@ def test_extract_trace_equals_the_loop(weights):
         for m in (1, 2, cycles):
             anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * m)
             history = work_vector_history(anchored, base)
-            fixed += history.fixed_cycle is not None
+            repeated += history.periodic_from < len(history.rows)
             pairs.append((anchored, history, work_vector_history(anchored)))
         for served, history, full in pairs:
             for target in all_configs(history.space):
                 got = extract_trace(history, served, target)
                 assert got == loop_extract_trace(full, served, target), (model, seed, target)
-    assert fixed >= 18  # every m-cycle anchor, at least
+    assert repeated >= 18  # every m-cycle anchor, at least
 
 
 def test_history_shape(m3_instance):
@@ -275,7 +275,7 @@ def test_histories_share_the_vectors(monkeypatch):
     anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * 40)
     returned.clear()
     history = work_vector_history(anchored, base)
-    assert history.fixed_cycle is not None
+    assert history.periodic_from < len(history.rows)
     base_len = len(inst.requests)
     assert all(a is b for a, b in zip(history.rows[: base_len + 1], base.rows, strict=True))
     assert all(row is vector.values for row, vector in zip(history.rows[base_len + 1 :], returned))
@@ -401,13 +401,15 @@ def test_start_visits_cost_check_names_the_target(monkeypatch):
 def verify_mid_case():
     """The seed-114 (12, 4, 50) instance of the verify-mid benchmark with
     the anchor verify builds (alpha 2k-1, beta 0), folded onto its base
-    history up to the fixed point: 1398 rounds, 66 stored rows."""
+    history until a row equals the row k before it: 1398 rounds, 64 stored
+    rows, repeating with period 4 from row 60."""
     inst = generate_instance(12, 4, 50, seed=114)
     base = work_vector_history(inst)
     cycles = compute_anchor(inst, opt_cost(base[-1]), 2 * inst.k - 1, 0).cycles
     anchored = dataclasses.replace(inst, requests=inst.requests + inst.initial * cycles)
     history = work_vector_history(anchored, base)
-    assert len(anchored.requests) == 1398 and history.fixed_cycle == 4
+    assert len(anchored.requests) == 1398
+    assert history.periodic_from == 60 and len(history.rows) == 64
     return inst, anchored, history
 
 

@@ -564,7 +564,7 @@ class TestRunWfa:
     def test_continued_run_equals_a_run_from_the_start(self, q):
         # the verify harness serves blocks 2..q of the repeated anchored
         # block by continuing the anchored run, each block folded from the
-        # previous block's last vector up to its anchor's fixed point; that
+        # previous block's last vector until its anchor's rows repeat; that
         # must be exactly the run over the whole repeated block
         for seed, model in ((3, "uniform"), (8, "roundrobin_k_plus_1"), (5, "greedy_adversary")):
             inst = generate_instance(6, 3, 7, seed, request_model=model)
@@ -579,7 +579,7 @@ class TestRunWfa:
             vector = history[-1]
             for _ in range(q - 1):
                 block = work_vector_history(anchored, work_vector_history(inst, first=vector))
-                assert block.fixed_cycle is not None
+                assert block.periodic_from < len(block.rows)
                 total += wfa_ranks(space, block, anchored.requests, trail[-1], trail=trail)[2]
                 vector = block[-1]
             assert np.array_equal(vector.values, final_work_vector(repeated).values)
@@ -606,17 +606,19 @@ class TestRunWfa:
 class TestHistory:
     """A ``History`` read on rows that repeat with the period but differ
     inside a cycle, which folded work vectors rarely show: reads and the
-    compressed online run against every vector listed out."""
+    compressed online run against every vector listed out.  The period
+    starts ``offset`` rounds into the anchor, at a cycle start or inside
+    a cycle (k = 3)."""
 
-    @pytest.mark.parametrize("fixed_cycle", [1, 2, 4])
-    def test_periodic_reads_and_compressed_run(self, fixed_cycle):
+    @pytest.mark.parametrize("offset", [0, 1, 3, 5, 9])
+    def test_periodic_reads_and_compressed_run(self, offset):
         costly = 0
         for seed in range(1, 30):
             inst = generate_instance(6, 3, 4, seed)
             space = configuration_space(inst.metric, inst.k)
             stream = SplitMix64(seed)
             base_len, k, cycles = len(inst.requests), inst.k, 7
-            periodic_from = base_len + (fixed_cycle - 1) * k
+            periodic_from = base_len + offset
 
             def row():
                 values = [stream.randint(0, 40) for _ in range(len(space))]
@@ -628,8 +630,7 @@ class TestHistory:
             listed = (prefix + cycle * (cycles + 1))[: length + 1]
             rows = np.array(listed[: periodic_from + k])
             rows.setflags(write=False)
-            history = History(space, rows, length, base_len, fixed_cycle)
-            assert history.periodic_from == periodic_from
+            history = History(space, rows, length, base_len, periodic_from)
             assert len(history) == length + 1
             for t, vector in enumerate(history):
                 assert np.array_equal(vector.values, listed[t])
@@ -788,8 +789,8 @@ class TestNarrowStorage:
 
     def test_stored_history_bytes(self):
         # the anchored history of (16, 8, 300) seed 1 as verify folds it:
-        # 332 stored rows of 12,870 int16 entries, 8,545,680 bytes, where
-        # int64 rows took 34,182,720
+        # 327 stored rows of 12,870 int16 entries, 8,416,980 bytes, where
+        # int64 rows took 33,667,920
         inst = generate_instance(16, 8, 300, 1)
         base = work_vector_history(inst)
         cycles = compute_anchor(inst, opt_cost(base[-1]), 15, 0).cycles
@@ -798,7 +799,7 @@ class TestNarrowStorage:
         space = history.space
         assert space.dtype == np.int16
         stored = sum(row.nbytes for row in history.rows)
-        assert stored == 2 * len(space) * len(history.rows) == 2 * 12_870 * 332 == 8_545_680
+        assert stored == 2 * len(space) * len(history.rows) == 2 * 12_870 * 327 == 8_416_980
 
 
 class TestOneOrNoUncoveredColumn:
