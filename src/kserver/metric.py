@@ -235,46 +235,25 @@ def canonical_configuration(points: Iterable[int], n: int) -> Configuration:
     return tuple(sorted(pts))
 
 
-def _matching_table(
-    sources: Sequence[int], targets: Sequence[int], metric: MetricSpace
-) -> tuple[list[list[int]], list[int]]:
-    """Distance rows and suffix subset DP of a bijection sources -> targets.
-
-    ``rows[i][j]`` is the distance from source i to target j.
-    ``rest[mask]`` is the least cost of matching the last popcount(mask)
-    sources to the targets in ``mask``: the first of them takes some
-    target j in ``mask`` and the others match ``mask`` without j.  That
-    is the recurrence of :func:`matching_costs` with the sides swapped,
-    so that the tie-break can be read off per source, in exact Python
-    integers: k * 2^(k-1) steps over the set bits of each mask.
-    """
+def _pair_table(sources: Sequence[int], targets: Sequence[int], metric: MetricSpace) -> np.ndarray:
+    """``table[i, j]``, the distance from source i to target j, as Python
+    integers (object dtype), so that no sum of them wraps or rounds."""
     if len(sources) != len(targets):
         raise InputError(f"matching sides differ: {len(sources)} vs {len(targets)}")
-    k = len(sources)
-    dist = metric.dist
-    rows = [[dist[s][t] for t in targets] for s in sources]
-    rest = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        row = rows[k - mask.bit_count()]
-        best = None
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            cost = row[low.bit_length() - 1] + rest[mask ^ low]
-            if best is None or cost < best:
-                best = cost
-        rest[mask] = best
-    return rows, rest
+    rows = [[metric.dist[s][t] for t in targets] for s in sources]
+    return np.array(rows, dtype=object).reshape(len(rows), len(rows))
 
 
 def matching_cost(sources: Sequence[int], targets: Sequence[int], metric: MetricSpace) -> int:
     """Minimum total distance of a bijection sources -> targets.
 
     Accepts repeated points on either side (server positions may stack
-    mid-execution).
+    mid-execution).  One column of :func:`matching_costs` over the pair
+    table in Python integers, so exact at any size of distance.
     """
-    return _matching_table(sources, targets, metric)[1][-1]
+    table = _pair_table(sources, targets, metric)
+    index = np.arange(len(table))[:, None]
+    return matching_costs(table, index, index)[0]
 
 
 def matching_assignment(
@@ -285,18 +264,24 @@ def matching_assignment(
     Among minimal bijections the one whose sequence of target positions is
     lexicographically first is returned, for every k, which makes
     downstream trace extraction deterministic: each source in turn takes
-    the smallest unused target index that still reaches the minimum.
+    the smallest unused target index that still reaches the minimum.  It
+    reads the layers of :func:`matching_costs`' DP run with the sides
+    swapped and the sources last-first: layer k - i holds, per subset of
+    the targets, the least cost of matching sources i..k-1 to it.
     """
-    rows, rest = _matching_table(sources, targets, metric)
-    mask = len(rest) - 1
+    table = _pair_table(sources, targets, metric).T
+    k = len(table)
+    index = np.arange(k)[:, None]
+    layers = [layer[:, 0].tolist() for layer in _matching_layers(table, index, index[::-1])]
     picked = []
-    for row in rows:
-        j = next(
-            j for j in range(len(row))
-            if mask >> j & 1 and row[j] + rest[mask ^ 1 << j] == rest[mask]
+    subset = 0  # index of the targets left in layer k - i
+    for i, (before, member) in enumerate(reversed(_subset_layers(k))):
+        value, below, row = layers[k - i][subset], layers[k - i - 1], table[:, i]
+        subset, j = next(
+            (rest, j) for rest, j in zip(before[:, subset].tolist(), member[:, subset].tolist())
+            if below[rest] + row[j] == value
         )
         picked.append(targets[j])
-        mask ^= 1 << j
     return tuple(picked)
 
 
@@ -313,27 +298,37 @@ def matching_costs(matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray)
     a's distance to target row j.  The members are taken slot by slot
     (``_subset_layers``), so a layer costs one gather of the previous
     layer, one of the step and one ``np.minimum`` per slot: k(k+1)/2
-    slots in all, over the k * 2^(k-1) terms of :func:`matching_cost`'s
-    recurrence.  Every partial sum is at most k times the largest
-    distance, which the caller's dtype must hold.
+    slots in all, over the k * 2^(k-1) terms of the subset recurrence.
+    Every partial sum is at most k times the largest distance, which the
+    caller's dtype must hold; an object matrix of Python integers, as
+    :func:`matching_cost` and :func:`matching_assignment` pass, holds any.
     """
+    return _matching_layers(matrix, sources, targets)[-1][0]
+
+
+def _matching_layers(
+    matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray
+) -> list[np.ndarray]:
+    """Every layer of :func:`matching_costs`' DP, layer 0 to layer k, each a
+    ``(C(k, j), N)`` table in ``matrix``'s dtype."""
     k, width = targets.shape
-    layer = np.zeros((1, width), dtype=matrix.dtype)
+    layers = [np.zeros((1, width), dtype=matrix.dtype)]
     for target, (before, member) in zip(targets, _subset_layers(k)):
         step = matrix[sources, target]
         grown = None
         for subsets, sources_at in zip(before, member):
-            candidate = layer.take(subsets, axis=0)
+            candidate = layers[-1].take(subsets, axis=0)
             candidate += step.take(sources_at, axis=0)
             if grown is None:
                 grown = candidate
             else:
                 np.minimum(grown, candidate, out=grown)
-        layer = grown
-    return layer[0]
+        layers.append(grown)
+    return layers
 
 
-@lru_cache(maxsize=1)
+# unbounded: the scalar matchings ask for a few small k besides a space's k
+@lru_cache(maxsize=None)
 def _subset_layers(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Index tables of ``matching_costs``' layers, one pair per layer j = 1..k.
 

@@ -14,7 +14,10 @@ where each trace first revisits the start.  The latter prices every
 target's final relocation in one batched subset DP
 (``metric.matching_costs``, a minimum matching per column, in the
 space's dtype), since under the triangle inequality the relocation
-costs exactly a minimum matching.  Targets that share a plan share its
+costs exactly a minimum matching.  The start's alignment to each first
+plan and ``extract_trace``'s relocation moves come from
+``matching_assignment``, which reads a bijection off the same DP's
+layers in Python integers.  Targets that share a plan share its
 work: the backtrack walks each round's distinct ranks once, and once
 every target's rank agrees it walks one rank with scalar reads (a
 one-target walk from its first round) and keeps those rounds' leave

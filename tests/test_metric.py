@@ -212,13 +212,17 @@ def matrix_dtype(request):
 
 
 class TestMatchingCostsKernel:
-    """The batched subset DP against ``matching_cost``, column by column,
-    on the metric's int64 matrix and on its int16 cast (C1b's, in a
-    narrow space), the result in the matrix's dtype.
+    """The batched subset DP column by column, on the metric's int64
+    matrix and on its int16 cast (C1b's, in a narrow space), the result in
+    the matrix's dtype.
 
-    ``matching_cost`` is the scalar form of the same subset recurrence in
-    Python integers; ``TestMatchingRoutes`` checks it, and the assignment
-    read off its table, against all k! permutations at every k from 1
+    Two references check different things.  The k! permutations of
+    ``brute_force_distance`` check the recurrence itself, at k <= 5.
+    ``matching_cost`` runs the same DP on one column over a pair table in
+    Python integers, so it checks the batching (columns that share
+    sources or targets, a broadcast origin) and the dtype, at every k.
+    ``TestMatchingRoutes`` checks ``matching_cost`` and the assignment
+    read off its layers against all k! permutations at every k from 1
     to 8.
     """
 
@@ -236,6 +240,8 @@ class TestMatchingCostsKernel:
             column = [row[i if len(row) > 1 else 0] for row in sources]
             target = [row[i] for row in targets]
             assert value == matching_cost(column, target, metric), (column, target)
+            if len(target) <= 5:
+                assert value == brute_force_distance(column, target, metric), (column, target)
 
     @staticmethod
     def random_columns(rng, n, k, count):
@@ -343,6 +349,16 @@ class TestMatchingCostsKernel:
         disjoint = matching_costs(uniform.matrix, np.arange(k)[:, None],
                                   np.arange(k, 2 * k)[:, None])
         assert disjoint.tolist() == [k * far]
+
+
+def test_second_verify_builds_no_layer_tables():
+    # a verify asks for the space's k and for its final relocations' 1-2
+    # movers; a cache that kept only the last k would rebuild both each time
+    inst = generate_instance(16, 6, 4, 2)
+    kserver.verify_anchored_properties(inst, 11, 0, 3)
+    misses = _subset_layers.cache_info().misses
+    kserver.verify_anchored_properties(inst, 11, 0, 3)
+    assert _subset_layers.cache_info().misses == misses
 
 
 def test_import_leaves_scipy_out():

@@ -23,7 +23,7 @@ from kserver import (
 )
 from kserver.anchor import compute_anchor
 from kserver.execution import ExecutionTrace, Move, Round
-from kserver.metric import INT64_MAX
+from kserver.metric import INT64_MAX, matching_costs
 from kserver.offline import (
     _backtrack,
     extract_trace,
@@ -225,16 +225,15 @@ def trace_run(trace):
 
 
 def loop_distance_vector(space, origin):
-    """Reference: one exact matching per configuration.
+    """Reference: the matching distance from ``origin`` to every
+    configuration, in one ``matching_costs`` call over the space's slots.
 
-    ``matching_cost`` is the scalar subset DP in Python integers, which
-    ``tests/test_metric.py`` checks against all k! permutations at every
-    k from 1 to 8.
+    Its subset DP over the origin's points shares nothing with the
+    transition tables ``distance_vector`` folds over, and
+    ``tests/test_metric.py`` checks it against all k! permutations.
     """
-    return np.array(
-        [matching_cost(origin, cfg, space.metric) for cfg in all_configs(space)],
-        dtype=np.int64,
-    )
+    origin = np.array(origin, dtype=np.intp)[:, None]
+    return matching_costs(space.metric.matrix, origin, space.slots)
 
 
 # n from 2 to 16, k from 1 to 8; (16, 8) has 12,870 configurations
@@ -248,9 +247,7 @@ WEIGHT_RANGES = [(1, 1), (1, 9), (1, 1000)]
 def kernel_cases():
     for (n, k), weights in itertools.product(KERNEL_SHAPES, WEIGHT_RANGES):
         yield n, k, weights
-    # the largest space once: its reference loops take seconds, and its
-    # distance vector is checked from one origin only (12,870 scalar
-    # matchings at k = 8 per origin)
+    # the largest space once: its reference loops take seconds
     yield 16, 8, (1, 1000)
 
 
@@ -267,8 +264,7 @@ class TestConfigurationSpaceKernels:
             assert np.array_equal(column[uncovered], np.arange(len(uncovered)))
             assert np.array_equal(column[covered], np.full(len(covered), -1))
         size = len(space)
-        ranks = {0} if (n, k) == (16, 8) else {0, size // 3, size - 1}
-        for rank in sorted(ranks):
+        for rank in sorted({0, size // 3, size - 1}):
             origin = space.config(rank)
             assert np.array_equal(
                 space.distance_vector(origin), loop_distance_vector(space, origin)
