@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -327,33 +328,70 @@ def _matching_layers(
     return layers
 
 
+def subset_lattice(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The k-subsets of range(n) in rank order, that of ``itertools.combinations``,
+    as the read-only tables ``(masks, rank_of_mask, slots, swaps, lattice)``.
+
+    With point p on bit n - 1 - p, rank order is decreasing mask order,
+    and the highest set bit is the smallest point, so the masks of
+    popcount k are taken in decreasing order, ``masks``, and their highest
+    bits peeled k times into ``slots``, the C-contiguous uint8
+    ``(k, C(n, k))`` table of each subset's points in increasing order.
+    ``rank_of_mask``, 2^n int32 entries, maps a mask back to its rank.
+    The subsets that miss point 0 rank last: numbered p -> p - 1, they are
+    the k-subsets of n - 1 points, the lattice, with slot points
+    ``lattice`` (uint8).  Those that hold point 0 rank first, the
+    lattice's (k-1)-subsets plus point 0, so ``swaps[j, c]``, read off the
+    rank table as the slots are peeled, is the rank among the
+    (k-1)-subsets of lattice subset c without its slot-j point, an intp
+    ``(k, C(n-1, k))`` table.  No Python object is made per subset.
+    """
+    # popcount and highest set bit of every n-bit mask, by doubling
+    popcount = np.zeros(1 << n, dtype=np.uint8)
+    highest = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
+        highest[1 << b : 2 << b] = b
+    masks = np.flatnonzero(popcount == k)[::-1]  # decreasing: rank order
+    rank_of_mask = np.full(1 << n, -1, dtype=np.int32)
+    rank_of_mask[masks] = np.arange(masks.size, dtype=np.int32)
+    split = masks.size - math.comb(n - 1, k)
+    lattice_masks = masks[split:]
+    slots = np.empty((k, masks.size), dtype=np.uint8)
+    swaps = np.empty((k, lattice_masks.size), dtype=np.intp)
+    rest = masks
+    for j in range(k):
+        high = highest[rest]
+        np.subtract(n - 1, high, out=slots[j])
+        bit = np.left_shift(1, high, dtype=np.intp)
+        # slot j's point swapped for point 0
+        swapped = (lattice_masks ^ bit[split:]) | 1 << (n - 1)
+        swaps[j] = rank_of_mask[swapped]
+        rest = rest ^ bit
+    lattice = slots[:, split:] - 1
+    tables = (masks, rank_of_mask, slots, swaps, lattice)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 # unbounded: the scalar matchings ask for a few small k besides a space's k
 @lru_cache(maxsize=None)
 def _subset_layers(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Index tables of ``matching_costs``' layers, one pair per layer j = 1..k.
 
-    Layer j lists the j-subsets of range(k) in increasing mask order.  Its
-    ``member[m, s]`` is the m-th smallest element of subset s and
-    ``before[m, s]`` the index in layer j - 1 of subset s without it, both
-    ``(j, C(k, j))`` intp tables.  Built from a popcount table over the
-    2^k masks, by doubling, and the set bits of each layer's masks in
-    row-major order: no sort.
+    Layer j is the lattice of ``subset_lattice(k + 1, j)``, the j-subsets
+    of range(k) in lexicographic order, and its pair that lattice's
+    ``(swaps, lattice)``: ``before[m, s]`` is the index in layer j - 1 of
+    subset s without ``member[m, s]``, its m-th smallest element, both
+    ``(j, C(k, j))`` intp tables.
     """
-    popcount = np.zeros(1 << k, dtype=np.intp)
-    for b in range(k):
-        popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
-    index = np.empty(1 << k, dtype=np.intp)
-    bits = np.arange(k)
     layers = []
-    for j in range(k + 1):
-        masks = np.flatnonzero(popcount == j)
-        index[masks] = np.arange(masks.size)
-        if j:
-            member = np.nonzero(masks[:, None] >> bits & 1)[1].reshape(-1, j).T
-            before = index[masks ^ 1 << member]
-            for table in (before, member):
-                table.setflags(write=False)
-            layers.append((before, member))
+    for j in range(1, k + 1):
+        _, _, _, before, lattice = subset_lattice(k + 1, j)
+        member = lattice.astype(np.intp)
+        member.setflags(write=False)
+        layers.append((before, member))
     return tuple(layers)
 
 

@@ -534,12 +534,13 @@ def oracle_opt(inst: Instance, target: Configuration | None = None) -> int:
 
 
 def oracle_work_vector(inst: Instance) -> dict[Configuration, int]:
-    """Brute-force value for every ending configuration, one enumeration."""
+    """Brute-force value for every ending configuration, one enumeration,
+    each final multiset priced against every configuration in one
+    ``matching_costs`` call over the distances as Python integers."""
     costs = oracle_schedule_costs(inst)
-    out = {}
-    for config in itertools.combinations(range(inst.metric.n), inst.k):
-        out[config] = min(
-            cost + matching_cost(finals, config, inst.metric)
-            for finals, cost in costs.items()
-        )
-    return out
+    configs = list(itertools.combinations(range(inst.metric.n), inst.k))
+    finals = np.array(list(costs), dtype=np.intp).T.repeat(len(configs), axis=1)
+    targets = np.tile(np.array(configs, dtype=np.intp).T, len(costs))
+    relocations = matching_costs(np.array(inst.metric.dist, dtype=object), finals, targets)
+    totals = relocations.reshape(len(costs), -1) + np.array([*costs.values()], dtype=object)[:, None]
+    return dict(zip(configs, totals.min(axis=0).tolist()))

@@ -37,7 +37,6 @@ whatever the number of requests (``update_work_vector`` has the proof).
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,6 +55,7 @@ from .metric import (
     check_int64_bound,
     check_point,
     matching_cost,  # unused here; the benchmark tracer counts matchings through this name
+    subset_lattice,
 )
 
 INT16_MAX = int(np.iinfo(np.int16).max)
@@ -88,29 +88,15 @@ class ConfigurationSpace:
     """All k-point configurations of a metric space in lexicographic order.
 
     Tables are slot-major: ``slots[j]`` holds the j-th smallest point of
-    every configuration, a C-contiguous ``(k, |configs|)`` uint8 table.
-    It is built in a few whole-array passes, with no Python object per
-    configuration: with point p on bit n - 1 - p, lexicographic order is
-    decreasing mask order, and the highest set bit is the smallest point,
-    so the masks of popcount k are taken in decreasing order and their
-    highest bits peeled k times.  Those masks, and a table of 2^n entries
-    that maps a mask back to its rank, look up one configuration:
-    ``rank(config)`` and ``config(rank)``.  Rank order is the order of
-    ``itertools.combinations(range(n), k)``.
-
-    One request-independent table, ``swaps``, serves every request's
-    swaps.  For a request r, number the other points 0..n-2 in order: the
-    configurations that miss r are the k-subsets of those n - 1 points,
-    the lattice, and the ones that hold r are its (k-1)-subsets plus r,
-    each in rank order.  ``swaps[j, c]`` is the rank among the
-    (k-1)-subsets of the c-th k-subset without its slot-j point, an intp
-    ``(k, C(n-1, k))`` table.  For r = 0 the relabeling is p -> p - 1, the
-    configurations holding point 0 rank first and the others last, so
-    ``swaps`` is request 0's swap table, peeled with ``slots`` and read off
-    the rank table.  A request's tables (see ``Transitions``) are then its
-    covered and uncovered ranks and one gather of its distance row over
-    the other points at the lattice's slot points; the uint8 slot points
-    are cast once per build.  Swaps stay intp, since int32 or uint16
+    every configuration.  It, the masks and the rank table that look up
+    one configuration (``rank(config)`` and ``config(rank)``) and
+    ``swaps`` come from ``metric.subset_lattice``, in the order of
+    ``itertools.combinations(range(n), k)``.  ``swaps``, request 0's swap
+    table, serves every request (see the module docstring), and a
+    request's tables (see ``Transitions``) are then its covered and
+    uncovered ranks and one gather of its distance row over the other
+    points at the lattice's slot points; the uint8 slot points are cast
+    once per build.  Swaps stay intp, since int32 or uint16
     indices are cast on every gather: an update at (16, 6) took 0.11-0.14
     ms with them against 0.064-0.070 ms (timeit, best of 7, shared 2-vCPU
     x86-64 VM).  The rank -> column map, which no update gathers through,
@@ -139,41 +125,14 @@ class ConfigurationSpace:
         check_int64_bound(f"k={k}", k, metric.largest)
         self.metric = metric
         self.k = k
-        # popcount and highest set bit of every n-bit mask, by doubling
-        popcount = np.zeros(1 << n, dtype=np.uint8)
-        highest = np.zeros(1 << n, dtype=np.uint8)
-        for b in range(n):
-            popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
-            highest[1 << b : 2 << b] = b
-        self._masks = np.flatnonzero(popcount == k)[::-1]  # decreasing: rank order
-        size = self._masks.size
-        self._rank_of_mask = np.full(1 << n, -1, dtype=np.int32)
-        self._rank_of_mask[self._masks] = np.arange(size, dtype=np.int32)
-        # the lattice: the configurations missing point 0 rank last and
-        # those holding it first, each in the order of their other points
-        split = size - math.comb(n - 1, k)
-        lattice_masks = self._masks[split:]
-        self.slots = np.empty((k, size), dtype=np.uint8)
-        self.swaps = np.empty((k, lattice_masks.size), dtype=np.intp)
-        rest = self._masks
-        for j in range(k):
-            high = highest[rest]
-            np.subtract(n - 1, high, out=self.slots[j])
-            bit = np.left_shift(1, high, dtype=np.intp)
-            # slot j's point swapped for point 0
-            swapped = (lattice_masks ^ bit[split:]) | 1 << (n - 1)
-            self.swaps[j] = self._rank_of_mask[swapped]
-            rest = rest ^ bit
-        self._lattice = self.slots[:, split:] - 1  # its slot points, uint8
+        self._masks, self._rank_of_mask, self.slots, self.swaps, self._lattice = subset_lattice(n, k)
         span = (k + 1) * metric.largest
         narrow = 2 * span <= INT16_MAX
         self.dtype = np.int16 if narrow else np.int64
         self.ceiling = INT16_MAX - span if narrow else INT64_MAX
         # each point's distance row over the other points
         self._rows = metric.matrix[~np.eye(n, dtype=bool)].reshape(n, n - 1).astype(self.dtype)
-        tables = (self._masks, self._rank_of_mask, self.slots, self.swaps, self._lattice, self._rows)
-        for table in tables:
-            table.setflags(write=False)
+        self._rows.setflags(write=False)
         self._transitions: dict[int, Transitions] = {}
         self._distance_vectors: dict[Configuration, np.ndarray] = {}
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -27,7 +28,14 @@ from kserver import (
     random_metric,
     validate_metric,
 )
-from kserver.metric import _subset_layers, check_point, matching_costs, parse_json, sha256
+from kserver.metric import (
+    _subset_layers,
+    check_point,
+    matching_costs,
+    parse_json,
+    sha256,
+    subset_lattice,
+)
 from kserver.offline import oracle_work_vector
 from vector_checks import vector_pairs
 
@@ -314,22 +322,43 @@ class TestMatchingCostsKernel:
         self.check_columns(metric, sources, targets, matrix_dtype)
 
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_layer_tables_equal_the_masks(self, k):
-        # layer j lists the j-subsets of range(k) in increasing mask order;
+    def test_layer_tables_are_the_lexicographic_lattices(self, k):
+        # layer j lists the j-subsets of range(k) in lexicographic order;
         # column s holds subset s's members in increasing order, and the
-        # index in layer j - 1 of s without each member
+        # index in layer j - 1 of s without each member: the lattice of
+        # subset_lattice(k + 1, j) and its swaps
         layers = _subset_layers(k)
         assert len(layers) == k
-        previous = [0]
+        previous = [()]
         for j, (before, member) in enumerate(layers, start=1):
-            masks = [mask for mask in range(1 << k) if mask.bit_count() == j]
-            assert before.shape == member.shape == (j, len(masks))
+            subsets = list(itertools.combinations(range(k), j))
+            assert before.shape == member.shape == (j, len(subsets))
             assert before.dtype == member.dtype == np.intp
-            for s, mask in enumerate(masks):
-                members = [a for a in range(k) if mask >> a & 1]
-                assert member[:, s].tolist() == members
-                assert before[:, s].tolist() == [previous.index(mask ^ 1 << a) for a in members]
-            previous = masks
+            assert not before.flags.writeable and not member.flags.writeable
+            assert list(map(tuple, member.T.tolist())) == subsets
+            for s, subset in enumerate(subsets):
+                rests = [tuple(b for b in subset if b != a) for a in subset]
+                assert before[:, s].tolist() == [previous.index(rest) for rest in rests]
+            _, _, _, swaps, lattice = subset_lattice(k + 1, j)
+            assert np.array_equal(before, swaps) and np.array_equal(member, lattice)
+            previous = subsets
+
+    def test_sixteen_servers_over_seventeen_points(self):
+        # k = 16 matchings run over the lattices of 17 points, one more than
+        # any metric has: with member a on bit 15 - a, a layer's masks
+        # decrease (lexicographic order) and ``before`` drops one bit each
+        layers = _subset_layers(16)
+        masks = np.zeros(1, dtype=np.intp)
+        for j, (before, member) in enumerate(layers, start=1):
+            assert before.shape == member.shape == (j, math.comb(16, j))
+            assert (np.diff(member, axis=0) > 0).all()
+            bits = 1 << 15 - member
+            grown = bits.sum(axis=0)
+            assert (np.diff(grown) < 0).all()
+            assert (masks[before] == grown - bits).all()
+            masks = grown
+        line = MetricSpace(tuple(tuple(abs(a - b) for b in range(17)) for a in range(17)))
+        assert matching_cost(range(16), range(1, 17), line) == 16
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_largest_distance_the_int64_guard_admits(self, k):
@@ -359,6 +388,29 @@ def test_second_verify_builds_no_layer_tables():
     misses = _subset_layers.cache_info().misses
     kserver.verify_anchored_properties(inst, 11, 0, 3)
     assert _subset_layers.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (5, 5), (17, 17), (7, 3)])
+def test_subset_lattice_matches_the_combinations(n, k):
+    # k = n leaves an empty lattice, k = 1 a lattice whose swaps all land on
+    # the empty set, and n = 17 is past every metric's points
+    masks, rank_of_mask, slots, swaps, lattice = subset_lattice(n, k)
+    subsets = list(itertools.combinations(range(n), k))
+    assert slots.shape == (k, len(subsets)) and slots.dtype == np.uint8
+    assert list(map(tuple, slots.T.tolist())) == subsets
+    assert masks.tolist() == [sum(1 << n - 1 - p for p in subset) for subset in subsets]
+    assert rank_of_mask.dtype == np.int32 and rank_of_mask.shape == (1 << n,)
+    assert rank_of_mask[masks].tolist() == list(range(len(subsets)))
+    assert (rank_of_mask >= 0).sum() == len(subsets)
+    missing = list(itertools.combinations(range(n - 1), k))
+    holding = list(itertools.combinations(range(n - 1), k - 1))
+    assert swaps.shape == lattice.shape == (k, len(missing))
+    assert swaps.dtype == np.intp and lattice.dtype == np.uint8
+    assert list(map(tuple, lattice.T.tolist())) == missing
+    for c, subset in enumerate(missing):
+        rests = [subset[:j] + subset[j + 1 :] for j in range(k)]
+        assert swaps[:, c].tolist() == [holding.index(rest) for rest in rests]
+    assert not any(table.flags.writeable for table in (masks, rank_of_mask, slots, swaps, lattice))
 
 
 def test_import_leaves_scipy_out():
